@@ -9,15 +9,19 @@ an unstable limit), 2 input error, 3 IO error, 4 verification failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
-from .angles import TorusPoint
+import numpy as np
+
+from .angles import TorusPoint, angle_to_complex
 from .errors import BoundaryPoint, SigtorusError
 from .families import make_family
 from .hermitian import DEFAULT_TOL
-from .links import form_at, load_link, save_link, signature_nullity
+from .links import (load_link, save_link, signature_nullity,
+                    signature_nullity_batch)
 from .slope import classify_slope, slope
 from .verify import SUITES, directional_limit, predict_torres, run_suite
 
@@ -29,13 +33,26 @@ EXIT_FAIL = 4
 
 def _tolerance(args):
     if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("SIGTORUS_TOL")
-    return float(env) if env else DEFAULT_TOL
+        source, text = "--tol", args.tol
+    else:
+        source, text = "SIGTORUS_TOL", os.environ.get("SIGTORUS_TOL") or DEFAULT_TOL
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise SigtorusError("%s must be a positive finite number, got %r" % (source, text))
+    return value
 
 
-def _point(text):
-    point = TorusPoint.from_text(text)
+def _point(text, flag, count=None):
+    """Parse the angle list given with ``flag``; with ``count``, check its length."""
+    try:
+        point = TorusPoint.from_text(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SigtorusError("%s: cannot read %r as angles (%s)" % (flag, text, exc)) from None
+    if count is not None and point.mu != count:
+        raise SigtorusError("%s needs %d angle(s), got %d" % (flag, count, point.mu))
     if not point.is_exact:
         print("warning: decimal angles disable exact predicates", file=sys.stderr)
     return point
@@ -43,30 +60,34 @@ def _point(text):
 
 def cmd_eval(args):
     link = load_link(args.link)
-    point = _point(args.omega)
+    point = _point(args.omega, "--omega", link.mu)
+    tol = _tolerance(args)
     try:
-        sigma, eta = signature_nullity(link, point, _tolerance(args))
+        sigma, eta = signature_nullity(link, point, tol)
     except BoundaryPoint:
         print("error: omega has a coordinate equal to 1; the Seifert form "
               "degenerates there. Use the `torres` command for boundary "
               "predictions.", file=sys.stderr)
         return EXIT_INPUT
-    print("sigma=%d eta=%d dim=%d" % (sigma, eta, form_at(link, point).n))
+    print("sigma=%d eta=%d dim=%d" % (sigma, eta, link.seifert.n))
     return EXIT_OK
 
 
 def _grid_axes(args, link):
-    if args.axes:
-        axes = tuple(int(x) for x in args.axes.split(","))
-    else:
-        axes = (1, 2)
+    try:
+        axes = tuple(int(x) for x in args.axes.split(",")) if args.axes else (1, 2)
+    except ValueError:
+        axes = ()
     if len(axes) != 2 or len(set(axes)) != 2 or not all(1 <= a <= link.mu for a in axes):
         raise SigtorusError("--axes must name two distinct colors in 1..%d" % link.mu)
     rest_colors = [c for c in range(1, link.mu + 1) if c not in axes]
-    rest_angles = _point(args.rest).angles if args.rest else ()
+    rest_angles = _point(args.rest, "--rest").angles if args.rest else ()
     if len(rest_angles) != len(rest_colors):
         raise SigtorusError("--rest must supply %d angle(s) for colors %r"
                             % (len(rest_colors), rest_colors))
+    if any(a == 0 for a in rest_angles):
+        raise BoundaryPoint("--rest: an angle equal to 0 puts the sweep on the "
+                            "boundary, where the Seifert form degenerates")
     return axes, dict(zip(rest_colors, rest_angles))
 
 
@@ -80,33 +101,33 @@ def cmd_grid(args):
     axes, fixed = _grid_axes(args, link)
     tol = _tolerance(args)
 
-    rows = []
-    for i in range(1, n):
-        for j in range(1, n):
-            angles = [None] * link.mu
-            angles[axes[0] - 1] = Fraction(i, n)
-            angles[axes[1] - 1] = Fraction(j, n)
-            for color, angle in fixed.items():
-                angles[color - 1] = angle
-            sigma, eta = signature_nullity(link, TorusPoint(angles), tol)
-            rows.append((Fraction(i, n), Fraction(j, n), sigma, eta))
+    # row-major over (theta1, theta2) = (i/n, j/n), i and j in 1..n-1
+    side = n - 1
+    thetas = [Fraction(i, n) for i in range(1, n)]
+    axis_omegas = np.array([angle_to_complex(t) for t in thetas])
+    omegas = np.empty((side * side, link.mu), dtype=complex)
+    omegas[:, axes[0] - 1] = np.repeat(axis_omegas, side)
+    omegas[:, axes[1] - 1] = np.tile(axis_omegas, side)
+    for color, angle in fixed.items():
+        omegas[:, color - 1] = angle_to_complex(angle)
+    sigmas, etas = signature_nullity_batch(link, omegas, tol)
 
+    labels = [str(t) for t in thetas]
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("theta1,theta2,sigma,eta\n")
-            for t1, t2, sigma, eta in rows:
-                fh.write("%s,%s,%d,%d\n" % (t1, t2, sigma, eta))
+            for k, (sigma, eta) in enumerate(zip(sigmas, etas)):
+                fh.write("%s,%s,%d,%d\n" % (labels[k // side], labels[k % side], sigma, eta))
         if args.heatmap:
-            _write_heatmap(args.heatmap, rows, n)
+            _write_heatmap(args.heatmap, sigmas, n)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
-def _write_heatmap(path, rows, n):
+def _write_heatmap(path, sigmas, n):
     """Plain (P2) PGM with the signature mapped affinely onto 0..255."""
-    sigmas = [s for _, _, s, _ in rows]
     low, high = min(sigmas), max(sigmas)
     span = high - low
     side = n - 1
@@ -115,14 +136,14 @@ def _write_heatmap(path, rows, n):
         for r in range(side):
             line = []
             for c in range(side):
-                s = rows[r * side + c][2]
+                s = sigmas[r * side + c]
                 line.append(str(round((s - low) * 255 / span)) if span else "0")
             fh.write(" ".join(line) + "\n")
 
 
 def cmd_limit(args):
     link = load_link(args.link)
-    rest = _point(args.omega_rest or "")
+    rest = _point(args.omega_rest or "", "--omega-rest", link.mu - 1)
     result = directional_limit(link, rest, args.side, tol=_tolerance(args))
     if result.stable:
         print("limit=%d side=%s status=stable" % (result.value, args.side))
@@ -135,7 +156,7 @@ def cmd_limit(args):
 
 def cmd_slope(args):
     link = load_link(args.link)
-    point = _point(args.omega)
+    point = _point(args.omega, "--omega", link.mu - 1)
     sub = link.rest_sublink()
     if link.conway is None:
         raise SigtorusError("link file carries no conway data")
@@ -187,7 +208,7 @@ def cmd_family(args):
 
 def cmd_torres(args):
     link = load_link(args.link)
-    point = _point(args.omega) if args.omega else None
+    point = _point(args.omega, "--omega", link.mu - 1) if link.mu > 1 else None
     prediction = predict_torres(link, point, _tolerance(args))
     sigma = "unresolved" if prediction.sigma is None else str(prediction.sigma)
     eta = "unresolved" if prediction.eta is None else str(prediction.eta)

@@ -21,10 +21,6 @@ class NotDivisible(SigtorusError):
 
 # Hermitian inertia layer
 
-class NonConvergence(SigtorusError):
-    """The eigenvalue iteration did not converge within its sweep budget."""
-
-
 class SingularMatrix(SigtorusError):
     """A conjugating matrix is (numerically) singular."""
 

@@ -15,7 +15,7 @@ import numpy as np
 from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
-from .hermitian import DEFAULT_TOL, HermitianMatrix, inertia
+from .hermitian import DEFAULT_TOL, HermitianMatrix, inertia_counts
 from .laurent import RationalFunction
 
 
@@ -57,7 +57,7 @@ class SeifertSystem:
     size, and that the matrix at -eps is the transpose of the matrix at eps.
     """
 
-    __slots__ = ("mu", "n", "matrices")
+    __slots__ = ("mu", "n", "matrices", "half_stack")
 
     def __init__(self, mu, matrices):
         self.mu = int(mu)
@@ -87,6 +87,10 @@ class SeifertSystem:
                     "seifert[%s] is not the transpose of seifert[%s]" % (other, key))
         self.n = n
         self.matrices = parsed
+        # A^eps for eps_1 = +, in sign_vectors order: the other half of the
+        # system is their transposes, so these determine the form.
+        self.half_stack = np.array([parsed[sign_key(eps)] for eps in sign_vectors(self.mu)
+                                    if eps[0] > 0], dtype=float)
 
     def matrix(self, eps):
         return self.matrices[sign_key(eps)]
@@ -261,54 +265,76 @@ def save_link(link, path):
 
 # -- the Hermitian form and its inertia ----------------------------------
 
-def assemble_form_raw(link, point):
-    """The Hermitian matrix sum over sign vectors, as a raw complex array.
+# Points per stacked block are capped so that one (P, n, n) complex stack
+# stays near this many bytes, however many points a sweep asks for.
+_STACK_BYTES = 16 << 20
 
-    Sign vectors are consumed in +/- pairs so the output is Hermitian to the
-    last bit, not merely up to rounding.  Defined for every torus point; at
+
+def _coefficients(omegas):
+    """Rows prod_j (1 - conj(omega_j)^eps_j) over sign vectors with eps_1 = +.
+
+    ``omegas`` has shape (P, mu); column k of the result belongs to the k-th
+    such sign vector in :func:`sign_vectors` order.
+    """
+    plus = 1.0 - omegas.conj()
+    minus = 1.0 - omegas
+    coeffs = plus[:, :1]
+    for j in range(1, omegas.shape[1]):
+        pair = np.stack([plus[:, j], minus[:, j]], axis=1)
+        coeffs = (coeffs[:, :, None] * pair[:, None, :]).reshape(len(omegas), 2 ** j)
+    return coeffs
+
+
+def assemble_forms(link, omegas):
+    """The forms H at P points as a (P, n, n) complex stack.
+
+    ``omegas`` is a (P, mu) array of unit complex numbers.  With M the sum
+    over sign vectors with eps_1 = +, H = M + M^* is Hermitian to the last
+    bit, not merely up to rounding.  Defined for every torus point; at
     boundary points the matrix simply degenerates.
     """
-    if point.mu != link.mu:
-        raise ValueError("point has %d coordinates, link has %d colors"
-                         % (point.mu, link.mu))
-    omegas = point.omega()
-    n = link.seifert.n
-    form = np.zeros((n, n), dtype=complex)
-    for eps in sign_vectors(link.mu):
-        if eps[0] < 0:
-            continue
-        coeff = 1.0 + 0.0j
-        for w, e in zip(omegas, eps):
-            coeff *= (1.0 - w.conjugate()) if e > 0 else (1.0 - w)
-        mat = link.seifert.matrix(eps)
-        form += coeff * mat + coeff.conjugate() * mat.T
-    return form
+    omegas = np.asarray(omegas, dtype=complex)
+    if omegas.ndim != 2 or omegas.shape[1] != link.mu:
+        raise ValueError("points have %d coordinates, link has %d colors"
+                         % (omegas.shape[-1], link.mu))
+    m = np.einsum("pk,kab->pab", _coefficients(omegas), link.seifert.half_stack)
+    return m + m.conj().transpose(0, 2, 1)
+
+
+def assemble_form_raw(link, point):
+    """The Hermitian matrix at one torus point, as a raw complex array."""
+    return assemble_forms(link, [point.omega()])[0]
 
 
 def form_at(link, point):
     return HermitianMatrix(assemble_form_raw(link, point))
 
 
-def signature_nullity(link, point, tol=DEFAULT_TOL):
-    """Signature and nullity of the link at an interior torus point."""
-    if not isinstance(point, TorusPoint):
-        point = TorusPoint(point)
-    if not point.in_open_torus:
-        raise BoundaryPoint(
-            "coordinate(s) %r equal 1; the Seifert form degenerates there"
-            % point.boundary_indices())
-    result = inertia(form_at(link, point), tol)
-    return result.signature, result.nullity
+def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL, relative=False):
+    """Signatures and nullities at P interior points, as two int lists.
+
+    ``omegas`` is a (P, mu) array of unit complex numbers; no coordinate may
+    equal 1 (not checked here).  Points are assembled and diagonalized in
+    stacked blocks of at most about ``_STACK_BYTES``.  ``relative`` takes the
+    zero cut relative to the norm of each form, see :func:`signature_nullity`.
+    """
+    omegas = np.asarray(omegas, dtype=complex)
+    block = max(1, _STACK_BYTES // (16 * max(link.seifert.n, 1) ** 2))
+    counts = np.concatenate(
+        [inertia_counts(assemble_forms(link, omegas[start:start + block]), tol, relative)
+         for start in range(0, max(len(omegas), 1), block)])
+    return (counts[:, 0] - counts[:, 1]).tolist(), counts[:, 2].tolist()
 
 
-def signature_nullity_scaled(link, point, tol=DEFAULT_TOL):
-    """Signature and nullity with the zero cut taken relative to the norm.
+def signature_nullity(link, point, tol=DEFAULT_TOL, relative=False):
+    """Signature and nullity of the link at an interior torus point.
 
-    The form shrinks linearly as a coordinate approaches 1, so a threshold
-    floored at 1 eventually swallows its true eigenvalues; normalizing by
-    the Frobenius norm keeps the inertia of the degenerating family
-    readable.  Inertia is scale-invariant, so this agrees with
-    :func:`signature_nullity` wherever the norm is of order one.
+    The zero cut is ``tol * max(1, ||H||)``.  With ``relative`` it is
+    ``tol * ||H||``: the form shrinks linearly as a coordinate approaches
+    1, so a threshold floored at 1 eventually swallows its true eigenvalues,
+    while a cut relative to the norm keeps the inertia of the degenerating
+    family readable.  Inertia is scale-invariant, so the two agree wherever
+    the norm is of order one.
     """
     if not isinstance(point, TorusPoint):
         point = TorusPoint(point)
@@ -316,12 +342,8 @@ def signature_nullity_scaled(link, point, tol=DEFAULT_TOL):
         raise BoundaryPoint(
             "coordinate(s) %r equal 1; the Seifert form degenerates there"
             % point.boundary_indices())
-    raw = assemble_form_raw(link, point)
-    norm = float(np.linalg.norm(raw)) if raw.size else 0.0
-    if norm > 0.0:
-        raw = raw / norm
-    result = inertia(HermitianMatrix(raw), tol)
-    return result.signature, result.nullity
+    sigmas, etas = signature_nullity_batch(link, [point.omega()], tol, relative)
+    return sigmas[0], etas[0]
 
 
 def linking_matrix(link, color_signs):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .angles import TorusPoint, normalize_angle
+from .angles import TorusPoint, angle_to_complex, normalize_angle
 from .corrections import signature_jump, wall_indicator
 from .errors import (BoundaryPoint, Indeterminate, MissingConwayData,
                      MissingSublink, MissingUnderlying, UnsupportedCase,
@@ -20,7 +20,7 @@ from .errors import (BoundaryPoint, Indeterminate, MissingConwayData,
 from .hermitian import DEFAULT_TOL, integer_inertia
 from .laurent import as_rational
 from .links import (linking_matrix, sign_key, sign_vectors, signature_nullity,
-                    signature_nullity_scaled)
+                    signature_nullity_batch)
 from .slope import (classify_slope, conway_factor_split, conway_nonzero_at,
                     extended_sign, slope, torres_generic)
 
@@ -38,6 +38,10 @@ class LimitSchedule:
     initial: Fraction = Fraction(1, 16)
     steps: int = 17
     window: int = 4
+
+    def __post_init__(self):
+        if not 0 < self.initial < 1:  # keeps every sample off the boundary
+            raise ValueError("the initial offset must lie in (0, 1)")
 
     def deltas(self):
         return [self.initial / (2 ** m) for m in range(self.steps)]
@@ -85,23 +89,28 @@ def directional_limit(link, rest, side="plus", schedule=None, tol=DEFAULT_TOL):
         raise ValueError("rest point needs %d coordinates" % (link.mu - 1))
     if not rest.in_open_torus:
         raise BoundaryPoint("fixed coordinates must avoid 1")
-    schedule = schedule or DEFAULT_SCHEDULE
-    samples = []
-    for delta in schedule.deltas():
-        angle = delta if side == "plus" else 1 - delta
-        sigma, eta = signature_nullity_scaled(link, rest.prepend(angle), tol)
-        samples.append((delta, sigma, eta))
-    return LimitResult(side, samples, schedule.window)
+    sign = 1 if side == "plus" else -1
+    return _schedule_limit(link, side, (sign,), rest.omega(),
+                           schedule or DEFAULT_SCHEDULE, tol)
 
 
 def _corner_limit(link, signs, schedule, tol):
     """Limit of the signature with every coordinate tending to 1^sign."""
-    samples = []
-    for delta in schedule.deltas():
-        point = TorusPoint(tuple(delta if s > 0 else 1 - delta for s in signs))
-        sigma, eta = signature_nullity_scaled(link, point, tol)
-        samples.append((delta, sigma, eta))
-    return LimitResult(sign_key(signs), samples, schedule.window)
+    return _schedule_limit(link, sign_key(signs), signs, (), schedule, tol)
+
+
+def _schedule_limit(link, name, signs, fixed, schedule, tol):
+    """Samples along the schedule, all points evaluated in one stacked call.
+
+    The leading coordinates tend to 1 from the sides in ``signs`` (angle
+    delta for +1, 1 - delta for -1); the ``fixed`` circle coordinates follow.
+    The zero cut is taken relative to the norm of each degenerating form.
+    """
+    deltas = schedule.deltas()
+    rows = [tuple(angle_to_complex(d if s > 0 else 1 - d) for s in signs) + fixed
+            for d in deltas]
+    sigmas, etas = signature_nullity_batch(link, rows, tol, relative=True)
+    return LimitResult(name, list(zip(deltas, sigmas, etas)), schedule.window)
 
 
 # -- reports ---------------------------------------------------------------

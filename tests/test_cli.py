@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sigtorus.cli import main
 
 
@@ -208,3 +210,45 @@ def test_family_then_eval_matches_library(tmp_path, capsys):
     sigma, eta = signature_nullity(make_torus(3),
                                    TorusPoint([Fraction(2, 7), Fraction(3, 11)]))
     assert out.strip() == "sigma=%d eta=%d dim=2" % (sigma, eta)
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_bad_tol_flag_exits_2(tmp_path, capsys, tol):
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
+    code, out, err = run(capsys, "eval", "--link", torus, "--omega", "1/3,1/5",
+                         "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "0", "-1"])
+def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
+    monkeypatch.setenv("SIGTORUS_TOL", value)
+    code, out, err = run(capsys, "eval", "--link", torus, "--omega", "1/3,1/5")
+    assert code == 2
+    assert out == ""
+    assert "SIGTORUS_TOL" in err
+
+
+@pytest.mark.parametrize("family, argv, flag", [
+    (("torus", 3), ["eval", "--omega", "1/3,1/0"], "--omega"),
+    (("torus", 3), ["eval", "--omega", "1/3,x"], "--omega"),
+    (("torus", 3), ["eval", "--omega", "1/3"], "--omega"),
+    (("unlink", 3), ["eval", "--omega", "1/3,1/5"], "--omega"),
+    (("torus", 3), ["grid", "--resolution", "3", "--axes", "1,x"], "--axes"),
+    (("unlink", 3), ["grid", "--resolution", "3", "--rest", "1/0"], "--rest"),
+    (("torus", 3), ["limit", "--side", "plus", "--omega-rest", "1/3,1/5"], "--omega-rest"),
+    (("twist", 2), ["slope", "--omega", "1/4,1/4"], "--omega"),
+    (("torus", 3), ["torres"], "--omega"),
+], ids=["zero-denominator", "not-a-number", "too-few", "too-many", "axes-not-int",
+        "rest-zero-denominator", "limit-count", "slope-count", "torres-missing"])
+def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
+    link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
+    if argv[0] == "grid":
+        argv = argv + ["--out", str(tmp_path / "g.csv")]
+    code, out, err = run(capsys, argv[0], "--link", link, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert flag in err

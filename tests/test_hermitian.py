@@ -7,7 +7,7 @@ import pytest
 from sigtorus.errors import SingularMatrix
 from sigtorus.hermitian import (HermitianMatrix, Inertia,
                                 conjugate_inertia_check, inertia,
-                                integer_inertia)
+                                inertia_counts, integer_inertia)
 
 
 def test_diagonal_inertia():
@@ -72,16 +72,39 @@ def _random_hermitian(rng, n):
     return HermitianMatrix((a + a.conj().T) / 2)
 
 
-def test_jacobi_matches_lapack_counts():
+def test_lapack_counts_match_exact_and_sylvester():
+    # one stacked call per size against the exact backend on integer matrices
     rng = np.random.default_rng(11)
+    for n in range(7):
+        m = rng.integers(-4, 5, size=(30, n, n))
+        s = m + m.transpose(0, 2, 1)
+        counts = inertia_counts(s.astype(complex))
+        assert [Inertia(*c) for c in counts.tolist()] == [integer_inertia(x) for x in s]
+    # complex ones: H and its congruent P* H P share a stack and their counts
     for _ in range(60):
         n = int(rng.integers(1, 7))
-        h = _random_hermitian(rng, n)
-        eigs = np.linalg.eigvalsh(h.entries)
-        if np.min(np.abs(eigs)) < 1e-6:
+        h = _random_hermitian(rng, n).entries
+        p = np.eye(n) + 0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        if abs(np.linalg.det(p)) <= 1e-9:
             continue
-        expected = Inertia(int(np.sum(eigs > 0)), int(np.sum(eigs < 0)), 0)
-        assert inertia(h) == expected
+        m = p.conj().T @ h @ p
+        counts = inertia_counts(np.stack([h, (m + m.conj().T) / 2]))
+        assert counts[0].tolist() == counts[1].tolist()
+
+
+def test_relative_cut_reads_small_forms():
+    tiny = 1e-12 * np.diag([1.0, -1.0, 0.0])[None].astype(complex)
+    assert inertia_counts(tiny).tolist() == [[0, 0, 3]]
+    assert inertia_counts(tiny, relative=True).tolist() == [[1, 1, 1]]
+    assert inertia_counts(np.zeros((2, 3, 3)), relative=True).tolist() == [[0, 0, 3]] * 2
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(ValueError):
+        inertia(HermitianMatrix([[1.0]]), tol)
+    with pytest.raises(ValueError):
+        inertia_counts(np.zeros((0, 2, 2)), tol)
 
 
 def test_sylvester_invariance_sample():

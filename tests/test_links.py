@@ -9,12 +9,15 @@ import pytest
 from sigtorus.angles import TorusPoint
 from sigtorus.corrections import signature_jump, wall_indicator
 from sigtorus.errors import (BoundaryPoint, SchemaError, SymmetryViolation)
-from sigtorus.families import make_torus, make_twist, torus_clasp_sequence
+from sigtorus import cli, links
+from sigtorus.families import (make_torus, make_twist, make_unlink,
+                               torus_clasp_sequence)
 from sigtorus.hermitian import inertia
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
                             boundary_limit_form, form_at, linking_matrix,
-                            parse_link, signature_nullity,
-                            signature_nullity_scaled)
+                            parse_link, save_link, sign_key, sign_vectors,
+                            signature_nullity)
+from sigtorus.verify import DEFAULT_SCHEDULE, directional_limit
 
 
 def rational_point(rnd, mu, max_den=48):
@@ -96,7 +99,7 @@ def test_boundary_point_rejected():
     with pytest.raises(BoundaryPoint):
         signature_nullity(make_twist(2), TorusPoint([0, Fraction(1, 2)]))
     with pytest.raises(BoundaryPoint):
-        signature_nullity_scaled(make_twist(2), TorusPoint([0, Fraction(1, 2)]))
+        signature_nullity(make_twist(2), TorusPoint([0, Fraction(1, 2)]), relative=True)
 
 
 def test_conjugation_symmetry():
@@ -169,7 +172,7 @@ def test_degeneration_bound_along_schedule():
                 tail = []
                 for d in deltas:
                     angle = d if side > 0 else 1 - d
-                    tail.append(signature_nullity_scaled(link, pt.prepend(angle)))
+                    tail.append(signature_nullity(link, pt.prepend(angle), relative=True))
                 assert len({t for t in tail}) == 1
                 sig, eta = tail[-1]
                 assert abs(sig - limit_ine.signature) <= limit_ine.nullity - eta
@@ -185,3 +188,81 @@ def test_clasp_route_matches_limit_form():
             lhs = inertia(clasp_matrix(torus_clasp_sequence(ell), pt))
             rhs = inertia(boundary_limit_form(link, pt, 1))
             assert (lhs.signature, lhs.nullity) == (rhs.signature, rhs.nullity)
+
+
+# -- the stacked path against a plain per-point loop ----------------------------
+
+def _loop_sigma_eta(link, point, relative=False, tol=1e-9):
+    """Reference: sum over every sign vector at one point, then eigvalsh."""
+    n = link.seifert.n
+    form = np.zeros((n, n), dtype=complex)
+    for eps in sign_vectors(link.mu):
+        coeff = 1.0 + 0.0j
+        for w, e in zip(point.omega(), eps):
+            coeff *= (1.0 - w.conjugate()) if e > 0 else (1.0 - w)
+        form += coeff * link.seifert.matrix(eps)
+    form = (form + form.conj().T) / 2
+    norm = float(np.linalg.norm(form))
+    if relative and norm > 0:
+        form, norm = form / norm, 1.0
+    cut = tol * max(1.0, norm)
+    eigs = np.linalg.eigvalsh(form) if n else np.zeros(0)
+    plus, minus = int(np.sum(eigs > cut)), int(np.sum(eigs < -cut))
+    return plus - minus, n - plus - minus
+
+
+def _random_link(seed, mu=3, n=5):
+    rnd = random.Random(seed)
+    mats = {}
+    for eps in sign_vectors(mu):
+        if eps[0] > 0:
+            mat = [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            mats[sign_key(eps)] = mat
+            mats[sign_key(tuple(-e for e in eps))] = [list(r) for r in zip(*mat)]
+    return ColoredLink(mu, [1] * mu, {}, SeifertSystem(mu, mats))
+
+
+STACK_CASES = [(make_torus(3), ()), (make_torus(10), ()), (make_twist(2), ()),
+               (make_twist(-2), ()), (make_unlink(3), (Fraction(1, 3),)),
+               (_random_link(7), (Fraction(2, 7),))]
+STACK_IDS = ["torus3", "torus10", "twist2", "twist-2", "unlink3", "random3"]
+
+
+@pytest.mark.parametrize("link, rest", STACK_CASES, ids=STACK_IDS)
+def test_stacked_grid_matches_per_point_loop(tmp_path, monkeypatch, link, rest):
+    path = str(tmp_path / "link.json")
+    save_link(link, path)
+    axes = (1, 3) if rest else (1, 2)
+    argv = ["grid", "--link", path, "--resolution", "9", "--axes", "%d,%d" % axes]
+    if rest:
+        argv += ["--rest", ",".join(str(a) for a in rest)]
+    assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
+    assert len(rows) == 64
+    for row in rows:
+        t1, t2, sigma, eta = row.split(",")
+        angles = [None] * link.mu
+        angles[axes[0] - 1], angles[axes[1] - 1] = Fraction(t1), Fraction(t2)
+        if rest:
+            angles[1] = rest[0]
+        assert (int(sigma), int(eta)) == _loop_sigma_eta(link, TorusPoint(angles))
+    # blocks of three points split the 64 unevenly; the output must not move
+    monkeypatch.setattr(links, "_STACK_BYTES", 3 * 16 * max(link.seifert.n, 1) ** 2)
+    assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("link, rest", STACK_CASES, ids=STACK_IDS)
+def test_stacked_limits_match_per_point_loop(link, rest):
+    rnd = random.Random(8)
+    for _ in range(3):
+        pt = TorusPoint((rational_point(rnd, 1)[0],) + rest)
+        for side in ("plus", "minus"):
+            expected = []
+            for delta in DEFAULT_SCHEDULE.deltas():
+                angle = delta if side == "plus" else 1 - delta
+                expected.append((delta,) + _loop_sigma_eta(link, pt.prepend(angle),
+                                                           relative=True))
+            samples = directional_limit(link, pt, side).samples
+            assert samples == expected
+            assert all(type(s) is int and type(e) is int for _, s, e in samples)

@@ -79,6 +79,9 @@ def test_schedule_robustness():
     widened = directional_limit(link, pt, "plus",
                                 LimitSchedule(window=8)).value
     assert base == halved == widened == 2
+    for initial in (Fraction(1), Fraction(0), Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            LimitSchedule(initial=initial)
 
 
 def test_side_symmetry_for_single_color():
