@@ -171,6 +171,8 @@ def cmd_slope(args):
 
 def cmd_verify(args):
     link = load_link(args.link)
+    if args.samples < 1:
+        raise SigtorusError("--samples must be at least 1, got %d" % args.samples)
     reports = run_suite(link, args.suite, samples=args.samples, seed=args.seed,
                         tol=_tolerance(args))
     for rep in reports:

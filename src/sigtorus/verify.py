@@ -11,12 +11,13 @@ or equality) so failures carry the audit trail.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .angles import TorusPoint, angle_to_complex, normalize_angle
 from .corrections import signature_jump, wall_indicator
-from .errors import (BoundaryPoint, Indeterminate, MissingConwayData,
-                     MissingSublink, MissingUnderlying, UnsupportedCase,
-                     WrongColorCount)
+from .errors import (BoundaryPoint, DomainError, Indeterminate,
+                     MissingConwayData, MissingSublink, MissingUnderlying,
+                     UnsupportedCase, WrongColorCount)
 from .hermitian import DEFAULT_TOL, integer_inertia
 from .laurent import as_rational
 from .links import (linking_matrix, sign_key, sign_vectors, signature_nullity,
@@ -48,6 +49,7 @@ class LimitSchedule:
 
 
 DEFAULT_SCHEDULE = LimitSchedule()
+_SIDES = ("plus", "minus")
 
 
 @dataclass
@@ -81,17 +83,9 @@ class LimitResult:
 def directional_limit(link, rest, side="plus", schedule=None, tol=DEFAULT_TOL):
     """Estimate the one-sided limit of the signature as the first coordinate
     tends to 1, with the remaining coordinates held fixed."""
-    if side not in ("plus", "minus"):
+    if side not in _SIDES:
         raise ValueError("side must be 'plus' or 'minus'")
-    if not isinstance(rest, TorusPoint):
-        rest = TorusPoint(rest)
-    if rest.mu != link.mu - 1:
-        raise ValueError("rest point needs %d coordinates" % (link.mu - 1))
-    if not rest.in_open_torus:
-        raise BoundaryPoint("fixed coordinates must avoid 1")
-    sign = 1 if side == "plus" else -1
-    return _schedule_limit(link, side, (sign,), rest.omega(),
-                           schedule or DEFAULT_SCHEDULE, tol)
+    return _RestPoint(link, rest, tol, schedule).limit(side)
 
 
 def _corner_limit(link, signs, schedule, tol):
@@ -111,6 +105,62 @@ def _schedule_limit(link, name, signs, fixed, schedule, tol):
             for d in deltas]
     sigmas, etas = signature_nullity_batch(link, rows, tol, relative=True)
     return LimitResult(name, list(zip(deltas, sigmas, etas)), schedule.window)
+
+
+# -- one rest point ------------------------------------------------------------
+
+class _RestPoint:
+    """What every check at one rest point omega' shares.
+
+    The point is validated once, on construction.  The sublink's signature
+    and nullity at omega', each one-sided limit and the genericity test are
+    computed on first use and kept, so the checks run at one point compute
+    each of them at most once.
+    """
+
+    def __init__(self, link, point, tol=DEFAULT_TOL, schedule=None):
+        if not isinstance(point, TorusPoint):
+            point = TorusPoint(() if point is None else point)
+        if point.mu != link.mu - 1:
+            raise DomainError("the rest point needs %d coordinate(s), got %d"
+                              % (link.mu - 1, point.mu))
+        if not point.in_open_torus:
+            raise BoundaryPoint("the fixed coordinates must avoid 1")
+        self.link = link
+        self.point = point
+        self.tol = tol
+        self.schedule = schedule or DEFAULT_SCHEDULE
+        self._limits = {}
+
+    @cached_property
+    def sub(self):
+        """The sublink of colors 2..mu."""
+        sub = self.link.rest_sublink()
+        if sub is None:
+            raise MissingSublink("link carries no sublink data under key %r"
+                                 % self.link.rest_key())
+        return sub
+
+    @cached_property
+    def sub_inertia(self):
+        """(sigma, eta) of the sublink at omega'."""
+        return signature_nullity(self.sub, self.point, self.tol)
+
+    def limit(self, side):
+        """The limit as the first coordinate tends to 1 from ``side``."""
+        if side not in self._limits:
+            sign = 1 if side == "plus" else -1
+            self._limits[side] = _schedule_limit(
+                self.link, side, (sign,), self.point.omega(), self.schedule, self.tol)
+        return self._limits[side]
+
+    @cached_property
+    def generic(self):
+        """torres_generic at omega', or None without sublink Conway data."""
+        try:
+            return torres_generic(self.link, self.point)
+        except MissingConwayData:
+            return None
 
 
 # -- reports ---------------------------------------------------------------
@@ -184,23 +234,6 @@ def _rank_note(link):
                                     " (default)" if link.rank_alexander == 0 else "")
 
 
-def _require_rest(link):
-    sub = link.rest_sublink()
-    if sub is None:
-        raise MissingSublink("link carries no sublink data under key %r" % link.rest_key())
-    return sub
-
-
-def _coerce_rest_point(link, point):
-    if not isinstance(point, TorusPoint):
-        point = TorusPoint(point)
-    if point.mu != link.mu - 1:
-        raise ValueError("point needs %d coordinates" % (link.mu - 1))
-    if not point.in_open_torus:
-        raise BoundaryPoint("the fixed coordinates must avoid 1")
-    return point
-
-
 # -- the 3D bound (generalized Seifert form route) ---------------------------
 
 def verify_3d(link, point, tol=DEFAULT_TOL, schedule=None):
@@ -211,36 +244,30 @@ def verify_3d(link, point, tol=DEFAULT_TOL, schedule=None):
     value at (1, omega') is provably nonzero, the exact equality of the
     limits with sigma(L') +/- jump is checked as well.
     """
-    point = _coerce_rest_point(link, point)
+    return _check_3d(_RestPoint(link, point, tol, schedule))
+
+
+def _check_3d(rest):
+    link, point = rest.link, rest.point
     inputs = {"omega_rest": point.angle_text()}
     if any(c != 1 for c in link.components_per_color):
         return [_skip("3d/skipped", inputs, "statement needs every color to be a knot")]
-    sub = _require_rest(link)
-    sig_rest, eta_rest = signature_nullity(sub, point, tol)
+    sig_rest, eta_rest = rest.sub_inertia
     ell = link.linking_vector()
     jump = signature_jump(ell, point)
     wall = wall_indicator(ell, point)
     rhs = eta_rest + wall - link.rank_alexander
     notes = [_rank_note(link)]
+    centers = (sig_rest + jump, sig_rest - jump)
 
-    reports = []
-    limits = {}
-    for side, orient in (("plus", 1), ("minus", -1)):
-        lim = directional_limit(link, point, side, schedule, tol)
-        limits[side] = (lim, orient)
-        reports.append(_limit_gap_leq("3d/bound/" + side, inputs, lim,
-                                      sig_rest + orient * jump, rhs, notes))
-
-    try:
-        generic = torres_generic(link, point)
-    except MissingConwayData:
-        generic = None
+    reports = [_limit_gap_leq("3d/bound/" + side, inputs, rest.limit(side), center,
+                              rhs, notes) for side, center in zip(_SIDES, centers)]
+    if rest.generic is None:
         reports.append(_skip("3d/equality", inputs,
                              "genericity untestable: sublink carries no Conway data"))
-    if generic:
-        for side, (lim, orient) in limits.items():
-            reports.append(_limit_eq("3d/equality/" + side, inputs, lim,
-                                     sig_rest + orient * jump, notes))
+    elif rest.generic:
+        reports += [_limit_eq("3d/equality/" + side, inputs, rest.limit(side), center,
+                              notes) for side, center in zip(_SIDES, centers)]
     return reports
 
 
@@ -255,71 +282,61 @@ def verify_4d(link, point, tol=DEFAULT_TOL, schedule=None):
     the slope classification and the forced equality when the slope is
     finite and nonzero.
     """
-    point = _coerce_rest_point(link, point)
+    return _check_4d(_RestPoint(link, point, tol, schedule))
+
+
+def _check_4d(rest):
+    link, point = rest.link, rest.point
     inputs = {"omega_rest": point.angle_text()}
     if link.components_per_color[0] != 1:
         return [_skip("4d/skipped", inputs, "the first color must be a knot")]
-    sub = _require_rest(link)
-    sig_rest, eta_rest = signature_nullity(sub, point, tol)
+    sig_rest, eta_rest = rest.sub_inertia
+    sub = rest.sub
     rank = link.rank_alexander
-    knot = "1.1"
     rest_comps = [c for color in range(2, link.mu + 1)
                   for c in link.components_of_color(color)]
-    total = sum(abs(link.lk(knot, c)) for c in rest_comps)
+    total = sum(abs(link.lk("1.1", c)) for c in rest_comps)
     notes = [_rank_note(link)]
 
-    lim_plus = directional_limit(link, point, "plus", schedule, tol)
-    lim_minus = directional_limit(link, point, "minus", schedule, tol)
-    reports = []
-
+    equalities = []
     if total > 0:
-        bound = eta_rest - 1 + total - rank
-        for side, lim in (("plus", lim_plus), ("minus", lim_minus)):
-            reports.append(_limit_gap_leq("4d/linked/bound/" + side, inputs,
-                                          lim, sig_rest, bound, notes))
-        diff = max(abs(a - b) for a in lim_plus.tail_sigmas()
-                   for b in lim_minus.tail_sigmas())
-        reports.append(_leq("4d/linked/difference", inputs, diff, 2 * bound, notes))
+        case, center, bound = "linked", sig_rest, eta_rest - 1 + total - rank
         if total == 1:
             if sub.conway is None:
-                reports.append(_skip("4d/linked/equality", inputs,
-                                     "sublink carries no Conway data"))
+                equalities = [_skip("4d/linked/equality", inputs,
+                                    "sublink carries no Conway data")]
             elif conway_nonzero_at(sub.conway, point):
-                reports.append(_limit_eq("4d/linked/equality/plus", inputs,
-                                         lim_plus, sig_rest, notes))
-                reports.append(_limit_eq("4d/linked/equality/minus", inputs,
-                                         lim_minus, sig_rest, notes))
+                equalities = [_limit_eq("4d/linked/equality/" + side, inputs,
+                                        rest.limit(side), center, notes)
+                              for side in _SIDES]
             else:
-                reports.append(_skip("4d/linked/equality", inputs,
-                                     "sublink Alexander value vanishes here"))
-        return reports
+                equalities = [_skip("4d/linked/equality", inputs,
+                                    "sublink Alexander value vanishes here")]
+    else:
+        if link.conway is None:
+            raise MissingConwayData("split case needs the link's conway data")
+        if sub.conway is None:
+            raise MissingConwayData("split case needs conway data for the sublink")
+        try:
+            slope_value = slope(link.conway, sub.conway, point)
+        except Indeterminate:
+            return [_skip("4d/split/slope", inputs,
+                          "slope formula reads 0/0; bound untestable here")]
+        shift, eps = classify_slope(slope_value)
+        inputs = dict(inputs, slope=repr(slope_value))
+        case, center, bound = "split", sig_rest + shift, eta_rest + eps - rank
+        if shift != 0:
+            # slope finite and nonzero: numerator and denominator both nonvanish
+            equalities = [_limit_eq("4d/split/equality/" + side, inputs,
+                                    rest.limit(side), center, notes) for side in _SIDES]
 
-    if link.conway is None:
-        raise MissingConwayData("split case needs the link's conway data")
-    if sub.conway is None:
-        raise MissingConwayData("split case needs conway data for the sublink")
-    try:
-        slope_value = slope(link.conway, sub.conway, point)
-    except Indeterminate:
-        reports.append(_skip("4d/split/slope", inputs,
-                             "slope formula reads 0/0; bound untestable here"))
-        return reports
-    shift, eps = classify_slope(slope_value)
-    inputs = dict(inputs, slope=repr(slope_value))
-    bound = eta_rest + eps - rank
-    for side, lim in (("plus", lim_plus), ("minus", lim_minus)):
-        reports.append(_limit_gap_leq("4d/split/bound/" + side, inputs,
-                                      lim, sig_rest + shift, bound, notes))
-    diff = max(abs(a - b) for a in lim_plus.tail_sigmas()
-               for b in lim_minus.tail_sigmas())
-    reports.append(_leq("4d/split/difference", inputs, diff, 2 * bound, notes))
-    if shift != 0:
-        # slope finite and nonzero: numerator and denominator both nonvanish
-        reports.append(_limit_eq("4d/split/equality/plus", inputs,
-                                 lim_plus, sig_rest + shift, notes))
-        reports.append(_limit_eq("4d/split/equality/minus", inputs,
-                                 lim_minus, sig_rest + shift, notes))
-    return reports
+    prefix = "4d/%s/" % case
+    reports = [_limit_gap_leq(prefix + "bound/" + side, inputs, rest.limit(side),
+                              center, bound, notes) for side in _SIDES]
+    diff = max(abs(a - b) for a in rest.limit("plus").tail_sigmas()
+               for b in rest.limit("minus").tail_sigmas())
+    reports.append(_leq(prefix + "difference", inputs, diff, 2 * bound, notes))
+    return reports + equalities
 
 
 # -- the Levine-Tristram limit ------------------------------------------------
@@ -335,9 +352,8 @@ def verify_lt(link, tol=DEFAULT_TOL, schedule=None):
     notes = [_rank_note(link),
              "derived constraint: rank A(L) <= %d" % (ine.nullity - 1)]
 
-    empty = TorusPoint(())
-    lim_plus = directional_limit(link, empty, "plus", schedule, tol)
-    lim_minus = directional_limit(link, empty, "minus", schedule, tol)
+    empty = _RestPoint(link, (), tol, schedule)
+    lim_plus, lim_minus = empty.limit("plus"), empty.limit("minus")
 
     reports = [_limit_eq("lt/side-agreement", inputs, lim_plus,
                          lim_minus.value, notes)]
@@ -443,15 +459,19 @@ def predict_torres(link, point=None, tol=DEFAULT_TOL, schedule=None):
     zero and the point is generic, the midpoint of the two directional
     limits is checked against the sublink signature.
     """
+    rest = _RestPoint(link, () if link.mu == 1 else point, tol, schedule)
+    return _predict_torres(rest)
+
+
+def _predict_torres(rest):
+    link, point = rest.link, rest.point
     notes = []
     if link.mu == 1:
         ine = integer_inertia(linking_matrix(link, (1,)))
         notes.append("one-colored case: linking-matrix inertia")
         return TorresPrediction(ine.signature, ine.nullity - 1, "skipped", notes)
-
-    point = _coerce_rest_point(link, point)
-    sub = _require_rest(link)
-    sig_rest, eta_rest = signature_nullity(sub, point, tol)
+    sig_rest, eta_rest = rest.sub_inertia
+    sub = rest.sub
     comps1 = link.components_of_color(1)
     rest_comps = [c for color in range(2, link.mu + 1)
                   for c in link.components_of_color(color)]
@@ -489,14 +509,10 @@ def predict_torres(link, point=None, tol=DEFAULT_TOL, schedule=None):
     midpoint = "skipped"
     midpoint_value = None
     if any(link.linking_vector()):
-        try:
-            generic = torres_generic(link, point)
-        except (MissingConwayData, MissingSublink):
-            generic = False
+        if rest.generic is None:
             notes.append("midpoint skipped: genericity untestable")
-        if generic:
-            lim_plus = directional_limit(link, point, "plus", schedule, tol)
-            lim_minus = directional_limit(link, point, "minus", schedule, tol)
+        elif rest.generic:
+            lim_plus, lim_minus = rest.limit("plus"), rest.limit("minus")
             if lim_plus.stable and lim_minus.stable:
                 midpoint_value = Fraction(lim_plus.value + lim_minus.value, 2)
                 midpoint = "pass" if midpoint_value == sig_rest else "fail"
@@ -508,8 +524,13 @@ def predict_torres(link, point=None, tol=DEFAULT_TOL, schedule=None):
 
 def torres_reports(link, point=None, tol=DEFAULT_TOL, schedule=None):
     """Wrap a Torres prediction as verification reports."""
-    prediction = predict_torres(link, point, tol, schedule)
-    inputs = {"omega_rest": point.angle_text() if point is not None else "",
+    rest = _RestPoint(link, () if link.mu == 1 else point, tol, schedule)
+    return _check_torres(rest)
+
+
+def _check_torres(rest):
+    prediction = _predict_torres(rest)
+    inputs = {"omega_rest": rest.point.angle_text(),
               "sigma_pred": _jsonable(prediction.sigma),
               "eta_pred": _jsonable(prediction.eta)}
     if prediction.midpoint == "skipped":
@@ -525,19 +546,24 @@ def torres_reports(link, point=None, tol=DEFAULT_TOL, schedule=None):
 
 def verify_multi_lt(link, angle, tol=DEFAULT_TOL):
     """Check the diagonal identity against the underlying oriented link."""
-    oriented = link.underlying_oriented
-    if oriented is None:
+    if link.underlying_oriented is None:
         raise MissingUnderlying("link carries no underlying_oriented data")
     angle = normalize_angle(angle)
     if angle == 0:
         raise BoundaryPoint("the diagonal identity needs omega different from 1")
-    diag = TorusPoint([angle] * link.mu)
-    sigma_diag, _ = signature_nullity(link, diag, tol)
-    sigma_or, _ = signature_nullity(oriented, TorusPoint([angle]), tol)
+    return _diagonal_reports(link, [angle], tol)
+
+
+def _diagonal_reports(link, angles, tol):
+    """The diagonal identity at angles in (0, 1), each side in one stacked call."""
+    omegas = [angle_to_complex(a) for a in angles]
+    sigmas_diag, _ = signature_nullity_batch(link, [(w,) * link.mu for w in omegas], tol)
+    oriented = link.underlying_oriented
+    sigmas_or, _ = signature_nullity_batch(oriented, [(w,) for w in omegas], tol)
     cross = sum(link.lk_colors(i, j)
                 for i in range(1, link.mu + 1) for j in range(i + 1, link.mu + 1))
-    inputs = {"omega": str(angle)}
-    return [_eq("multi-lt/identity", inputs, sigma_diag, sigma_or + cross)]
+    return [_eq("multi-lt/identity", {"omega": str(a)}, sigma_diag, sigma_or + cross)
+            for a, sigma_diag, sigma_or in zip(angles, sigmas_diag, sigmas_or)]
 
 
 # -- suite driver ------------------------------------------------------------------
@@ -558,33 +584,33 @@ def random_rational_point(rnd, count, max_den=64):
 def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL, schedule=None):
     """Run a verification suite on a link, on deterministic random points.
 
-    A specifically requested suite raises when the link lacks the data it
-    needs; under "all", inapplicable suites are skipped with a note.
+    The 3d, 4d and Torres checks at one sampled point share one rest-point
+    context, so its sublink inertia and each of its limits are computed
+    once.  A specifically requested suite raises when the link lacks the
+    data it needs; under "all", inapplicable suites are skipped with a note.
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
+    if samples < 1:
+        raise DomainError("samples must be at least 1, got %r" % (samples,))
     all_mode = suite == "all"
     rnd = random.Random(seed)
     points = [random_rational_point(rnd, max(link.mu - 1, 0))
               for _ in range(samples)]
-    single_angles = [pt[0] if pt.mu else Fraction(1, 2) for pt in points]
+    rests = [_RestPoint(link, pt, tol, schedule) for pt in points] if link.mu >= 2 else []
     reports = []
 
     def want(name):
         return all_mode or suite == name
 
-    if want("3d"):
+    for name, check in (("3d", _check_3d), ("4d", _check_4d)):
+        if not want(name):
+            continue
         if link.mu >= 2:
-            for pt in points:
-                reports.extend(verify_3d(link, pt, tol, schedule))
+            for rest in rests:
+                reports.extend(check(rest))
         elif not all_mode:
-            raise WrongColorCount("3d suite needs at least two colors")
-    if want("4d"):
-        if link.mu >= 2:
-            for pt in points:
-                reports.extend(verify_4d(link, pt, tol, schedule))
-        elif not all_mode:
-            raise WrongColorCount("4d suite needs at least two colors")
+            raise WrongColorCount("%s suite needs at least two colors" % name)
     if want("lt"):
         if link.mu == 1:
             reports.extend(verify_lt(link, tol, schedule))
@@ -601,12 +627,12 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL, schedule=None):
         if link.mu == 1:
             reports.extend(torres_reports(link, None, tol, schedule))
         else:
-            for pt in points:
-                reports.extend(torres_reports(link, pt, tol, schedule))
+            for rest in rests:
+                reports.extend(_check_torres(rest))
     if want("multi-lt"):
         if link.underlying_oriented is not None:
-            for angle in single_angles:
-                reports.extend(verify_multi_lt(link, angle, tol))
+            angles = [pt[0] if pt.mu else Fraction(1, 2) for pt in points]
+            reports.extend(_diagonal_reports(link, angles, tol))
         elif not all_mode:
             raise MissingUnderlying("multi-lt suite needs underlying_oriented data")
         else:

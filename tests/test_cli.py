@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -242,8 +244,11 @@ def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     (("torus", 3), ["limit", "--side", "plus", "--omega-rest", "1/3,1/5"], "--omega-rest"),
     (("twist", 2), ["slope", "--omega", "1/4,1/4"], "--omega"),
     (("torus", 3), ["torres"], "--omega"),
+    (("torus", 3), ["verify", "--suite", "all", "--samples", "-1"], "--samples"),
+    (("torus", 3), ["verify", "--suite", "3d", "--samples", "0"], "--samples"),
 ], ids=["zero-denominator", "not-a-number", "too-few", "too-many", "axes-not-int",
-        "rest-zero-denominator", "limit-count", "slope-count", "torres-missing"])
+        "rest-zero-denominator", "limit-count", "slope-count", "torres-missing",
+        "samples-negative", "samples-zero"])
 def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
     if argv[0] == "grid":
@@ -252,3 +257,22 @@ def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+# The verify reports of the benchmark's built-in links, recorded byte for byte.
+DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+VERIFY_FAMILIES = (("torus", 3), ("torus", -2), ("twist", 2), ("twist", -1),
+                   ("twist", 0), ("unlink", 3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 63])
+def test_verify_reports_match_recorded_digests(tmp_path, capsys, seed):
+    recorded = json.loads(DIGESTS.read_text())["verify"][str(seed)]
+    for name, param in VERIFY_FAMILIES:
+        stem = "%s%d" % (name, param)
+        link = make_file(tmp_path, capsys, name, param, stem + ".json")
+        report = tmp_path / (stem + "-report.json")
+        code, out, _ = run(capsys, "verify", "--link", link, "--suite", "all",
+                           "--samples", "10", "--seed", str(seed), "--report", str(report))
+        assert code == 0 and out.endswith(" failures=0\n")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == recorded[stem], stem

@@ -4,16 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sigtorus import verify
 from sigtorus.angles import TorusPoint
-from sigtorus.errors import (MissingConwayData, MissingSublink,
-                             MissingUnderlying, UnsupportedCase,
-                             WrongColorCount)
+from sigtorus.errors import (BoundaryPoint, DomainError, MissingConwayData,
+                             MissingSublink, MissingUnderlying,
+                             UnsupportedCase, WrongColorCount)
 from sigtorus.families import make_torus, make_twist, make_unlink, unknot
 from sigtorus.laurent import LaurentPoly, RationalFunction
 from sigtorus.links import ColoredLink, SeifertSystem, parse_link
-from sigtorus.verify import (PLUS_MINUS_ONE, LimitSchedule, directional_limit,
-                             predict_lt_limit_2comp, predict_torres,
-                             run_suite, verify_3d, verify_4d,
+from sigtorus.verify import (PLUS_MINUS_ONE, LimitSchedule, VerificationReport,
+                             directional_limit, predict_lt_limit_2comp,
+                             predict_torres, random_rational_point, run_suite,
+                             torres_reports, verify_3d, verify_4d,
                              verify_corner_limits, verify_lt, verify_multi_lt)
 
 
@@ -90,6 +92,23 @@ def test_side_symmetry_for_single_color():
         plus = directional_limit(link, TorusPoint(()), "plus")
         minus = directional_limit(link, TorusPoint(()), "minus")
         assert plus.stable and minus.stable and plus.value == minus.value
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda link: predict_torres(link), DomainError, "needs 1 coordinate"),
+    (lambda link: torres_reports(link), DomainError, "needs 1 coordinate"),
+    (lambda link: verify_3d(link, None), DomainError, "needs 1 coordinate"),
+    (lambda link: verify_4d(link, [Fraction(1, 3), Fraction(1, 5)]), DomainError,
+     "needs 1 coordinate"),
+    (lambda link: directional_limit(link, ()), DomainError, "needs 1 coordinate"),
+    (lambda link: verify_3d(link, TorusPoint([0])), BoundaryPoint, "avoid 1"),
+    (lambda link: directional_limit(link, [Fraction(1)], "minus"), BoundaryPoint,
+     "avoid 1"),
+], ids=["torres-none", "torres-reports-none", "3d-none", "4d-two", "limit-empty",
+        "3d-boundary", "limit-boundary"])
+def test_bad_rest_point_rejected(call, error, text):
+    with pytest.raises(error, match=text):
+        call(make_torus(3))
 
 
 # -- the jump-bound verifier --------------------------------------------------
@@ -333,3 +352,75 @@ def test_run_suite_wrong_rank_fails_checks():
     doc["rank_alexander"] = 5
     reports = run_suite(parse_link(doc), "3d", samples=3, seed=0)
     assert any(not r.passed for r in reports)
+
+
+def _reference_suite_all(link, samples, seed):
+    """run_suite(link, "all") rebuilt from the public one-point checkers."""
+    rnd = random.Random(seed)
+    points = [random_rational_point(rnd, max(link.mu - 1, 0)) for _ in range(samples)]
+    reports = []
+    if link.mu >= 2:
+        for check in (verify_3d, verify_4d):
+            for point in points:
+                reports += check(link, point)
+    one_colored = link if link.mu == 1 else link.underlying_oriented
+    if one_colored is None:
+        reports.append(VerificationReport("lt/skipped", {}, None, None, "==", True,
+                                          ["no 1-colored data available"]))
+    else:
+        reports += verify_lt(one_colored)
+    reports += verify_corner_limits(link)
+    for point in points if link.mu >= 2 else [None]:
+        reports += torres_reports(link, point)
+    if link.underlying_oriented is None:
+        reports.append(VerificationReport("multi-lt/skipped", {}, None, None, "==",
+                                          True, ["no underlying_oriented data"]))
+    else:
+        for point in points:
+            reports += verify_multi_lt(link, point[0] if point.mu else Fraction(1, 2))
+    return [r.to_json_dict() for r in reports]
+
+
+@pytest.mark.parametrize("link", [make_torus(3), make_torus(-2), make_twist(2),
+                                  make_twist(-2), make_twist(0), make_unlink(3),
+                                  make_torus(3).underlying_oriented],
+                         ids=["torus3", "torus-2", "twist2", "twist-2", "twist0",
+                              "unlink3", "torus3-oriented"])
+def test_run_suite_all_matches_per_checker_loop(link):
+    for seed in (0, 5):
+        suite = [r.to_json_dict() for r in run_suite(link, "all", samples=6, seed=seed)]
+        assert suite == _reference_suite_all(link, 6, seed)
+
+
+def test_run_suite_shares_one_plan_per_point(monkeypatch):
+    limits, inertias = [], []
+    schedule_limit = verify._schedule_limit
+    signature_nullity = verify.signature_nullity
+
+    def counted_limit(link, name, signs, fixed, *args):
+        limits.append((id(link), name, signs, fixed))
+        return schedule_limit(link, name, signs, fixed, *args)
+
+    def counted_inertia(link, point, *args, **kwargs):
+        inertias.append((id(link), point))
+        return signature_nullity(link, point, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_schedule_limit", counted_limit)
+    monkeypatch.setattr(verify, "signature_nullity", counted_inertia)
+    samples, seed = 8, 3
+    for link in (make_torus(3), make_twist(2), make_twist(0), make_unlink(3)):
+        rnd = random.Random(seed)
+        points = [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
+        assert len(set(points)) == samples
+        del limits[:], inertias[:]
+        assert_all_pass(run_suite(link, "all", samples=samples, seed=seed))
+        assert len(limits) == len(set(limits))
+        sub = link.rest_sublink()
+        assert sorted(p.angles for i, p in inertias if i == id(sub)) == \
+            sorted(p.angles for p in points)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_run_suite_rejects_non_positive_samples(samples):
+    with pytest.raises(DomainError, match="samples"):
+        run_suite(make_torus(3), "all", samples=samples)
