@@ -142,12 +142,6 @@ class TorusPoint:
     def prepend(self, angle):
         return TorusPoint((normalize_angle(angle),) + self.angles)
 
-    def drop_first(self):
-        return TorusPoint(self.angles[1:])
-
-    def is_one(self, j):
-        return self.angles[j] == 0
-
     def power_is_integer(self, coefficients):
         """Exact predicate: is the integer combination of angles an integer?
 

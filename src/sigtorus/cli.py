@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import TorusPoint, angle_to_complex
-from .errors import BoundaryPoint, SigtorusError
+from .errors import BoundaryPoint, DomainError, SigtorusError
 from .families import make_family
 from .hermitian import DEFAULT_TOL
 from .links import (load_link, save_link, signature_nullity,
@@ -194,7 +194,10 @@ def cmd_verify(args):
 
 
 def cmd_family(args):
-    link = make_family(args.name, args.param)
+    try:
+        link = make_family(args.name, args.param)
+    except DomainError as exc:
+        raise SigtorusError("--param: %s" % exc) from None
     if os.path.exists(args.out) and not args.force:
         print("error: %s exists; pass --force to overwrite" % args.out,
               file=sys.stderr)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .corrections import ClaspSequence, torus_signature_profile
-from .errors import ZeroParameter
+from .errors import DomainError, ZeroParameter
 from .laurent import LaurentPoly, RationalFunction
 from .links import ColoredLink, SeifertSystem, sign_key, sign_vectors
 
@@ -119,7 +119,7 @@ def make_unlink(mu):
     """
     mu = int(mu)
     if mu < 1:
-        raise ValueError("an unlink needs at least one component")
+        raise DomainError("an unlink needs at least one component, got %d" % mu)
     if mu == 1:
         return unknot()
     size = mu - 1

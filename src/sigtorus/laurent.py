@@ -150,12 +150,6 @@ class LaurentPoly:
                 out.pop(key, None)
         return LaurentPoly(self.nvars, out)
 
-    def shift(self, offsets):
-        """Multiply by the monomial with the given exponent vector."""
-        offsets = tuple(offsets)
-        return LaurentPoly(self.nvars, {tuple(a + b for a, b in zip(e, offsets)): c
-                                        for e, c in self.terms.items()})
-
     def to_records(self):
         return [{"coeff": c, "exp": list(e)} for e, c in sorted(self.terms.items())]
 
@@ -273,10 +267,6 @@ class RationalFunction:
     @property
     def is_zero(self):
         return self.num.is_zero
-
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly)
 
     def eval(self, point):
         dval, dscale = self.den.eval_with_scale(point)

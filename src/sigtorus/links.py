@@ -28,25 +28,32 @@ def sign_key(eps):
     return "".join("+" if e > 0 else "-" for e in eps)
 
 
-def key_signs(key):
-    return tuple(1 if ch == "+" else -1 for ch in key)
+def _integer(value, what, *args):
+    """``int(value)``; SchemaError naming ``what % args`` when it is no integer."""
+    if not (isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError((what % args) + " is not an integer")
 
 
 def _as_integer_matrix(data, context):
-    rows = list(data)
+    try:
+        rows = [list(row) for row in data]
+    except TypeError:
+        raise SchemaError("%s must be a list of rows" % context) from None
     n = len(rows)
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     mat = np.zeros((n, n), dtype=np.int64)
     for i, row in enumerate(rows):
-        row = list(row)
         if len(row) != n:
             raise DimensionMismatch("%s: row %d has length %d, expected %d"
                                     % (context, i, len(row), n))
-        for j, value in enumerate(row):
-            if isinstance(value, float) and not value.is_integer():
-                raise SchemaError("%s: entry (%d, %d) is not an integer" % (context, i, j))
-            mat[i, j] = int(value)
+        if not all(isinstance(v, (int, np.integer)) for v in row):
+            row = [_integer(v, "%s: entry (%d, %d)", context, i, j) for j, v in enumerate(row)]
+        mat[i] = row
     return mat
 
 
@@ -116,7 +123,10 @@ class ColoredLink:
     def __init__(self, mu, components_per_color, linking, seifert, conway=None,
                  rank_alexander=0, sublinks=None, underlying_oriented=None):
         self.mu = int(mu)
-        comps = [int(c) for c in components_per_color]
+        try:
+            comps = [_integer(c, "components_per_color") for c in components_per_color]
+        except TypeError:  # not a list
+            comps = []
         if len(comps) != self.mu or any(c < 1 for c in comps):
             raise SchemaError("components_per_color must list a positive count per color")
         self.components_per_color = tuple(comps)
@@ -128,9 +138,10 @@ class ColoredLink:
             if a == b:
                 raise SchemaError("linking number of a component with itself")
             key = (a, b) if a < b else (b, a)
-            if key in canon and canon[key] != int(value):
+            value = _integer(value, "linking number %r", key)
+            if key in canon and canon[key] != value:
                 raise SchemaError("conflicting linking numbers for %r" % (key,))
-            canon[key] = int(value)
+            canon[key] = value
         self.linking = canon
         if not isinstance(seifert, SeifertSystem):
             seifert = SeifertSystem(self.mu, seifert)
@@ -141,7 +152,7 @@ class ColoredLink:
             raise SchemaError("conway data has %d variables, link has %d colors"
                               % (conway.nvars, self.mu))
         self.conway = conway
-        self.rank_alexander = int(rank_alexander)
+        self.rank_alexander = _integer(rank_alexander, "rank_alexander")
         if self.rank_alexander < 0:
             raise SchemaError("rank_alexander must be nonnegative")
         self.sublinks = dict(sublinks or {})
@@ -234,7 +245,10 @@ def parse_link(document):
             raise SchemaError("bad linking record %r" % (rec,)) from exc
     conway = document.get("conway")
     if conway is not None:
-        conway = RationalFunction.from_document(mu, conway)
+        try:
+            conway = RationalFunction.from_document(mu, conway)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError("conway: missing key or bad value: %s" % exc) from None
     sublinks = {key: parse_link(sub)
                 for key, sub in document.get("sublinks", {}).items()}
     underlying = document.get("underlying_oriented")
@@ -254,7 +268,11 @@ def parse_link(document):
 
 def load_link(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_link(json.load(fh))
+        try:
+            document = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise SchemaError("%s is not a JSON document: %s" % (path, exc)) from None
+    return parse_link(document)
 
 
 def save_link(link, path):

@@ -23,7 +23,7 @@ from .laurent import as_rational
 from .links import (linking_matrix, sign_key, sign_vectors, signature_nullity,
                     signature_nullity_batch)
 from .slope import (classify_slope, conway_factor_split, conway_nonzero_at,
-                    extended_sign, slope, torres_generic)
+                    slope, torres_generic)
 
 
 def _sgn(value):
@@ -109,13 +109,17 @@ def _schedule_limit(link, name, signs, fixed, schedule, tol):
 
 # -- one rest point ------------------------------------------------------------
 
+# The slope of a boundary value where the slope formula reads 0/0.
+_ZERO_BY_ZERO = object()
+
+
 class _RestPoint:
     """What every check at one rest point omega' shares.
 
     The point is validated once, on construction.  The sublink's signature
-    and nullity at omega', each one-sided limit and the genericity test are
-    computed on first use and kept, so the checks run at one point compute
-    each of them at most once.
+    and nullity at omega', the boundary value at (1, omega'), each one-sided
+    limit and the genericity test are computed on first use and kept, so the
+    checks run at one point compute each of them at most once.
     """
 
     def __init__(self, link, point, tol=DEFAULT_TOL, schedule=None):
@@ -145,6 +149,42 @@ class _RestPoint:
     def sub_inertia(self):
         """(sigma, eta) of the sublink at omega'."""
         return signature_nullity(self.sub, self.point, self.tol)
+
+    @cached_property
+    def boundary(self):
+        """Torres's (sigma, eta) at (1, omega') and the slope they use.
+
+        The slope is None when no component of the first color splits off,
+        and _ZERO_BY_ZERO, with sigma and eta None, where the slope formula
+        reads 0/0.  A first color that mixes split and non-split components,
+        or splits with several, is unsupported.
+        """
+        link, sub = self.link, self.sub
+        sig_rest, eta_rest = self.sub_inertia
+        comps1 = link.components_of_color(1)
+        rest_comps = [c for color in range(2, link.mu + 1)
+                      for c in link.components_of_color(color)]
+        split = [all(link.lk(k, c) == 0 for c in rest_comps) for k in comps1]
+        if not any(split):
+            eta = (eta_rest - len(comps1)
+                   + sum(abs(link.lk(k, c)) for k in comps1 for c in rest_comps))
+            return sig_rest, eta, None
+        if not all(split):
+            raise UnsupportedCase(
+                "mixed split and non-split components in the first color")
+        if len(comps1) > 1:
+            raise UnsupportedCase(
+                "algebraically split with a multi-component first color")
+        if link.conway is None:
+            raise MissingConwayData("split case needs the link's conway data")
+        if sub.conway is None:
+            raise MissingConwayData("split case needs conway data for the sublink")
+        try:
+            slope_value = slope(link.conway, sub.conway, self.point)
+        except Indeterminate:
+            return None, None, _ZERO_BY_ZERO
+        shift, eps = classify_slope(slope_value)
+        return sig_rest + shift, eta_rest + eps, slope_value
 
     def limit(self, side):
         """The limit as the first coordinate tends to 1 from ``side``."""
@@ -190,11 +230,7 @@ class VerificationReport:
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if value is None:
-        return None
-    return value
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def _leq(check, inputs, lhs, rhs, notes=()):
@@ -236,7 +272,7 @@ def _rank_note(link):
 
 # -- the 3D bound (generalized Seifert form route) ---------------------------
 
-def verify_3d(link, point, tol=DEFAULT_TOL, schedule=None):
+def verify_3d(link, point, tol=DEFAULT_TOL):
     """Check the limit bound with the combinatorial jump and wall terms.
 
     Requires every color to be a knot (reported as skipped otherwise) and
@@ -244,7 +280,7 @@ def verify_3d(link, point, tol=DEFAULT_TOL, schedule=None):
     value at (1, omega') is provably nonzero, the exact equality of the
     limits with sigma(L') +/- jump is checked as well.
     """
-    return _check_3d(_RestPoint(link, point, tol, schedule))
+    return _check_3d(_RestPoint(link, point, tol))
 
 
 def _check_3d(rest):
@@ -273,16 +309,17 @@ def _check_3d(rest):
 
 # -- the 4D bound (extension and Torres route) -------------------------------
 
-def verify_4d(link, point, tol=DEFAULT_TOL, schedule=None):
-    """Check the linked-case and split-case limit bounds.
+def verify_4d(link, point, tol=DEFAULT_TOL):
+    """Check the limit bounds |lim sigma - sigma(1, w')| <= eta(1, w') - rank.
 
-    Linked case: bound by the total linking of the first knot, the
+    (sigma, eta)(1, w') is the rest point's Torres boundary value, shared
+    with :func:`predict_torres`.  Linked case: the bounds, the
     difference-of-limits bound, and the forced equality at total linking 1
-    with nonvanishing sublink Alexander value.  Split case: bounds driven by
-    the slope classification and the forced equality when the slope is
-    finite and nonzero.
+    with nonvanishing sublink Alexander value.  Split case: the bounds, and
+    the forced equality when the slope is finite and nonzero; where the
+    slope formula reads 0/0 the bound is untestable.
     """
-    return _check_4d(_RestPoint(link, point, tol, schedule))
+    return _check_4d(_RestPoint(link, point, tol))
 
 
 def _check_4d(rest):
@@ -291,21 +328,21 @@ def _check_4d(rest):
     if link.components_per_color[0] != 1:
         return [_skip("4d/skipped", inputs, "the first color must be a knot")]
     sig_rest, eta_rest = rest.sub_inertia
-    sub = rest.sub
-    rank = link.rank_alexander
-    rest_comps = [c for color in range(2, link.mu + 1)
-                  for c in link.components_of_color(color)]
-    total = sum(abs(link.lk("1.1", c)) for c in rest_comps)
+    center, eta, slope_value = rest.boundary
+    if slope_value is _ZERO_BY_ZERO:
+        return [_skip("4d/split/slope", inputs,
+                      "slope formula reads 0/0; bound untestable here")]
     notes = [_rank_note(link)]
 
     equalities = []
-    if total > 0:
-        case, center, bound = "linked", sig_rest, eta_rest - 1 + total - rank
-        if total == 1:
-            if sub.conway is None:
+    if slope_value is None:
+        case = "linked"
+        if eta == eta_rest:  # eta = eta(L') - 1 + total linking, so total 1
+            conway = rest.sub.conway
+            if conway is None:
                 equalities = [_skip("4d/linked/equality", inputs,
                                     "sublink carries no Conway data")]
-            elif conway_nonzero_at(sub.conway, point):
+            elif conway_nonzero_at(conway, point):
                 equalities = [_limit_eq("4d/linked/equality/" + side, inputs,
                                         rest.limit(side), center, notes)
                               for side in _SIDES]
@@ -313,23 +350,14 @@ def _check_4d(rest):
                 equalities = [_skip("4d/linked/equality", inputs,
                                     "sublink Alexander value vanishes here")]
     else:
-        if link.conway is None:
-            raise MissingConwayData("split case needs the link's conway data")
-        if sub.conway is None:
-            raise MissingConwayData("split case needs conway data for the sublink")
-        try:
-            slope_value = slope(link.conway, sub.conway, point)
-        except Indeterminate:
-            return [_skip("4d/split/slope", inputs,
-                          "slope formula reads 0/0; bound untestable here")]
-        shift, eps = classify_slope(slope_value)
+        case = "split"
         inputs = dict(inputs, slope=repr(slope_value))
-        case, center, bound = "split", sig_rest + shift, eta_rest + eps - rank
-        if shift != 0:
+        if center != sig_rest:
             # slope finite and nonzero: numerator and denominator both nonvanish
             equalities = [_limit_eq("4d/split/equality/" + side, inputs,
                                     rest.limit(side), center, notes) for side in _SIDES]
 
+    bound = eta - link.rank_alexander
     prefix = "4d/%s/" % case
     reports = [_limit_gap_leq(prefix + "bound/" + side, inputs, rest.limit(side),
                               center, bound, notes) for side in _SIDES]
@@ -341,7 +369,7 @@ def _check_4d(rest):
 
 # -- the Levine-Tristram limit ------------------------------------------------
 
-def verify_lt(link, tol=DEFAULT_TOL, schedule=None):
+def verify_lt(link, tol=DEFAULT_TOL):
     """Check the one-variable limit against the exact linking-matrix inertia."""
     if link.mu != 1:
         raise WrongColorCount("Levine-Tristram checks need a 1-colored link")
@@ -352,7 +380,7 @@ def verify_lt(link, tol=DEFAULT_TOL, schedule=None):
     notes = [_rank_note(link),
              "derived constraint: rank A(L) <= %d" % (ine.nullity - 1)]
 
-    empty = _RestPoint(link, (), tol, schedule)
+    empty = _RestPoint(link, (), tol)
     lim_plus, lim_minus = empty.limit("plus"), empty.limit("minus")
 
     reports = [_limit_eq("lt/side-agreement", inputs, lim_plus,
@@ -369,14 +397,11 @@ def verify_lt(link, tol=DEFAULT_TOL, schedule=None):
     return reports
 
 
-_PLUS_MINUS_ONE_REPR = "PlusMinusOne"
-
-
 class _PlusMinusOne:
     """Indeterminate token: the limit is +1 or -1, data cannot tell which."""
 
     def __repr__(self):
-        return _PLUS_MINUS_ONE_REPR
+        return "PlusMinusOne"
 
 
 PLUS_MINUS_ONE = _PlusMinusOne()
@@ -403,9 +428,8 @@ def predict_lt_limit_2comp(ell, nabla=None):
 
 # -- corner limits -------------------------------------------------------------
 
-def verify_corner_limits(link, tol=DEFAULT_TOL, schedule=None):
+def verify_corner_limits(link, tol=DEFAULT_TOL):
     """Check the limits with all coordinates tending to 1 with chosen signs."""
-    schedule = schedule or DEFAULT_SCHEDULE
     m = link.total_components
     rank = link.rank_alexander
     reports = []
@@ -413,7 +437,7 @@ def verify_corner_limits(link, tol=DEFAULT_TOL, schedule=None):
         key = sign_key(signs)
         inputs = {"signs": key}
         notes = [_rank_note(link)]
-        lim = _corner_limit(link, signs, schedule, tol)
+        lim = _corner_limit(link, signs, DEFAULT_SCHEDULE, tol)
         ine = integer_inertia(linking_matrix(link, signs))
         cross = sum(signs[i] * signs[j] * link.lk_colors(i + 1, j + 1)
                     for i in range(link.mu) for j in range(i + 1, link.mu))
@@ -449,62 +473,34 @@ class TorresPrediction:
     midpoint_value: object = None
 
 
-def predict_torres(link, point=None, tol=DEFAULT_TOL, schedule=None):
+def predict_torres(link, point=None, tol=DEFAULT_TOL):
     """Predict the signature and nullity at (1, omega') from sublink data.
 
-    One-colored links use the exact linking-matrix inertia; a split first
-    knot uses the slope; a first color with no split component uses the
-    linking-count correction.  Anything else is unsupported and reported,
-    not guessed.  When the linking numbers with the first color are not all
-    zero and the point is generic, the midpoint of the two directional
-    limits is checked against the sublink signature.
+    One-colored links use the exact linking-matrix inertia; otherwise the
+    prediction is the rest point's boundary value, which the 4d bound is
+    centered on: a split first knot uses the slope, a first color with no
+    split component the linking-count correction.  Anything else is
+    unsupported and reported, not guessed.  When the linking numbers with
+    the first color are not all zero and the point is generic, the midpoint
+    of the two directional limits is checked against the sublink signature.
     """
-    rest = _RestPoint(link, () if link.mu == 1 else point, tol, schedule)
-    return _predict_torres(rest)
+    return _predict_torres(_RestPoint(link, () if link.mu == 1 else point, tol))
 
 
 def _predict_torres(rest):
-    link, point = rest.link, rest.point
-    notes = []
+    link = rest.link
     if link.mu == 1:
         ine = integer_inertia(linking_matrix(link, (1,)))
-        notes.append("one-colored case: linking-matrix inertia")
-        return TorresPrediction(ine.signature, ine.nullity - 1, "skipped", notes)
-    sig_rest, eta_rest = rest.sub_inertia
-    sub = rest.sub
-    comps1 = link.components_of_color(1)
-    rest_comps = [c for color in range(2, link.mu + 1)
-                  for c in link.components_of_color(color)]
-    split = {k: all(link.lk(k, c) == 0 for c in rest_comps) for k in comps1}
-
-    if all(split.values()):
-        if len(comps1) > 1:
-            raise UnsupportedCase(
-                "algebraically split with a multi-component first color")
-        if link.conway is None or sub.conway is None:
-            raise MissingConwayData("split prediction needs Conway data")
-        try:
-            slope_value = slope(link.conway, sub.conway, point)
-        except Indeterminate:
-            notes.append("slope indeterminate: sigma is sigma(rest) + sgn(slope),"
-                         " eta is eta(rest) + {+1, 0, -1}, with unresolved slope")
-            return TorresPrediction(None, None, "skipped", notes, sig_rest)
-        sigma = sig_rest + extended_sign(slope_value)
-        if slope_value.is_infinite:
-            eta = eta_rest - 1
-        elif slope_value.value == 0.0:
-            eta = eta_rest + 1
-        else:
-            eta = eta_rest
-        notes.append("split case: slope %r" % slope_value)
-    elif not any(split.values()):
-        sigma = sig_rest
-        eta = (eta_rest - len(comps1)
-               + sum(abs(link.lk(k, c)) for k in comps1 for c in rest_comps))
-        notes.append("no component of the first color splits off")
-    else:
-        raise UnsupportedCase(
-            "mixed split and non-split components in the first color")
+        return TorresPrediction(ine.signature, ine.nullity - 1, "skipped",
+                                ["one-colored case: linking-matrix inertia"])
+    sig_rest = rest.sub_inertia[0]
+    sigma, eta, slope_value = rest.boundary
+    if slope_value is _ZERO_BY_ZERO:
+        return TorresPrediction(None, None, "skipped", [
+            "slope indeterminate: sigma is sigma(rest) + sgn(slope),"
+            " eta is eta(rest) + {+1, 0, -1}, with unresolved slope"], sig_rest)
+    notes = ["no component of the first color splits off" if slope_value is None
+             else "split case: slope %r" % slope_value]
 
     midpoint = "skipped"
     midpoint_value = None
@@ -522,10 +518,9 @@ def _predict_torres(rest):
     return TorresPrediction(sigma, eta, midpoint, notes, sig_rest, midpoint_value)
 
 
-def torres_reports(link, point=None, tol=DEFAULT_TOL, schedule=None):
+def torres_reports(link, point=None, tol=DEFAULT_TOL):
     """Wrap a Torres prediction as verification reports."""
-    rest = _RestPoint(link, () if link.mu == 1 else point, tol, schedule)
-    return _check_torres(rest)
+    return _check_torres(_RestPoint(link, () if link.mu == 1 else point, tol))
 
 
 def _check_torres(rest):
@@ -536,10 +531,8 @@ def _check_torres(rest):
     if prediction.midpoint == "skipped":
         return [_skip("torres/midpoint", inputs,
                       "midpoint check not applicable here")]
-    report = _eq("torres/midpoint", inputs, prediction.midpoint_value,
-                 prediction.sigma_rest, prediction.notes)
-    report.passed = prediction.midpoint == "pass"
-    return [report]
+    return [_eq("torres/midpoint", inputs, prediction.midpoint_value,
+                prediction.sigma_rest, prediction.notes)]
 
 
 # -- the diagonal identity -------------------------------------------------------
@@ -581,13 +574,14 @@ def random_rational_point(rnd, count, max_den=64):
     return TorusPoint(angles)
 
 
-def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL, schedule=None):
+def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
     """Run a verification suite on a link, on deterministic random points.
 
     The 3d, 4d and Torres checks at one sampled point share one rest-point
-    context, so its sublink inertia and each of its limits are computed
-    once.  A specifically requested suite raises when the link lacks the
-    data it needs; under "all", inapplicable suites are skipped with a note.
+    context, so its sublink inertia, its boundary value (with the slope) and
+    each of its limits are computed once.  A specifically requested suite
+    raises when the link lacks the data it needs; under "all", inapplicable
+    suites are skipped with a note.
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
@@ -597,7 +591,7 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL, schedule=None):
     rnd = random.Random(seed)
     points = [random_rational_point(rnd, max(link.mu - 1, 0))
               for _ in range(samples)]
-    rests = [_RestPoint(link, pt, tol, schedule) for pt in points] if link.mu >= 2 else []
+    rests = [_RestPoint(link, pt, tol) for pt in points] if link.mu >= 2 else []
     reports = []
 
     def want(name):
@@ -613,19 +607,19 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL, schedule=None):
             raise WrongColorCount("%s suite needs at least two colors" % name)
     if want("lt"):
         if link.mu == 1:
-            reports.extend(verify_lt(link, tol, schedule))
+            reports.extend(verify_lt(link, tol))
         elif link.underlying_oriented is not None:
-            reports.extend(verify_lt(link.underlying_oriented, tol, schedule))
+            reports.extend(verify_lt(link.underlying_oriented, tol))
         elif not all_mode:
             raise MissingUnderlying("lt suite needs a 1-colored link or "
                                     "underlying_oriented data")
         else:
             reports.append(_skip("lt/skipped", {}, "no 1-colored data available"))
     if want("corners"):
-        reports.extend(verify_corner_limits(link, tol, schedule))
+        reports.extend(verify_corner_limits(link, tol))
     if want("torres"):
         if link.mu == 1:
-            reports.extend(torres_reports(link, None, tol, schedule))
+            reports.extend(torres_reports(link, None, tol))
         else:
             for rest in rests:
                 reports.extend(_check_torres(rest))

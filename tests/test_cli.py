@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+import sigtorus.cli
 from sigtorus.cli import main
 
 
@@ -199,6 +201,50 @@ def test_family_refuses_overwrite(tmp_path, capsys):
                "--out", str(path), "--force")[0] == 0
 
 
+@pytest.mark.parametrize("param", ["0", "-1"])
+def test_family_bad_param_exits_2(tmp_path, capsys, param):
+    path = tmp_path / "unlink.json"
+    code, out, err = run(capsys, "family", "--name", "unlink", "--param", param,
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert "--param" in err
+    assert not path.exists()
+
+
+def _break_seifert_entry(doc):
+    doc["seifert"]["++"][0][0] = "a"
+
+
+def _break_components(doc):
+    doc["components_per_color"] = 1
+
+
+def _break_conway_record(doc):
+    del doc["conway"]["num"][0]["exp"]
+
+
+@pytest.mark.parametrize("damage, key", [
+    (None, "JSON"),
+    (_break_seifert_entry, "seifert"),
+    (_break_components, "components_per_color"),
+    (_break_conway_record, "exp"),
+], ids=["malformed-json", "seifert-entry", "components-not-list", "conway-no-exp"])
+def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
+    twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
+    bad = tmp_path / "bad.json"
+    if damage is None:
+        bad.write_text('{"mu": 2,')
+    else:
+        doc = json.loads(open(twist).read())
+        damage(doc)
+        bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--link", str(bad), "--omega", "1/3,1/5")
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
 def test_family_then_eval_matches_library(tmp_path, capsys):
     from fractions import Fraction
 
@@ -276,3 +322,17 @@ def test_verify_reports_match_recorded_digests(tmp_path, capsys, seed):
                            "--samples", "10", "--seed", str(seed), "--report", str(report))
         assert code == 0 and out.endswith(" failures=0\n")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == recorded[stem], stem
+
+
+def test_bench_tracer_targets_resolve():
+    """Every span target of bench/tracer.py names a function that exists."""
+    spec = importlib.util.spec_from_file_location(
+        "sigtorus_bench_tracer", DIGESTS.parent / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert main is sigtorus.cli.main

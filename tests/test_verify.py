@@ -343,6 +343,8 @@ def test_run_suite_missing_data_raises():
     del doc["conway"]
     with pytest.raises(MissingConwayData):
         run_suite(parse_link(doc), "4d", samples=2, seed=0)
+    with pytest.raises(MissingConwayData, match="conway"):
+        predict_torres(parse_link(doc), TorusPoint([Fraction(1, 4)]))
     with pytest.raises(MissingUnderlying):
         run_suite(make_twist(2), "multi-lt", samples=2, seed=0)
 
@@ -393,9 +395,10 @@ def test_run_suite_all_matches_per_checker_loop(link):
 
 
 def test_run_suite_shares_one_plan_per_point(monkeypatch):
-    limits, inertias = [], []
+    limits, inertias, slopes = [], [], []
     schedule_limit = verify._schedule_limit
     signature_nullity = verify.signature_nullity
+    slope = verify.slope
 
     def counted_limit(link, name, signs, fixed, *args):
         limits.append((id(link), name, signs, fixed))
@@ -405,19 +408,28 @@ def test_run_suite_shares_one_plan_per_point(monkeypatch):
         inertias.append((id(link), point))
         return signature_nullity(link, point, *args, **kwargs)
 
+    def counted_slope(nabla_link, nabla_rest, point):
+        slopes.append(point)
+        return slope(nabla_link, nabla_rest, point)
+
     monkeypatch.setattr(verify, "_schedule_limit", counted_limit)
     monkeypatch.setattr(verify, "signature_nullity", counted_inertia)
+    monkeypatch.setattr(verify, "slope", counted_slope)
     samples, seed = 8, 3
     for link in (make_torus(3), make_twist(2), make_twist(0), make_unlink(3)):
         rnd = random.Random(seed)
         points = [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
         assert len(set(points)) == samples
-        del limits[:], inertias[:]
+        del limits[:], inertias[:], slopes[:]
         assert_all_pass(run_suite(link, "all", samples=samples, seed=seed))
         assert len(limits) == len(set(limits))
         sub = link.rest_sublink()
         assert sorted(p.angles for i, p in inertias if i == id(sub)) == \
             sorted(p.angles for p in points)
+        # the 4d bound and the Torres prediction share one slope per point
+        split = not any(link.linking_vector())
+        assert sorted(p.angles for p in slopes) == \
+            (sorted(p.angles for p in points) if split else [])
 
 
 @pytest.mark.parametrize("samples", [0, -1])
