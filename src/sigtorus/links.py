@@ -29,12 +29,11 @@ def sign_key(eps):
 
 
 def _integer(value, what, *args):
-    """``int(value)``; SchemaError naming ``what % args`` when it is no integer."""
-    if not (isinstance(value, float) and not value.is_integer()):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+    """An int (not a bool) or integral float as int; else SchemaError naming ``what % args``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
     raise SchemaError((what % args) + " is not an integer")
 
 
@@ -44,17 +43,15 @@ def _as_integer_matrix(data, context):
     except TypeError:
         raise SchemaError("%s must be a list of rows" % context) from None
     n = len(rows)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    mat = np.zeros((n, n), dtype=np.int64)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise DimensionMismatch("%s: row %d has length %d, expected %d"
                                     % (context, i, len(row), n))
-        if not all(isinstance(v, (int, np.integer)) for v in row):
-            row = [_integer(v, "%s: entry (%d, %d)", context, i, j) for j, v in enumerate(row)]
-        mat[i] = row
-    return mat
+        rows[i] = [_integer(v, "%s: entry (%d, %d)", context, i, j) for j, v in enumerate(row)]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        raise SchemaError("%s has an entry beyond 64 bits" % context) from None
 
 
 class SeifertSystem:
@@ -235,10 +232,15 @@ def parse_link(document):
         if field not in document:
             raise SchemaError("link document is missing %r" % field)
     mu = document["mu"]
-    if not isinstance(mu, int) or mu < 1:
+    if not isinstance(mu, int) or isinstance(mu, bool) or mu < 1:
         raise SchemaError("mu must be a positive integer")
+    records, sublinks = document.get("linking", []), document.get("sublinks", {})
+    if not isinstance(records, list):
+        raise SchemaError("linking must be a list of records")
+    if not isinstance(sublinks, dict):
+        raise SchemaError("sublinks must be an object keyed by colors")
     linking = {}
-    for rec in document.get("linking", []):
+    for rec in records:
         try:
             linking[(rec["a"], rec["b"])] = rec["lk"]
         except (TypeError, KeyError) as exc:
@@ -249,8 +251,7 @@ def parse_link(document):
             conway = RationalFunction.from_document(mu, conway)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError("conway: missing key or bad value: %s" % exc) from None
-    sublinks = {key: parse_link(sub)
-                for key, sub in document.get("sublinks", {}).items()}
+    sublinks = {key: parse_link(sub) for key, sub in sublinks.items()}
     underlying = document.get("underlying_oriented")
     if underlying is not None:
         underlying = parse_link(underlying)

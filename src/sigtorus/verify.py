@@ -152,9 +152,10 @@ class _RestPoint:
 
     @cached_property
     def boundary(self):
-        """Torres's (sigma, eta) at (1, omega') and the slope they use.
+        """Torres's (sigma, eta) at (1, omega'), their slope, total linking.
 
-        The slope is None when no component of the first color splits off,
+        The slope is None when no component of the first color splits off
+        (the total linking of the first color with the rest is 0 otherwise),
         and _ZERO_BY_ZERO, with sigma and eta None, where the slope formula
         reads 0/0.  A first color that mixes split and non-split components,
         or splits with several, is unsupported.
@@ -166,9 +167,8 @@ class _RestPoint:
                       for c in link.components_of_color(color)]
         split = [all(link.lk(k, c) == 0 for c in rest_comps) for k in comps1]
         if not any(split):
-            eta = (eta_rest - len(comps1)
-                   + sum(abs(link.lk(k, c)) for k in comps1 for c in rest_comps))
-            return sig_rest, eta, None
+            total = sum(abs(link.lk(k, c)) for k in comps1 for c in rest_comps)
+            return sig_rest, eta_rest - len(comps1) + total, None, total
         if not all(split):
             raise UnsupportedCase(
                 "mixed split and non-split components in the first color")
@@ -182,9 +182,9 @@ class _RestPoint:
         try:
             slope_value = slope(link.conway, sub.conway, self.point)
         except Indeterminate:
-            return None, None, _ZERO_BY_ZERO
+            return None, None, _ZERO_BY_ZERO, 0
         shift, eps = classify_slope(slope_value)
-        return sig_rest + shift, eta_rest + eps, slope_value
+        return sig_rest + shift, eta_rest + eps, slope_value, 0
 
     def limit(self, side):
         """The limit as the first coordinate tends to 1 from ``side``."""
@@ -327,8 +327,7 @@ def _check_4d(rest):
     inputs = {"omega_rest": point.angle_text()}
     if link.components_per_color[0] != 1:
         return [_skip("4d/skipped", inputs, "the first color must be a knot")]
-    sig_rest, eta_rest = rest.sub_inertia
-    center, eta, slope_value = rest.boundary
+    center, eta, slope_value, total = rest.boundary
     if slope_value is _ZERO_BY_ZERO:
         return [_skip("4d/split/slope", inputs,
                       "slope formula reads 0/0; bound untestable here")]
@@ -337,7 +336,7 @@ def _check_4d(rest):
     equalities = []
     if slope_value is None:
         case = "linked"
-        if eta == eta_rest:  # eta = eta(L') - 1 + total linking, so total 1
+        if total == 1:
             conway = rest.sub.conway
             if conway is None:
                 equalities = [_skip("4d/linked/equality", inputs,
@@ -352,7 +351,7 @@ def _check_4d(rest):
     else:
         case = "split"
         inputs = dict(inputs, slope=repr(slope_value))
-        if center != sig_rest:
+        if center != rest.sub_inertia[0]:
             # slope finite and nonzero: numerator and denominator both nonvanish
             equalities = [_limit_eq("4d/split/equality/" + side, inputs,
                                     rest.limit(side), center, notes) for side in _SIDES]
@@ -494,7 +493,7 @@ def _predict_torres(rest):
         return TorresPrediction(ine.signature, ine.nullity - 1, "skipped",
                                 ["one-colored case: linking-matrix inertia"])
     sig_rest = rest.sub_inertia[0]
-    sigma, eta, slope_value = rest.boundary
+    sigma, eta, slope_value, _ = rest.boundary
     if slope_value is _ZERO_BY_ZERO:
         return TorresPrediction(None, None, "skipped", [
             "slope indeterminate: sigma is sigma(rest) + sgn(slope),"

@@ -212,8 +212,10 @@ def test_family_bad_param_exits_2(tmp_path, capsys, param):
     assert not path.exists()
 
 
-def _break_seifert_entry(doc):
-    doc["seifert"]["++"][0][0] = "a"
+def _set_seifert_entry(value):
+    def damage(doc):  # the same diagonal entry in A^{++} and A^{--}, keeping the transpose
+        doc["seifert"]["++"][0][0] = doc["seifert"]["--"][0][0] = value
+    return damage
 
 
 def _break_components(doc):
@@ -224,12 +226,27 @@ def _break_conway_record(doc):
     del doc["conway"]["num"][0]["exp"]
 
 
+def _break_linking(doc):
+    doc["linking"] = 5
+
+
+def _break_sublinks(doc):
+    doc["sublinks"] = [1]
+
+
 @pytest.mark.parametrize("damage, key", [
     (None, "JSON"),
-    (_break_seifert_entry, "seifert"),
+    (_set_seifert_entry("a"), "seifert"),
+    (_set_seifert_entry("3"), "seifert"),
+    (_set_seifert_entry(True), "seifert"),
+    (_set_seifert_entry(10 ** 30), "seifert"),
     (_break_components, "components_per_color"),
     (_break_conway_record, "exp"),
-], ids=["malformed-json", "seifert-entry", "components-not-list", "conway-no-exp"])
+    (_break_linking, "linking"),
+    (_break_sublinks, "sublinks"),
+], ids=["malformed-json", "seifert-entry", "seifert-entry-string", "seifert-entry-bool",
+        "seifert-entry-beyond-int64", "components-not-list", "conway-no-exp",
+        "linking-not-list", "sublinks-not-object"])
 def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
     bad = tmp_path / "bad.json"
