@@ -10,13 +10,13 @@ import cmath
 import math
 from fractions import Fraction
 
-from .errors import InexactAngles
+from .errors import DomainError, InexactAngles
 
 _TWO_PI = 2.0 * math.pi
 
 
 def normalize_angle(a):
-    """Reduce an angle to the fundamental interval [0, 1)."""
+    """Reduce an angle to the fundamental interval [0, 1); NaN and +-inf raise DomainError."""
     if isinstance(a, bool):
         raise TypeError("bool is not an angle")
     if isinstance(a, Fraction):
@@ -24,6 +24,8 @@ def normalize_angle(a):
     if isinstance(a, int):
         return Fraction(a) % 1
     if isinstance(a, float):
+        if not math.isfinite(a):
+            raise DomainError("not a finite angle: %r" % (a,))
         return a % 1.0
     raise TypeError("not an angle: %r" % (a,))
 
@@ -76,7 +78,10 @@ def parse_angle(text):
         num, den = text.split("/", 1)
         return normalize_angle(Fraction(int(num), int(den)))
     if "." in text or "e" in text or "E" in text:
-        return normalize_angle(float(text))
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("angle %r is not finite" % text)
+        return normalize_angle(value)
     return normalize_angle(Fraction(int(text)))
 
 

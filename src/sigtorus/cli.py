@@ -8,6 +8,7 @@ an unstable limit), 2 input error, 3 IO error, 4 verification failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -223,7 +224,17 @@ def cmd_torres(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by later ones.
+
+    Only callers that run ``main`` more than once in one process (the tests,
+    a library user, a benchmark harness) save anything: a ``sigtorus`` shell
+    invocation builds the parser once either way.  It holds no request
+    state: ``parse_args`` returns a fresh namespace, and each subcommand's
+    ``func`` is a module-level ``cmd_*`` that looks up its collaborators
+    when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="sigtorus",
         description="Multivariable link signatures from generalized Seifert data")

@@ -37,6 +37,10 @@ def _integer(value, what, *args):
     raise SchemaError((what % args) + " is not an integer")
 
 
+# A row whose entries are all exactly int (so no bool) needs no per-entry check.
+_INT_ONLY = frozenset((int,))
+
+
 def _as_integer_matrix(data, context):
     try:
         rows = [list(row) for row in data]
@@ -47,7 +51,9 @@ def _as_integer_matrix(data, context):
         if len(row) != n:
             raise DimensionMismatch("%s: row %d has length %d, expected %d"
                                     % (context, i, len(row), n))
-        rows[i] = [_integer(v, "%s: entry (%d, %d)", context, i, j) for j, v in enumerate(row)]
+        if not _INT_ONLY.issuperset(map(type, row)):
+            rows[i] = [_integer(v, "%s: entry (%d, %d)", context, i, j)
+                       for j, v in enumerate(row)]
     try:
         return np.array(rows, dtype=np.int64).reshape(n, n)
     except OverflowError:
@@ -83,7 +89,10 @@ class SeifertSystem:
         extra = set(matrices) - set(parsed)
         if extra:
             raise SchemaError("seifert: unexpected keys %r" % sorted(extra))
-        for eps in sign_vectors(self.mu):
+        # A^eps for eps_1 = + determine the system: the other half are their
+        # transposes, so each {eps, -eps} pair is compared once.
+        half = [eps for eps in sign_vectors(self.mu) if eps[0] > 0]
+        for eps in half:
             key = sign_key(eps)
             other = sign_key(tuple(-e for e in eps))
             if not np.array_equal(parsed[other], parsed[key].T):
@@ -91,10 +100,7 @@ class SeifertSystem:
                     "seifert[%s] is not the transpose of seifert[%s]" % (other, key))
         self.n = n
         self.matrices = parsed
-        # A^eps for eps_1 = +, in sign_vectors order: the other half of the
-        # system is their transposes, so these determine the form.
-        self.half_stack = np.array([parsed[sign_key(eps)] for eps in sign_vectors(self.mu)
-                                    if eps[0] > 0], dtype=float)
+        self.half_stack = np.array([parsed[sign_key(eps)] for eps in half], dtype=float)
 
     def matrix(self, eps):
         return self.matrices[sign_key(eps)]
@@ -338,6 +344,8 @@ def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL, relative=False):
     zero cut relative to the norm of each form, see :func:`signature_nullity`.
     """
     omegas = np.asarray(omegas, dtype=complex)
+    if omegas.shape == (0,):  # an empty point list
+        omegas = omegas.reshape(0, link.mu)
     block = max(1, _STACK_BYTES // (16 * max(link.seifert.n, 1) ** 2))
     counts = np.concatenate(
         [inertia_counts(assemble_forms(link, omegas[start:start + block]), tol, relative)

@@ -1,12 +1,19 @@
+import argparse
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sigtorus
 import sigtorus.cli
 from sigtorus.cli import main
+from sigtorus.families import make_torus
+from sigtorus.links import save_link
 
 
 def run(capsys, *argv):
@@ -309,9 +316,13 @@ def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     (("torus", 3), ["torres"], "--omega"),
     (("torus", 3), ["verify", "--suite", "all", "--samples", "-1"], "--samples"),
     (("torus", 3), ["verify", "--suite", "3d", "--samples", "0"], "--samples"),
+    (("torus", 3), ["eval", "--omega", "1/3,1e400"], "--omega"),
+    (("torus", 3), ["limit", "--side", "plus", "--omega-rest", "1e400"], "--omega-rest"),
+    (("unlink", 3), ["grid", "--resolution", "3", "--rest", "1e400"], "--rest"),
 ], ids=["zero-denominator", "not-a-number", "too-few", "too-many", "axes-not-int",
         "rest-zero-denominator", "limit-count", "slope-count", "torres-missing",
-        "samples-negative", "samples-zero"])
+        "samples-negative", "samples-zero", "omega-not-finite", "omega-rest-not-finite",
+        "rest-not-finite"])
 def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
     if argv[0] == "grid":
@@ -320,6 +331,50 @@ def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """One parser serves every call; each call's output matches a fresh process."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    sigtorus.cli._build_parser.cache_clear()
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
+    assert built, "the first call builds the parser"
+    del built[:]
+    knot = str(tmp_path / "knot.json")
+    save_link(make_torus(3).underlying_oriented, knot)
+
+    calls = [
+        ["eval", "--link", torus],  # argparse usage error: --omega is required
+        ["eval", "--link", torus, "--omega", "2/7,3/11"],
+        ["limit", "--link", knot, "--side", "minus"],
+        ["grid", "--link", torus, "--resolution", "5", "--out", "%s"],
+        ["verify", "--link", torus, "--suite", "all", "--samples", "3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(sigtorus.__file__).parent.parent))
+    codes = []
+    for k, argv in enumerate(calls):
+        here = [a.replace("%s", str(tmp_path / ("in%d.csv" % k))) for a in argv]
+        fresh = [a.replace("%s", str(tmp_path / ("sub%d.csv" % k))) for a in argv]
+        try:
+            code = main(here)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "sigtorus.cli", *fresh],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        codes.append(code)
+        if here != fresh:
+            assert Path(here[-1]).read_bytes() == Path(fresh[-1]).read_bytes()
+    assert codes == [2, 0, 0, 0, 0]
+    assert built == []
 
 
 # The verify reports of the benchmark's built-in links, recorded byte for byte.

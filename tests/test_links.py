@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sigtorus.angles import TorusPoint
+from sigtorus.angles import TorusPoint, normalize_angle, parse_angle
 from sigtorus.corrections import signature_jump, wall_indicator
-from sigtorus.errors import (BoundaryPoint, SchemaError, SymmetryViolation)
+from sigtorus.errors import (BoundaryPoint, DomainError, SchemaError,
+                             SymmetryViolation)
 from sigtorus import cli, links
 from sigtorus.families import (make_torus, make_twist, make_unlink,
                                torus_clasp_sequence)
@@ -266,3 +267,112 @@ def test_stacked_limits_match_per_point_loop(link, rest):
             samples = directional_limit(link, pt, side).samples
             assert samples == expected
             assert all(type(s) is int and type(e) is int for _, s, e in samples)
+
+
+# -- non-finite angles and empty point lists -----------------------------------
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_rejected(value):
+    with pytest.raises(DomainError, match="finite"):
+        normalize_angle(value)
+    with pytest.raises(DomainError):
+        signature_nullity(make_torus(3), [0.5, value])
+
+    with pytest.raises(ValueError, match="finite"):
+        parse_angle("-1e400")
+
+
+def test_empty_point_list_gives_empty_lists():
+    link = make_torus(3)
+    assert links.signature_nullity_batch(link, []) == ([], [])
+    assert links.signature_nullity_batch(link, np.zeros((0, 2))) == ([], [])
+    with pytest.raises(ValueError, match="coordinates"):
+        links.signature_nullity_batch(link, np.zeros((3, 0)))
+
+
+# -- the row check of Seifert entries against a per-entry reference ------------
+
+def _reference_matrix(data, context):
+    """Every entry through ``_integer``, one at a time."""
+    return np.array([[links._integer(v, "%s: entry (%d, %d)", context, i, j)
+                      for j, v in enumerate(row)] for i, row in enumerate(data)],
+                    dtype=np.int64).reshape(len(data), len(data))
+
+
+def _first_transpose_defect(matrices, mu):
+    """The message of the first failing pair over every sign vector, or None."""
+    for eps in sign_vectors(mu):
+        key, other = sign_key(eps), sign_key(tuple(-e for e in eps))
+        if not np.array_equal(np.asarray(matrices[other]), np.asarray(matrices[key]).T):
+            return "seifert[%s] is not the transpose of seifert[%s]" % (other, key)
+    return None
+
+
+def _random_document(rnd, mu, n):
+    mats = {}
+    for eps in sign_vectors(mu):
+        if eps[0] > 0:
+            mat = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            mats[sign_key(eps)] = mat
+            mats[sign_key(tuple(-e for e in eps))] = [list(r) for r in zip(*mat)]
+    for mat in mats.values():  # integral floats scattered over some rows
+        for row in mat:
+            for j in range(n):
+                if rnd.random() < 0.1:
+                    row[j] = float(row[j])
+    return {"mu": mu, "components_per_color": [1] * mu, "seifert": mats}
+
+
+def test_row_check_matches_per_entry_reference():
+    rnd = random.Random(11)
+    for trial in range(60):
+        mu, n = rnd.randint(1, 4), rnd.randint(0, 6)
+        doc = _random_document(rnd, mu, n)
+        seifert = doc["seifert"]
+        if trial % 3 == 0:  # numpy integer arrays instead of lists
+            seifert = {k: _reference_matrix(m, k) for k, m in seifert.items()}
+            doc = dict(doc, seifert=seifert)
+        link = parse_link(doc)
+        expected = {k: _reference_matrix(m, "seifert[%s]" % k) for k, m in seifert.items()}
+        assert set(link.seifert.matrices) == set(expected)
+        for key, mat in expected.items():
+            got = link.seifert.matrices[key]
+            assert got.dtype == np.int64 and np.array_equal(got, mat), key
+        half = np.array([expected[sign_key(eps)] for eps in sign_vectors(mu)
+                         if eps[0] > 0], dtype=float)
+        assert link.seifert.half_stack.shape == half.shape
+        assert np.array_equal(link.seifert.half_stack, half)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3"], ids=["fraction", "bool", "string"])
+def test_row_check_names_the_bad_entry(value):
+    doc = _random_document(random.Random(3), 2, 3)
+    doc["seifert"]["+-"] = [[int(v) for v in row] for row in doc["seifert"]["+-"]]
+    doc["seifert"]["+-"][1][2] = value
+    with pytest.raises(SchemaError) as info:
+        parse_link(doc)
+    assert str(info.value) == "seifert[+-]: entry (1, 2) is not an integer"
+
+
+def test_row_check_keeps_the_64_bit_bound():
+    doc = _random_document(random.Random(4), 2, 3)
+    doc["seifert"]["-+"][0][1] = 10 ** 30
+    with pytest.raises(SchemaError, match="seifert\\[-\\+\\] has an entry beyond 64 bits"):
+        parse_link(doc)
+
+
+def test_transpose_defect_names_the_first_failing_pair():
+    rnd = random.Random(5)
+    for trial in range(40):
+        mu = rnd.randint(1, 4)
+        doc = _random_document(rnd, mu, rnd.randint(1, 4))
+        keys = sorted(doc["seifert"])
+        for key in rnd.sample(keys, rnd.randint(1, min(3, len(keys)))):
+            doc["seifert"][key][0][0] += 1
+        expected = _first_transpose_defect(doc["seifert"], mu)
+        if expected is None:  # the damage happened to keep every pair transposed
+            parse_link(doc)
+            continue
+        with pytest.raises(SymmetryViolation) as info:
+            parse_link(doc)
+        assert str(info.value) == expected
