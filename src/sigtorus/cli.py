@@ -242,7 +242,9 @@ def _build_parser():
 
     p = sub.add_parser("eval", help="signature and nullity at a torus point")
     p.add_argument("--link", required=True)
-    p.add_argument("--omega", required=True, help="comma-separated angles in turns")
+    p.add_argument("--omega", required=True,
+                   help="comma-separated angles in turns; write a leading "
+                        "negative angle as --omega=-1/3,1/5")
     p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_eval)
 
@@ -252,7 +254,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap")
     p.add_argument("--axes", help="two swept colors, e.g. 1,2 (default)")
-    p.add_argument("--rest", help="fixed angles for the remaining colors")
+    p.add_argument("--rest", help="fixed angles for the remaining colors "
+                                  "(--rest=-1/3 for a negative one)")
     p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_grid)
 
@@ -260,13 +263,15 @@ def _build_parser():
     p.add_argument("--link", required=True)
     p.add_argument("--side", choices=("plus", "minus"), required=True)
     p.add_argument("--omega-rest", dest="omega_rest", default="",
-                   help="fixed angles for colors 2..mu (empty for one color)")
+                   help="fixed angles for colors 2..mu (empty for one color; "
+                        "--omega-rest=-1/3 for a negative one)")
     p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("slope", help="slope value and its classification")
     p.add_argument("--link", required=True)
-    p.add_argument("--omega", required=True, help="angles for colors 2..mu")
+    p.add_argument("--omega", required=True,
+                   help="angles for colors 2..mu (--omega=-1/3 for a negative one)")
     p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_slope)
 
@@ -288,7 +293,8 @@ def _build_parser():
 
     p = sub.add_parser("torres", help="boundary predictions at (1, omega')")
     p.add_argument("--link", required=True)
-    p.add_argument("--omega", default="", help="angles for colors 2..mu")
+    p.add_argument("--omega", default="",
+                   help="angles for colors 2..mu (--omega=-1/3 for a negative one)")
     p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_torres)
 

@@ -4,14 +4,19 @@ statement and Torres prediction the library covers.
 A directional limit is estimated along a geometric schedule of rational
 angles approaching 1 from one side; it counts as stabilized when the last
 few samples agree, and an unstable trail is surfaced rather than averaged
-away.  Each verifier emits one report per elementary relation (inequality
-or equality) so failures carry the audit trail.
+away.  The samples of many limits are assembled and diagonalized together:
+a suite samples the limits of all its rest points in one stacked call per
+side, and all corners in one more; the sublink inertia of all its rest
+points takes one call too.  Each verifier emits one report per elementary
+relation (inequality or equality) so failures carry the audit trail.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .angles import TorusPoint, angle_to_complex, normalize_angle
 from .corrections import signature_jump, wall_indicator
@@ -20,7 +25,7 @@ from .errors import (BoundaryPoint, DomainError, Indeterminate,
                      UnsupportedCase, WrongColorCount)
 from .hermitian import DEFAULT_TOL, integer_inertia
 from .laurent import as_rational
-from .links import (linking_matrix, sign_key, sign_vectors, signature_nullity,
+from .links import (linking_matrix, sign_key, sign_vectors,
                     signature_nullity_batch)
 from .slope import (classify_slope, conway_factor_split, conway_nonzero_at,
                     slope, torres_generic)
@@ -43,9 +48,24 @@ class LimitSchedule:
     def __post_init__(self):
         if not 0 < self.initial < 1:  # keeps every sample off the boundary
             raise ValueError("the initial offset must lie in (0, 1)")
+        if self.steps < 1:
+            raise ValueError("the schedule needs at least one step")
+        if not 1 <= self.window <= self.steps:
+            raise ValueError("the window must hold between 1 and %d samples"
+                             % self.steps)
 
     def deltas(self):
         return [self.initial / (2 ** m) for m in range(self.steps)]
+
+    @cached_property
+    def _rows(self):
+        """The offsets, and per side (+1, -1) the unit complex numbers of the
+        sample angles (delta for +1, 1 - delta for -1); computed once."""
+        deltas = self.deltas()
+        units = {sign: np.array([angle_to_complex(d if sign > 0 else 1 - d)
+                                 for d in deltas])
+                 for sign in (1, -1)}
+        return deltas, units
 
 
 DEFAULT_SCHEDULE = LimitSchedule()
@@ -88,23 +108,34 @@ def directional_limit(link, rest, side="plus", schedule=None, tol=DEFAULT_TOL):
     return _RestPoint(link, rest, tol, schedule).limit(side)
 
 
-def _corner_limit(link, signs, schedule, tol):
-    """Limit of the signature with every coordinate tending to 1^sign."""
-    return _schedule_limit(link, sign_key(signs), signs, (), schedule, tol)
+def _corner_limits(link, tol):
+    """The limits with every coordinate tending to 1 from the sides of each
+    sign vector, keyed by sign key ("+-" ...), all sampled in one call."""
+    paths = [(sign_key(signs), signs, ()) for signs in sign_vectors(link.mu)]
+    return {lim.side: lim for lim in _sample_limits(link, paths, DEFAULT_SCHEDULE, tol)}
 
 
-def _schedule_limit(link, name, signs, fixed, schedule, tol):
-    """Samples along the schedule, all points evaluated in one stacked call.
+def _sample_limits(link, paths, schedule, tol):
+    """One LimitResult per path, every sample of every path in one stacked call.
 
-    The leading coordinates tend to 1 from the sides in ``signs`` (angle
-    delta for +1, 1 - delta for -1); the ``fixed`` circle coordinates follow.
-    The zero cut is taken relative to the norm of each degenerating form.
+    A path is (name, signs, fixed): its leading coordinates tend to 1 from
+    the sides in ``signs`` (angle delta for +1, 1 - delta for -1), and the
+    ``fixed`` circle coordinates follow.  The zero cut is taken relative to
+    the norm of each degenerating form.
     """
-    deltas = schedule.deltas()
-    rows = [tuple(angle_to_complex(d if s > 0 else 1 - d) for s in signs) + fixed
-            for d in deltas]
-    sigmas, etas = signature_nullity_batch(link, rows, tol, relative=True)
-    return LimitResult(name, list(zip(deltas, sigmas, etas)), schedule.window)
+    deltas, units = schedule._rows
+    steps = len(deltas)
+    omegas = np.empty((len(paths), steps, link.mu), dtype=complex)
+    for k, (_, signs, fixed) in enumerate(paths):
+        for j, sign in enumerate(signs):
+            omegas[k, :, j] = units[sign]
+        omegas[k, :, len(signs):] = fixed
+    sigmas, etas = signature_nullity_batch(link, omegas.reshape(-1, link.mu), tol,
+                                           relative=True)
+    return [LimitResult(name, list(zip(deltas, sigmas[k * steps:(k + 1) * steps],
+                                       etas[k * steps:(k + 1) * steps])),
+                        schedule.window)
+            for k, (name, _, _) in enumerate(paths)]
 
 
 # -- one rest point ------------------------------------------------------------
@@ -120,9 +151,14 @@ class _RestPoint:
     and nullity at omega', the boundary value at (1, omega'), each one-sided
     limit and the genericity test are computed on first use and kept, so the
     checks run at one point compute each of them at most once.
+
+    Rest points built together by :func:`_rest_group` share their group:
+    the first read of a one-sided limit or of the sublink inertia at any
+    member computes it for every member in one stacked call.  A point built
+    on its own is a group of one.
     """
 
-    def __init__(self, link, point, tol=DEFAULT_TOL, schedule=None):
+    def __init__(self, link, point, tol=DEFAULT_TOL, schedule=None, group=None):
         if not isinstance(point, TorusPoint):
             point = TorusPoint(() if point is None else point)
         if point.mu != link.mu - 1:
@@ -134,7 +170,10 @@ class _RestPoint:
         self.point = point
         self.tol = tol
         self.schedule = schedule or DEFAULT_SCHEDULE
+        self.group = [] if group is None else group
+        self.group.append(self)
         self._limits = {}
+        self._sub_inertia = None
 
     @cached_property
     def sub(self):
@@ -145,10 +184,15 @@ class _RestPoint:
                                  % self.link.rest_key())
         return sub
 
-    @cached_property
+    @property
     def sub_inertia(self):
         """(sigma, eta) of the sublink at omega'."""
-        return signature_nullity(self.sub, self.point, self.tol)
+        if self._sub_inertia is None:
+            sigmas, etas = signature_nullity_batch(
+                self.sub, [rest.point.omega() for rest in self.group], self.tol)
+            for rest, pair in zip(self.group, zip(sigmas, etas)):
+                rest._sub_inertia = pair
+        return self._sub_inertia
 
     @cached_property
     def boundary(self):
@@ -189,9 +233,12 @@ class _RestPoint:
     def limit(self, side):
         """The limit as the first coordinate tends to 1 from ``side``."""
         if side not in self._limits:
-            sign = 1 if side == "plus" else -1
-            self._limits[side] = _schedule_limit(
-                self.link, side, (sign,), self.point.omega(), self.schedule, self.tol)
+            signs = (1,) if side == "plus" else (-1,)
+            results = _sample_limits(
+                self.link, [(side, signs, rest.point.omega()) for rest in self.group],
+                self.schedule, self.tol)
+            for rest, result in zip(self.group, results):
+                rest._limits[side] = result
         return self._limits[side]
 
     @cached_property
@@ -201,6 +248,14 @@ class _RestPoint:
             return torres_generic(self.link, self.point)
         except MissingConwayData:
             return None
+
+
+def _rest_group(link, points, tol):
+    """Rest points at ``points`` that share their limit and sublink evaluations."""
+    group = []
+    for point in points:
+        _RestPoint(link, point, tol, group=group)
+    return group
 
 
 # -- reports ---------------------------------------------------------------
@@ -432,11 +487,12 @@ def verify_corner_limits(link, tol=DEFAULT_TOL):
     m = link.total_components
     rank = link.rank_alexander
     reports = []
+    limits = _corner_limits(link, tol)
     for signs in sign_vectors(link.mu):
         key = sign_key(signs)
         inputs = {"signs": key}
         notes = [_rank_note(link)]
-        lim = _corner_limit(link, signs, DEFAULT_SCHEDULE, tol)
+        lim = limits[key]
         ine = integer_inertia(linking_matrix(link, signs))
         cross = sum(signs[i] * signs[j] * link.lk_colors(i + 1, j + 1)
                     for i in range(link.mu) for j in range(i + 1, link.mu))
@@ -578,9 +634,11 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
 
     The 3d, 4d and Torres checks at one sampled point share one rest-point
     context, so its sublink inertia, its boundary value (with the slope) and
-    each of its limits are computed once.  A specifically requested suite
-    raises when the link lacks the data it needs; under "all", inapplicable
-    suites are skipped with a note.
+    each of its limits are computed once.  The rest points form one group, so
+    the limits on each side and the sublink inertia take one stacked call for
+    all of them.  A specifically requested suite raises when the link lacks
+    the data it needs; under "all", inapplicable suites are skipped with a
+    note.
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
@@ -590,7 +648,7 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
     rnd = random.Random(seed)
     points = [random_rational_point(rnd, max(link.mu - 1, 0))
               for _ in range(samples)]
-    rests = [_RestPoint(link, pt, tol) for pt in points] if link.mu >= 2 else []
+    rests = _rest_group(link, points, tol) if link.mu >= 2 else []
     reports = []
 
     def want(name):

@@ -19,11 +19,12 @@ from sigtorus.families import (make_torus, make_twist, make_unlink,
                                oracle_torus, oracle_twist, unknot)
 from sigtorus.hermitian import (HermitianMatrix, conjugate_inertia_check,
                                 inertia)
-from sigtorus.links import ColoredLink, SeifertSystem, signature_nullity
+from sigtorus.links import (ColoredLink, SeifertSystem, sign_key,
+                            signature_nullity)
 from sigtorus.slope import slope
-from sigtorus.verify import (DEFAULT_SCHEDULE, _corner_limit,
-                             directional_limit, predict_lt_limit_2comp,
-                             predict_torres, verify_lt, verify_multi_lt)
+from sigtorus.verify import (_corner_limits, directional_limit,
+                             predict_lt_limit_2comp, predict_torres, verify_lt,
+                             verify_multi_lt)
 
 _MODULE_START = time.monotonic()
 
@@ -148,9 +149,9 @@ def test_criterion_5_limits_match_jump():
 def test_criterion_6_corner_limits():
     bad = 0
     for ell in (1, 2, 3):
-        link = make_torus(ell)
+        limits = _corner_limits(make_torus(ell), 1e-9)
         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            res = _corner_limit(link, signs, DEFAULT_SCHEDULE, 1e-9)
+            res = limits[sign_key(signs)]
             expected = signs[0] * signs[1] * (ell - 1)
             if not (res.stable and res.value == expected):
                 bad += 1

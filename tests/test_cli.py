@@ -57,6 +57,20 @@ def test_eval_decimal_angles_warn(tmp_path, capsys):
     assert "exact predicates" in err
 
 
+def test_negative_angle_needs_the_equals_form(tmp_path, capsys):
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus3.json")
+    code, out, _ = run(capsys, "eval", "--link", torus, "--omega=-1/3,1/5")
+    assert (code, out) == (0, "sigma=-2 eta=0 dim=2\n")
+    # separated, argparse reads "-1/3,1/5" as an option: a usage error
+    env = dict(os.environ, PYTHONPATH=str(Path(sigtorus.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "sigtorus.cli", "eval", "--link", torus,
+                           "--omega", "-1/3,1/5"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "expected one argument" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_grid_outputs_and_determinism(tmp_path, capsys):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
     out1 = tmp_path / "a.csv"

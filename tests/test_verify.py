@@ -4,17 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sigtorus import verify
-from sigtorus.angles import TorusPoint
+from sigtorus import links, verify
+from sigtorus.angles import TorusPoint, angle_to_complex
 from sigtorus.errors import (BoundaryPoint, DomainError, MissingConwayData,
                              MissingSublink, MissingUnderlying,
                              UnsupportedCase, WrongColorCount)
 from sigtorus.families import make_torus, make_twist, make_unlink, unknot
 from sigtorus.laurent import LaurentPoly, RationalFunction
-from sigtorus.links import ColoredLink, SeifertSystem, parse_link
-from sigtorus.verify import (PLUS_MINUS_ONE, LimitSchedule, VerificationReport,
-                             directional_limit, predict_lt_limit_2comp,
-                             predict_torres, random_rational_point, run_suite,
+from sigtorus.links import (ColoredLink, SeifertSystem, parse_link, sign_key,
+                            sign_vectors, signature_nullity,
+                            signature_nullity_batch)
+from sigtorus.verify import (DEFAULT_SCHEDULE, PLUS_MINUS_ONE, LimitSchedule,
+                             VerificationReport, directional_limit,
+                             predict_lt_limit_2comp, predict_torres,
+                             random_rational_point, run_suite,
                              torres_reports, verify_3d, verify_4d,
                              verify_corner_limits, verify_lt, verify_multi_lt)
 
@@ -84,6 +87,17 @@ def test_schedule_robustness():
     for initial in (Fraction(1), Fraction(0), Fraction(3, 2)):
         with pytest.raises(ValueError):
             LimitSchedule(initial=initial)
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    ({"steps": 0}, "at least one step"),
+    ({"window": 0, "steps": 0}, "at least one step"),
+    ({"window": 0}, "window"),
+    ({"window": 6, "steps": 5}, "window"),
+], ids=["no-steps", "no-steps-no-window", "empty-window", "window-beyond-steps"])
+def test_schedule_rejects_bad_steps_and_window(kwargs, text):
+    with pytest.raises(ValueError, match=text):
+        LimitSchedule(**kwargs)
 
 
 def test_side_symmetry_for_single_color():
@@ -395,41 +409,124 @@ def test_run_suite_all_matches_per_checker_loop(link):
 
 
 def test_run_suite_shares_one_plan_per_point(monkeypatch):
-    limits, inertias, slopes = [], [], []
-    schedule_limit = verify._schedule_limit
-    signature_nullity = verify.signature_nullity
+    limit_calls, batch_calls, slopes = [], [], []
+    sample_limits = verify._sample_limits
+    batch = verify.signature_nullity_batch
     slope = verify.slope
 
-    def counted_limit(link, name, signs, fixed, *args):
-        limits.append((id(link), name, signs, fixed))
-        return schedule_limit(link, name, signs, fixed, *args)
+    def counted_limits(link, paths, *args):
+        limit_calls.append((id(link), paths))
+        return sample_limits(link, paths, *args)
 
-    def counted_inertia(link, point, *args, **kwargs):
-        inertias.append((id(link), point))
-        return signature_nullity(link, point, *args, **kwargs)
+    def counted_batch(link, omegas, *args, **kwargs):
+        batch_calls.append((id(link), [tuple(row) for row in omegas],
+                            kwargs.get("relative", False)))
+        return batch(link, omegas, *args, **kwargs)
 
     def counted_slope(nabla_link, nabla_rest, point):
         slopes.append(point)
         return slope(nabla_link, nabla_rest, point)
 
-    monkeypatch.setattr(verify, "_schedule_limit", counted_limit)
-    monkeypatch.setattr(verify, "signature_nullity", counted_inertia)
+    monkeypatch.setattr(verify, "_sample_limits", counted_limits)
+    monkeypatch.setattr(verify, "signature_nullity_batch", counted_batch)
     monkeypatch.setattr(verify, "slope", counted_slope)
-    samples, seed = 8, 3
+    seed = 3
     for link in (make_torus(3), make_twist(2), make_twist(0), make_unlink(3)):
-        rnd = random.Random(seed)
-        points = [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
-        assert len(set(points)) == samples
-        del limits[:], inertias[:], slopes[:]
-        assert_all_pass(run_suite(link, "all", samples=samples, seed=seed))
-        assert len(limits) == len(set(limits))
         sub = link.rest_sublink()
-        assert sorted(p.angles for i, p in inertias if i == id(sub)) == \
-            sorted(p.angles for p in points)
-        # the 4d bound and the Torres prediction share one slope per point
-        split = not any(link.linking_vector())
-        assert sorted(p.angles for p in slopes) == \
-            (sorted(p.angles for p in points) if split else [])
+        for samples in (1, 8, 18):
+            rnd = random.Random(seed)
+            points = [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
+            assert len(set(points)) == samples
+            del limit_calls[:], batch_calls[:], slopes[:]
+            assert_all_pass(run_suite(link, "all", samples=samples, seed=seed))
+            # no (point, side) limit and no corner is sampled twice
+            paths = [(i, path) for i, call in limit_calls for path in call]
+            assert len(paths) == len(set(paths))
+            # one stacked limit call per side for all rest points, one for
+            # all corners, each a single signature_nullity_batch call
+            own = [call for i, call in limit_calls if i == id(link)]
+            for side in ("plus", "minus"):
+                assert [len(call) for call in own
+                        if call[0][0] == side] == [samples]
+            assert [len(call) for call in own
+                    if call[0][0] not in ("plus", "minus")] == [2 ** link.mu]
+            assert sum(i == id(link) and relative
+                       for i, _, relative in batch_calls) == len(own) == 3
+            # the sublink inertia of every point, once, in one stacked call
+            assert [rows for i, rows, _ in batch_calls if i == id(sub)] == \
+                [[p.omega() for p in points]]
+            # the 4d bound and the Torres prediction share one slope per point
+            split = not any(link.linking_vector())
+            assert sorted(p.angles for p in slopes) == \
+                (sorted(p.angles for p in points) if split else [])
+
+
+def _random_seifert(rnd, mu, n):
+    mats = {}
+    for eps in sign_vectors(mu):
+        if eps[0] > 0:
+            mat = [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            mats[sign_key(eps)] = mat
+            mats[sign_key(tuple(-e for e in eps))] = [list(r) for r in zip(*mat)]
+    return SeifertSystem(mu, mats)
+
+
+def _random_three_colors(seed, n=3):
+    """A random mu = 3 system whose first color links the rest, with a
+    random 2-colored sublink; the checks need no Conway data on it."""
+    rnd = random.Random(seed)
+    linking = {("1.1", "2.1"): rnd.choice((-2, -1, 1, 2)),
+               ("1.1", "3.1"): rnd.randint(-2, 2), ("2.1", "3.1"): rnd.randint(-2, 2)}
+    sub = ColoredLink(2, [1, 1], {("1.1", "2.1"): linking[("2.1", "3.1")]},
+                      _random_seifert(rnd, 2, n - 1))
+    return ColoredLink(3, [1, 1, 1], linking, _random_seifert(rnd, 3, n),
+                       sublinks={"2,3": sub})
+
+
+def _per_point_trail(link, signs, fixed, tol=1e-9):
+    """The samples of one path to the boundary, evaluated on their own."""
+    deltas = DEFAULT_SCHEDULE.deltas()
+    rows = [tuple(angle_to_complex(d if s > 0 else 1 - d) for s in signs) + fixed
+            for d in deltas]
+    sigmas, etas = signature_nullity_batch(link, rows, tol, relative=True)
+    return list(zip(deltas, sigmas, etas))
+
+
+def _keeping(fn, results):
+    """``fn``, appending what each call returns to ``results``."""
+    def kept(*args):
+        results.append(fn(*args))
+        return results[-1]
+    return kept
+
+
+@pytest.mark.parametrize("link", [make_torus(3), make_torus(-4), make_twist(2),
+                                  make_twist(-1), make_unlink(3),
+                                  _random_three_colors(5)],
+                         ids=["torus3", "torus-4", "twist2", "twist-1", "unlink3",
+                              "random3"])
+def test_batched_limits_match_per_point_loop(link, monkeypatch):
+    groups, corners = [], []
+    monkeypatch.setattr(verify, "_rest_group", _keeping(verify._rest_group, groups))
+    monkeypatch.setattr(verify, "_corner_limits", _keeping(verify._corner_limits, corners))
+    samples, seed = 7, 2
+    reports = [r.to_json_dict() for r in run_suite(link, "all", samples, seed)]
+    rnd = random.Random(seed)
+    (group,) = groups
+    assert [rest.point for rest in group] == \
+        [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
+    for rest in group:
+        omega = rest.point.omega()
+        for side, sign in (("plus", 1), ("minus", -1)):
+            assert rest._limits[side].samples == _per_point_trail(link, (sign,), omega)
+        assert rest._sub_inertia == signature_nullity(link.rest_sublink(), rest.point)
+    (limits,) = corners
+    assert {key: lim.samples for key, lim in limits.items()} == \
+        {sign_key(signs): _per_point_trail(link, signs, ())
+         for signs in sign_vectors(link.mu)}
+    # blocks of three forms split every stacked call; the report must not move
+    monkeypatch.setattr(links, "_STACK_BYTES", 3 * 16 * link.seifert.n ** 2)
+    assert [r.to_json_dict() for r in run_suite(link, "all", samples, seed)] == reports
 
 
 @pytest.mark.parametrize("samples", [0, -1])
