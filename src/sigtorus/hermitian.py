@@ -3,7 +3,8 @@
 Two backends: a floating-point one for complex Hermitian matrices (LAPACK
 ``eigvalsh``, stacked over points so that one call counts the inertia of
 many matrices) and an exact one for integer symmetric matrices (congruence
-elimination over rationals, no tolerances involved).
+elimination over rationals, no tolerances involved).  One-sided limits of
+the inertia of analytic families descend on their Taylor coefficients.
 """
 
 import math
@@ -62,14 +63,13 @@ class HermitianMatrix:
         return "HermitianMatrix(n=%d)" % self.n
 
 
-def inertia_counts(stack, tol=DEFAULT_TOL, relative=False):
+def inertia_counts(stack, tol=DEFAULT_TOL):
     """Per-matrix counts (n_plus, n_minus, n_zero) of a (P, n, n) stack.
 
     The matrices must be Hermitian; LAPACK ``eigvalsh`` reads only their
     lower triangles.  An eigenvalue counts as zero when its magnitude is at
-    most the cut: ``tol * max(1, ||H||)`` (Frobenius norm), or
-    ``tol * ||H||`` when ``relative`` is set.  Returns an integer array of
-    shape (P, 3).
+    most the cut ``tol * max(1, ||H||)`` (Frobenius norm).  Returns an
+    integer array of shape (P, 3).
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be a positive finite number, got %r" % (tol,))
@@ -78,11 +78,77 @@ def inertia_counts(stack, tol=DEFAULT_TOL, relative=False):
     if count == 0 or n == 0:
         return np.zeros((count, 3), dtype=np.int64)
     eigs = np.linalg.eigvalsh(stack)
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    cuts = tol * (norms if relative else np.maximum(norms, 1.0))
+    cuts = tol * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
     plus = np.sum(eigs > cuts[:, None], axis=1)
     minus = np.sum(eigs < -cuts[:, None], axis=1)
     return np.stack([plus, minus, n - plus - minus], axis=1)
+
+
+def limit_counts(coefficients, tol=DEFAULT_TOL):
+    """One-sided limits at t = 0 of the inertia of analytic Hermitian families.
+
+    ``coefficients`` is a (P, D, n, n) stack of Taylor coefficients F_0 ..
+    F_{D-1} of F(t) = sum_k t^k F_k.  Returns an int (P, 3) array: sigma(F(t))
+    as t -> 0+ and as t -> 0-, and the nullity of F(t) for small t != 0.
+
+    Each family is divided by its largest coefficient norm.  Level k counts
+    the inertia of the current F_0 with :func:`inertia_counts`, adds its
+    signature to the t -> 0+ limit and (-1)^k times it to the t -> 0- one,
+    and passes to S(t) / t, S the Schur complement of F(t) onto ker F_0
+    (Rellich; Kato, ch. II).  A level takes one coefficient: if det F(t) has
+    order r at 0 (a pencil F_0 + t F_1 has r <= n), r + 1 levels settle it.
+    What is left in the kernel when the coefficients run out is the nullity.
+    """
+    family = np.asarray(coefficients, dtype=complex)
+    scale = np.max(np.linalg.norm(family, axis=(2, 3)), axis=1)
+    scale[scale == 0] = 1.0
+    return _descend(family / scale[:, None, None, None], tol)
+
+
+def _descend(family, tol):
+    """:func:`limit_counts` of a normalized (P, D, m, m) stack."""
+    counts = inertia_counts(family[:, 0], tol)
+    minus, kernel = counts[:, 1].copy(), counts[:, 2].copy()
+    counts[:, 0] -= minus
+    counts[:, 1] = counts[:, 0]
+    if family.shape[1] == 1:
+        return counts
+    # families with the same kernel dimension descend together
+    for size in sorted(set(kernel.tolist()) - {0}):
+        rows = np.flatnonzero(kernel == size)
+        # where F_0 = 0, S(t) / t is F(t) / t
+        deeper = _descend(family[rows, 1:] if size == family.shape[-1]
+                          else _schur_series(family[rows], size, minus[rows]), tol)
+        counts[rows, 0] += deeper[:, 0]
+        counts[rows, 1] -= deeper[:, 1]
+        counts[rows, 2] = deeper[:, 2]
+    return counts
+
+
+def _schur_series(family, size, minus):
+    """Taylor coefficients of S(t) / t, one fewer than F's, for S the Schur
+    complement of F(t) onto the ``size``-dimensional kernel of F_0, which has
+    ``minus`` negative eigenvalues.  In an eigenbasis of F_0, kernel first,
+    F(t) = [[A, B], [B^*, C]] with A(0) = B(0) = 0 and C(0) = E diagonal;
+    S = A - B W, and C W = B^* is solved for W one power of t at a time.
+    """
+    eigs, vecs = np.linalg.eigh(family[:, 0])
+    # rotate the ascending order so that the kernel comes first
+    rows = np.arange(len(family))[:, None]
+    order = (np.arange(family.shape[-1]) + minus[:, None]) % family.shape[-1]
+    basis = vecs[rows, :, order]  # row k: the k-th eigenvector
+    inverse = 1.0 / eigs[rows, order][:, size:, None]
+    # index j holds the coefficient of t^(j+1)
+    rot = np.einsum("pab,pjbc->pjac", basis.conj(),
+                    np.einsum("pjab,pcb->pjac", family[:, 1:], basis))
+    a, b = rot[:, :, :size, :size], rot[:, :, :size, size:]
+    b_star, c = rot[:, :, size:, :size], rot[:, :, size:, size:]
+    out, w = np.empty_like(a), np.empty_like(b_star)
+    for j in range(rot.shape[1]):
+        earlier = w[:, :j][:, ::-1]
+        out[:, j] = a[:, j] - np.einsum("pjab,pjbc->pac", b[:, :j], earlier)
+        w[:, j] = inverse * (b_star[:, j] - np.einsum("pjab,pjbc->pac", c[:, :j], earlier))
+    return (out + out.conj().transpose(0, 1, 3, 2)) / 2
 
 
 def inertia(h, tol=DEFAULT_TOL):

@@ -15,7 +15,7 @@ import numpy as np
 from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
-from .hermitian import DEFAULT_TOL, HermitianMatrix, inertia_counts
+from .hermitian import DEFAULT_TOL, HermitianMatrix, inertia_counts, limit_counts
 from .laurent import RationalFunction
 
 
@@ -335,33 +335,33 @@ def form_at(link, point):
     return HermitianMatrix(assemble_form_raw(link, point))
 
 
-def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL, relative=False):
+def _by_blocks(counts, rows, row_bytes):
+    """``counts`` over blocks of ``rows`` of about ``_STACK_BYTES``, concatenated."""
+    block = max(1, _STACK_BYTES // row_bytes)
+    return np.concatenate([counts(rows[start:start + block])
+                           for start in range(0, max(len(rows), 1), block)])
+
+
+def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL):
     """Signatures and nullities at P interior points, as two int lists.
 
     ``omegas`` is a (P, mu) array of unit complex numbers; no coordinate may
     equal 1 (not checked here).  Points are assembled and diagonalized in
-    stacked blocks of at most about ``_STACK_BYTES``.  ``relative`` takes the
-    zero cut relative to the norm of each form, see :func:`signature_nullity`.
+    stacked blocks of at most about ``_STACK_BYTES``.
     """
     omegas = np.asarray(omegas, dtype=complex)
     if omegas.shape == (0,):  # an empty point list
         omegas = omegas.reshape(0, link.mu)
-    block = max(1, _STACK_BYTES // (16 * max(link.seifert.n, 1) ** 2))
-    counts = np.concatenate(
-        [inertia_counts(assemble_forms(link, omegas[start:start + block]), tol, relative)
-         for start in range(0, max(len(omegas), 1), block)])
+    counts = _by_blocks(lambda rows: inertia_counts(assemble_forms(link, rows), tol),
+                        omegas, 16 * max(link.seifert.n, 1) ** 2)
     return (counts[:, 0] - counts[:, 1]).tolist(), counts[:, 2].tolist()
 
 
-def signature_nullity(link, point, tol=DEFAULT_TOL, relative=False):
+def signature_nullity(link, point, tol=DEFAULT_TOL):
     """Signature and nullity of the link at an interior torus point.
 
-    The zero cut is ``tol * max(1, ||H||)``.  With ``relative`` it is
-    ``tol * ||H||``: the form shrinks linearly as a coordinate approaches
-    1, so a threshold floored at 1 eventually swallows its true eigenvalues,
-    while a cut relative to the norm keeps the inertia of the degenerating
-    family readable.  Inertia is scale-invariant, so the two agree wherever
-    the norm is of order one.
+    An eigenvalue of H counts as zero when its magnitude is at most
+    ``tol * max(1, ||H||)``.
     """
     if not isinstance(point, TorusPoint):
         point = TorusPoint(point)
@@ -369,8 +369,64 @@ def signature_nullity(link, point, tol=DEFAULT_TOL, relative=False):
         raise BoundaryPoint(
             "coordinate(s) %r equal 1; the Seifert form degenerates there"
             % point.boundary_indices())
-    sigmas, etas = signature_nullity_batch(link, [point.omega()], tol, relative)
+    sigmas, etas = signature_nullity_batch(link, [point.omega()], tol)
     return sigmas[0], etas[0]
+
+
+# -- one-sided limits toward the boundary ----------------------------------
+
+def _pencils(link, rest_omegas):
+    """P = i (M - M^*) and Q = M + M^* at rest points omega' (a (P, mu - 1)
+    array), M = sum_eps' c_eps'(omega') A^(+, eps'): for theta in (0, 1),
+    H(e^(2 pi i theta), omega') = sin(2 pi theta) (P + tan(pi theta) Q)."""
+    rest = np.asarray(rest_omegas, dtype=complex)
+    origin = np.zeros((len(rest), 1))  # omega_1 = 0 makes the first factor 1
+    m = np.einsum("pk,kab->pab", _coefficients(np.concatenate([origin, rest], axis=1)),
+                  link.seifert.half_stack)
+    m_star = m.conj().transpose(0, 2, 1)
+    return 1j * (m - m_star), m + m_star
+
+
+def rest_limit_counts(link, rest_omegas, tol=DEFAULT_TOL):
+    """The limits as omega_1 -> 1 at rest points omega' (a (P, mu - 1) array):
+    an int (P, 3) array of sigma's limit through angles 0+ ("plus") and 1-
+    ("minus"), and eta's.  With t = tan(pi theta), plus is lim sigma(P + t Q)
+    as t -> 0+, and minus is -lim sigma(P + t Q) as t -> 0-."""
+    n = link.seifert.n
+    depth = max(n, 1) + 1  # det(P + t Q) has degree at most n
+
+    def counts(rows):
+        family = np.zeros((len(rows), depth, n, n), dtype=complex)
+        family[:, 0], family[:, 1] = _pencils(link, rows)
+        return limit_counts(family, tol)
+
+    limits = _by_blocks(counts, rest_omegas, 16 * depth * max(n, 1) ** 2)
+    limits[:, 1] *= -1
+    return limits
+
+
+def corner_limit_counts(link, tol=DEFAULT_TOL):
+    """The limits with coordinate j at angle eps_j delta, delta -> 0+, per sign
+    vector eps in :func:`sign_vectors` order: an int (2^mu, 2) array of
+    sigma's limit and eta's.  On the path H = (2 sin(pi delta))^mu (prod eps_j)
+    G(delta), G(delta) = sum_eta (prod_j i eta_j) e^(-i pi delta (eta . eps)) A^eta;
+    z^mu G is a matrix polynomial of degree 2 mu in z = e^(-i pi delta), so
+    2 mu n + 1 Taylor coefficients of G settle the descent."""
+    half = np.array([eps for eps in sign_vectors(link.mu) if eps[0] > 0])
+    signs = np.array(sign_vectors(link.mu))
+    depth = 2 * link.mu * link.seifert.n + 1
+
+    def counts(rows):
+        step = -1j * np.pi * (rows @ half.T)
+        terms = np.empty((len(rows), depth, len(half)), dtype=complex)
+        terms[:, 0] = np.prod(1j * half, axis=1)
+        for k in range(1, depth):
+            terms[:, k] = terms[:, k - 1] * step / k
+        m = np.einsum("cke,eab->ckab", terms, link.seifert.half_stack)
+        return limit_counts(m + m.conj().transpose(0, 1, 3, 2), tol)
+
+    limits = _by_blocks(counts, signs, 16 * depth * max(link.seifert.n, 1) ** 2)
+    return np.stack([np.prod(signs, axis=1) * limits[:, 0], limits[:, 2]], axis=1)
 
 
 def linking_matrix(link, color_signs):
@@ -402,22 +458,11 @@ def linking_matrix(link, color_signs):
 def boundary_limit_form(link, rest_point, side=1):
     """One-sided limit of H(omega_1, rest) / |1 - omega_1| as omega_1 -> 1.
 
-    Valid when every basis curve of the Seifert system crosses the first
-    surface (true for the built-in families, whose stored sublink has an
-    empty basis); the limit is then +/- i times the sign-difference sum over
-    the remaining colors.
+    This is ``side`` times P of :func:`_pencils`.  Valid when every basis
+    curve of the Seifert system crosses the first surface (true for the
+    built-in families, whose stored sublink has an empty basis).
     """
     if rest_point.mu != link.mu - 1:
         raise ValueError("rest point needs %d coordinates" % (link.mu - 1))
-    omegas = rest_point.omega()
-    n = link.seifert.n
-    form = np.zeros((n, n), dtype=complex)
-    for eps_rest in sign_vectors(link.mu - 1):
-        coeff = 1.0 + 0.0j
-        for w, e in zip(omegas, eps_rest):
-            coeff *= (1.0 - w.conjugate()) if e > 0 else (1.0 - w)
-        diff = (link.seifert.matrix((1,) + eps_rest)
-                - link.seifert.matrix((-1,) + eps_rest))
-        form += coeff * diff
-    sign = 1.0 if side > 0 else -1.0
-    return HermitianMatrix(sign * 1j * form)
+    p, _ = _pencils(link, [rest_point.omega()])
+    return HermitianMatrix((1.0 if side > 0 else -1.0) * p[0])

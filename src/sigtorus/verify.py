@@ -1,22 +1,17 @@
 """Directional limits of the signature, and machine checks of every limit
 statement and Torres prediction the library covers.
 
-A directional limit is estimated along a geometric schedule of rational
-angles approaching 1 from one side; it counts as stabilized when the last
-few samples agree, and an unstable trail is surfaced rather than averaged
-away.  The samples of many limits are assembled and diagonalized together:
-a suite samples the limits of all its rest points in one stacked call per
-side, and all corners in one more; the sublink inertia of all its rest
-points takes one call too.  Each verifier emits one report per elementary
-relation (inequality or equality) so failures carry the audit trail.
+One-sided limits are exact (:func:`sigtorus.hermitian.limit_counts`), and
+one call gives both sides at every rest point of a suite; all corners take
+one more call, and the sublink inertia of all rest points one call too.
+Each verifier emits one report per elementary relation (inequality or
+equality) so failures carry the audit trail.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .angles import TorusPoint, angle_to_complex, normalize_angle
 from .corrections import signature_jump, wall_indicator
@@ -25,8 +20,8 @@ from .errors import (BoundaryPoint, DomainError, Indeterminate,
                      UnsupportedCase, WrongColorCount)
 from .hermitian import DEFAULT_TOL, integer_inertia
 from .laurent import as_rational
-from .links import (linking_matrix, sign_key, sign_vectors,
-                    signature_nullity_batch)
+from .links import (corner_limit_counts, linking_matrix, rest_limit_counts,
+                    sign_key, sign_vectors, signature_nullity_batch)
 from .slope import (classify_slope, conway_factor_split, conway_nonzero_at,
                     slope, torres_generic)
 
@@ -37,105 +32,32 @@ def _sgn(value):
 
 # -- directional limits ----------------------------------------------------
 
-@dataclass(frozen=True)
-class LimitSchedule:
-    """Geometric schedule of offsets from 1, with a stabilization window."""
-
-    initial: Fraction = Fraction(1, 16)
-    steps: int = 17
-    window: int = 4
-
-    def __post_init__(self):
-        if not 0 < self.initial < 1:  # keeps every sample off the boundary
-            raise ValueError("the initial offset must lie in (0, 1)")
-        if self.steps < 1:
-            raise ValueError("the schedule needs at least one step")
-        if not 1 <= self.window <= self.steps:
-            raise ValueError("the window must hold between 1 and %d samples"
-                             % self.steps)
-
-    def deltas(self):
-        return [self.initial / (2 ** m) for m in range(self.steps)]
-
-    @cached_property
-    def _rows(self):
-        """The offsets, and per side (+1, -1) the unit complex numbers of the
-        sample angles (delta for +1, 1 - delta for -1); computed once."""
-        deltas = self.deltas()
-        units = {sign: np.array([angle_to_complex(d if sign > 0 else 1 - d)
-                                 for d in deltas])
-                 for sign in (1, -1)}
-        return deltas, units
-
-
-DEFAULT_SCHEDULE = LimitSchedule()
 _SIDES = ("plus", "minus")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimitResult:
-    """Samples (offset, sigma, eta) along one side, and the verdict."""
+    """The limits of the signature and of the nullity along one side."""
 
     side: str
-    samples: list
-    window: int
-
-    @property
-    def stable(self):
-        if len(self.samples) < self.window:
-            return False
-        tail = [s for _, s, _ in self.samples[-self.window:]]
-        return all(v == tail[0] for v in tail)
-
-    @property
-    def value(self):
-        return self.samples[-1][1] if self.stable else None
-
-    def tail_sigmas(self):
-        """Distinct signature values among the trailing window."""
-        return sorted({s for _, s, _ in self.samples[-self.window:]})
-
-    def __repr__(self):
-        state = "value=%d" % self.value if self.stable else "unstable"
-        return "LimitResult(side=%s, %s)" % (self.side, state)
+    value: int
+    eta: int
 
 
-def directional_limit(link, rest, side="plus", schedule=None, tol=DEFAULT_TOL):
-    """Estimate the one-sided limit of the signature as the first coordinate
-    tends to 1, with the remaining coordinates held fixed."""
+def directional_limit(link, rest, side="plus", tol=DEFAULT_TOL):
+    """The one-sided limit of the signature as the first coordinate tends
+    to 1, with the remaining coordinates held fixed."""
     if side not in _SIDES:
         raise ValueError("side must be 'plus' or 'minus'")
-    return _RestPoint(link, rest, tol, schedule).limit(side)
+    return _RestPoint(link, rest, tol).limit(side)
 
 
 def _corner_limits(link, tol):
     """The limits with every coordinate tending to 1 from the sides of each
-    sign vector, keyed by sign key ("+-" ...), all sampled in one call."""
-    paths = [(sign_key(signs), signs, ()) for signs in sign_vectors(link.mu)]
-    return {lim.side: lim for lim in _sample_limits(link, paths, DEFAULT_SCHEDULE, tol)}
-
-
-def _sample_limits(link, paths, schedule, tol):
-    """One LimitResult per path, every sample of every path in one stacked call.
-
-    A path is (name, signs, fixed): its leading coordinates tend to 1 from
-    the sides in ``signs`` (angle delta for +1, 1 - delta for -1), and the
-    ``fixed`` circle coordinates follow.  The zero cut is taken relative to
-    the norm of each degenerating form.
-    """
-    deltas, units = schedule._rows
-    steps = len(deltas)
-    omegas = np.empty((len(paths), steps, link.mu), dtype=complex)
-    for k, (_, signs, fixed) in enumerate(paths):
-        for j, sign in enumerate(signs):
-            omegas[k, :, j] = units[sign]
-        omegas[k, :, len(signs):] = fixed
-    sigmas, etas = signature_nullity_batch(link, omegas.reshape(-1, link.mu), tol,
-                                           relative=True)
-    return [LimitResult(name, list(zip(deltas, sigmas[k * steps:(k + 1) * steps],
-                                       etas[k * steps:(k + 1) * steps])),
-                        schedule.window)
-            for k, (name, _, _) in enumerate(paths)]
+    sign vector, keyed by sign key ("+-" ...), all computed in one call."""
+    return {sign_key(signs): LimitResult(sign_key(signs), value, eta)
+            for signs, (value, eta) in zip(sign_vectors(link.mu),
+                                           corner_limit_counts(link, tol).tolist())}
 
 
 # -- one rest point ------------------------------------------------------------
@@ -153,12 +75,12 @@ class _RestPoint:
     checks run at one point compute each of them at most once.
 
     Rest points built together by :func:`_rest_group` share their group:
-    the first read of a one-sided limit or of the sublink inertia at any
-    member computes it for every member in one stacked call.  A point built
-    on its own is a group of one.
+    the first read of a one-sided limit (either side) or of the sublink
+    inertia at any member computes it for every member in one stacked call.
+    A point built on its own is a group of one.
     """
 
-    def __init__(self, link, point, tol=DEFAULT_TOL, schedule=None, group=None):
+    def __init__(self, link, point, tol=DEFAULT_TOL, group=None):
         if not isinstance(point, TorusPoint):
             point = TorusPoint(() if point is None else point)
         if point.mu != link.mu - 1:
@@ -169,7 +91,6 @@ class _RestPoint:
         self.link = link
         self.point = point
         self.tol = tol
-        self.schedule = schedule or DEFAULT_SCHEDULE
         self.group = [] if group is None else group
         self.group.append(self)
         self._limits = {}
@@ -232,13 +153,12 @@ class _RestPoint:
 
     def limit(self, side):
         """The limit as the first coordinate tends to 1 from ``side``."""
-        if side not in self._limits:
-            signs = (1,) if side == "plus" else (-1,)
-            results = _sample_limits(
-                self.link, [(side, signs, rest.point.omega()) for rest in self.group],
-                self.schedule, self.tol)
-            for rest, result in zip(self.group, results):
-                rest._limits[side] = result
+        if not self._limits:
+            counts = rest_limit_counts(self.link, [rest.point.omega() for rest in self.group],
+                                       self.tol)
+            for rest, (plus, minus, eta) in zip(self.group, counts.tolist()):
+                rest._limits = {"plus": LimitResult("plus", plus, eta),
+                                "minus": LimitResult("minus", minus, eta)}
         return self._limits[side]
 
     @cached_property
@@ -303,23 +223,6 @@ def _skip(check, inputs, note):
     return VerificationReport(check, inputs, None, None, "==", True, [note])
 
 
-def _limit_eq(check, inputs, lim, target, notes=()):
-    if not lim.stable:
-        rep = VerificationReport(check, inputs, None, target, "==", False, list(notes))
-        rep.notes.append("limit did not stabilize: tail %r" % (lim.tail_sigmas(),))
-        return rep
-    return _eq(check, inputs, lim.value, target, notes)
-
-
-def _limit_gap_leq(check, inputs, lim, center, rhs, notes=()):
-    """Bound check |sigma - center| <= rhs over the trailing values."""
-    lhs = max(abs(s - center) for s in lim.tail_sigmas())
-    rep = _leq(check, inputs, lhs, rhs, notes)
-    if not lim.stable:
-        rep.notes.append("limit did not stabilize; bound checked on all trailing values")
-    return rep
-
-
 def _rank_note(link):
     return "rank_alexander=%d%s" % (link.rank_alexander,
                                     " (default)" if link.rank_alexander == 0 else "")
@@ -351,14 +254,14 @@ def _check_3d(rest):
     notes = [_rank_note(link)]
     centers = (sig_rest + jump, sig_rest - jump)
 
-    reports = [_limit_gap_leq("3d/bound/" + side, inputs, rest.limit(side), center,
-                              rhs, notes) for side, center in zip(_SIDES, centers)]
+    reports = [_leq("3d/bound/" + side, inputs, abs(rest.limit(side).value - center),
+                    rhs, notes) for side, center in zip(_SIDES, centers)]
     if rest.generic is None:
         reports.append(_skip("3d/equality", inputs,
                              "genericity untestable: sublink carries no Conway data"))
     elif rest.generic:
-        reports += [_limit_eq("3d/equality/" + side, inputs, rest.limit(side), center,
-                              notes) for side, center in zip(_SIDES, centers)]
+        reports += [_eq("3d/equality/" + side, inputs, rest.limit(side).value, center,
+                        notes) for side, center in zip(_SIDES, centers)]
     return reports
 
 
@@ -397,8 +300,8 @@ def _check_4d(rest):
                 equalities = [_skip("4d/linked/equality", inputs,
                                     "sublink carries no Conway data")]
             elif conway_nonzero_at(conway, point):
-                equalities = [_limit_eq("4d/linked/equality/" + side, inputs,
-                                        rest.limit(side), center, notes)
+                equalities = [_eq("4d/linked/equality/" + side, inputs,
+                                  rest.limit(side).value, center, notes)
                               for side in _SIDES]
             else:
                 equalities = [_skip("4d/linked/equality", inputs,
@@ -408,16 +311,15 @@ def _check_4d(rest):
         inputs = dict(inputs, slope=repr(slope_value))
         if center != rest.sub_inertia[0]:
             # slope finite and nonzero: numerator and denominator both nonvanish
-            equalities = [_limit_eq("4d/split/equality/" + side, inputs,
-                                    rest.limit(side), center, notes) for side in _SIDES]
+            equalities = [_eq("4d/split/equality/" + side, inputs,
+                              rest.limit(side).value, center, notes) for side in _SIDES]
 
     bound = eta - link.rank_alexander
     prefix = "4d/%s/" % case
-    reports = [_limit_gap_leq(prefix + "bound/" + side, inputs, rest.limit(side),
-                              center, bound, notes) for side in _SIDES]
-    diff = max(abs(a - b) for a in rest.limit("plus").tail_sigmas()
-               for b in rest.limit("minus").tail_sigmas())
-    reports.append(_leq(prefix + "difference", inputs, diff, 2 * bound, notes))
+    plus, minus = rest.limit("plus").value, rest.limit("minus").value
+    reports = [_leq(prefix + "bound/" + side, inputs, abs(value - center), bound, notes)
+               for side, value in zip(_SIDES, (plus, minus))]
+    reports.append(_leq(prefix + "difference", inputs, abs(plus - minus), 2 * bound, notes))
     return reports + equalities
 
 
@@ -435,19 +337,15 @@ def verify_lt(link, tol=DEFAULT_TOL):
              "derived constraint: rank A(L) <= %d" % (ine.nullity - 1)]
 
     empty = _RestPoint(link, (), tol)
-    lim_plus, lim_minus = empty.limit("plus"), empty.limit("minus")
+    plus, minus = empty.limit("plus").value, empty.limit("minus").value
 
-    reports = [_limit_eq("lt/side-agreement", inputs, lim_plus,
-                         lim_minus.value, notes)]
+    reports = [_eq("lt/side-agreement", inputs, plus, minus, notes)]
     bound = ine.nullity - 1 - rank
-    reports.append(_limit_gap_leq("lt/limit-bound", inputs, lim_plus,
-                                  ine.signature, bound, notes))
-    reports.append(_limit_gap_leq("lt/magnitude-bound", inputs, lim_plus, 0,
-                                  m - 1 - rank, notes))
+    reports.append(_leq("lt/limit-bound", inputs, abs(plus - ine.signature), bound, notes))
+    reports.append(_leq("lt/magnitude-bound", inputs, abs(plus), m - 1 - rank, notes))
     reports.append(_leq("lt/rank-constraint", inputs, rank, ine.nullity - 1, notes))
     if bound == 0:
-        reports.append(_limit_eq("lt/limit-equality", inputs, lim_plus,
-                                 ine.signature, notes))
+        reports.append(_eq("lt/limit-equality", inputs, plus, ine.signature, notes))
     return reports
 
 
@@ -492,24 +390,22 @@ def verify_corner_limits(link, tol=DEFAULT_TOL):
         key = sign_key(signs)
         inputs = {"signs": key}
         notes = [_rank_note(link)]
-        lim = limits[key]
+        value = limits[key].value
         ine = integer_inertia(linking_matrix(link, signs))
         cross = sum(signs[i] * signs[j] * link.lk_colors(i + 1, j + 1)
                     for i in range(link.mu) for j in range(i + 1, link.mu))
         center = ine.signature + cross
-        reports.append(_limit_gap_leq("corners/bound/" + key, inputs, lim,
-                                      center, ine.nullity - 1 - rank, notes))
+        reports.append(_leq("corners/bound/" + key, inputs, abs(value - center),
+                            ine.nullity - 1 - rank, notes))
         if ine.nullity == 1:
-            reports.append(_limit_eq("corners/equality/" + key, inputs, lim,
-                                     center, notes))
+            reports.append(_eq("corners/equality/" + key, inputs, value, center, notes))
         if link.mu == 2:
             ell = link.lk_colors(1, 2)
             if ell != 0:
                 closed = signs[0] * signs[1] * (ell - _sgn(ell))
-                reports.append(_limit_eq("corners/two-color/" + key, inputs,
-                                         lim, closed, notes))
-        magnitude = max(abs(s) for s in lim.tail_sigmas())
-        reports.append(_leq("corners/magnitude/" + key, inputs, magnitude,
+                reports.append(_eq("corners/two-color/" + key, inputs,
+                                   value, closed, notes))
+        reports.append(_leq("corners/magnitude/" + key, inputs, abs(value),
                             m - 1 + abs(cross) - rank, notes))
     return reports
 
@@ -563,13 +459,8 @@ def _predict_torres(rest):
         if rest.generic is None:
             notes.append("midpoint skipped: genericity untestable")
         elif rest.generic:
-            lim_plus, lim_minus = rest.limit("plus"), rest.limit("minus")
-            if lim_plus.stable and lim_minus.stable:
-                midpoint_value = Fraction(lim_plus.value + lim_minus.value, 2)
-                midpoint = "pass" if midpoint_value == sig_rest else "fail"
-            else:
-                midpoint = "fail"
-                notes.append("midpoint: a directional limit did not stabilize")
+            midpoint_value = Fraction(rest.limit("plus").value + rest.limit("minus").value, 2)
+            midpoint = "pass" if midpoint_value == sig_rest else "fail"
     return TorresPrediction(sigma, eta, midpoint, notes, sig_rest, midpoint_value)
 
 

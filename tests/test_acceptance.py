@@ -130,20 +130,25 @@ def test_criterion_5_limits_match_jump():
             jump = signature_jump((ell,), pt)
             plus = directional_limit(link, pt, "plus")
             minus = directional_limit(link, pt, "minus")
-            if not (plus.stable and plus.value == jump):
+            if plus.value != jump:
                 bad += 1
-            if not (minus.stable and minus.value == -jump):
+            if minus.value != -jump:
                 bad += 1
+        # on the walls theta' = k/l the limits are the closed-form profile's
+        # values next to the boundary, within one unit of +/- jump
+        tiny = Fraction(1, 2 ** 40)
         for k in range(1, ell):
             pt = TorusPoint([Fraction(k, ell)])
             jump = signature_jump((ell,), pt)
-            for side, orient in (("plus", 1), ("minus", -1)):
+            for side, orient, first in (("plus", 1, tiny), ("minus", -1, 1 - tiny)):
                 res = directional_limit(link, pt, side)
-                if res.stable and abs(res.value - orient * jump) > 1:
+                if res.value != oracle_torus(ell, first, pt[0])[0]:
+                    bad += 1
+                if abs(res.value - orient * jump) > 1:
                     bad += 1
     _verdict(5, "directional limits equal sigma(rest) +/- jump at 50 generic "
-                "points per torus link and stay within the unit bound on walls",
-             bad == 0)
+                "points per torus link and the closed form on walls, within "
+                "the unit bound", bad == 0)
 
 
 def test_criterion_6_corner_limits():
@@ -153,7 +158,7 @@ def test_criterion_6_corner_limits():
         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             res = limits[sign_key(signs)]
             expected = signs[0] * signs[1] * (ell - 1)
-            if not (res.stable and res.value == expected):
+            if res.value != expected:
                 bad += 1
     _verdict(6, "corner limits equal sign * (l - sgn l) for all four sign pairs",
              bad == 0)
@@ -171,7 +176,7 @@ def test_criterion_7_split_equality_and_slope():
             pt = TorusPoint([theta])
             for side in ("plus", "minus"):
                 res = directional_limit(link, pt, side)
-                if not (res.stable and res.value == sign):
+                if res.value != sign:
                     bad += 1
             value = slope(link.conway, sub.conway, pt)
             expected = 4 * k * math.sin(math.pi * float(theta)) ** 2
@@ -268,7 +273,7 @@ def test_criterion_10_property_suites():
                  make_unlink(2).underlying_oriented):
         plus = directional_limit(link, TorusPoint(()), "plus")
         minus = directional_limit(link, TorusPoint(()), "minus")
-        ok = ok and plus.stable and minus.stable and plus.value == minus.value
+        ok = ok and plus.value == minus.value
 
     _verdict(10, "Sylvester invariance, clasp-move invariance, conjugation "
                  "antisymmetry, and side symmetry all hold", ok)

@@ -7,7 +7,7 @@ import pytest
 from sigtorus.errors import SingularMatrix
 from sigtorus.hermitian import (HermitianMatrix, Inertia,
                                 conjugate_inertia_check, inertia,
-                                inertia_counts, integer_inertia)
+                                inertia_counts, integer_inertia, limit_counts)
 
 
 def test_diagonal_inertia():
@@ -92,11 +92,77 @@ def test_lapack_counts_match_exact_and_sylvester():
         assert counts[0].tolist() == counts[1].tolist()
 
 
-def test_relative_cut_reads_small_forms():
-    tiny = 1e-12 * np.diag([1.0, -1.0, 0.0])[None].astype(complex)
-    assert inertia_counts(tiny).tolist() == [[0, 0, 3]]
-    assert inertia_counts(tiny, relative=True).tolist() == [[1, 1, 1]]
-    assert inertia_counts(np.zeros((2, 3, 3)), relative=True).tolist() == [[0, 0, 3]] * 2
+# -- one-sided limits of analytic families -----------------------------------
+
+def _series(*coefficients):
+    """A (1, D, n, n) stack from D Taylor coefficients."""
+    return np.array(coefficients, dtype=complex)[None]
+
+
+def _congruent(family, rng):
+    """The family X(t)^* F(t) X(t), truncated to as many coefficients, for
+    X(t) = X_0 + t Y with X_0 random near the identity (so invertible near
+    t = 0) and Y random."""
+    n = family.shape[-1]
+    x = [np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))),
+         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))]
+    out = np.zeros_like(family, dtype=complex)
+    for i in range(family.shape[1]):
+        for a in (0, 1):
+            for b in (0, 1):
+                if i + a + b < family.shape[1]:
+                    out[:, i + a + b] += x[a].conj().T @ family[:, i] @ x[b]
+    return out
+
+
+def test_limit_counts_of_a_diagonal_family():
+    # F(t) = diag(1, t, -t^2, t^3, 0): signs 1, +-1, -1, +-1 and one zero
+    diag = np.diag
+    family = _series(diag([1, 0, 0, 0, 0]), diag([0, 1, 0, 0, 0]),
+                     diag([0, 0, -1, 0, 0]), diag([0, 0, 0, 1, 0]),
+                     np.zeros((5, 5)), np.zeros((5, 5)))
+    assert limit_counts(family).tolist() == [[2, -2, 1]]
+    rng = np.random.default_rng(3)
+    stack = np.concatenate([family] + [_congruent(family, rng) for _ in range(20)])
+    assert limit_counts(stack).tolist() == [[2, -2, 1]] * 21
+    # with three coefficients the t^3 entry is beyond reach and counts as zero
+    assert limit_counts(family[:, :3]).tolist() == [[1, -1, 2]]
+
+
+def test_limit_counts_agree_with_small_t():
+    # generic pencils with a kernel at t = 0, against eigenvalues at t = +-1e-4
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        n, rank = int(rng.integers(2, 6)), int(rng.integers(0, 3))
+        u = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        p = u @ np.diag(rng.choice([-1.0, 1.0], size=rank)) @ u.conj().T
+        q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q = q + q.conj().T
+        (plus, minus, eta), = limit_counts(_series(p, q, *[np.zeros((n, n))] * (n - 1)))
+        for t, want in ((1e-4, plus), (-1e-4, minus)):
+            eigs = np.linalg.eigvalsh(p + t * q)
+            assert np.min(np.abs(eigs)) > 1e-9
+            assert int(np.sum(eigs > 0) - np.sum(eigs < 0)) == want
+        assert eta == 0
+
+
+def test_limit_counts_of_singular_families():
+    # det F(t) = 0 for every t: one vector in the kernel of F(t), moving with t
+    pencil = _series([[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+                     [[0, 0, 0], [0, 0, 1], [0, 1, 0]], np.zeros((3, 3)), np.zeros((3, 3)))
+    assert limit_counts(pencil).tolist() == [[0, 0, 1]]
+    quadratic = _series([[0, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 0]])
+    assert limit_counts(quadratic).tolist() == [[1, 1, 1]]
+    rng = np.random.default_rng(5)
+    assert limit_counts(_congruent(quadratic, rng)).tolist() == [[1, 1, 1]]
+
+
+def test_limit_counts_of_zero_and_empty_families():
+    assert limit_counts(np.zeros((2, 3, 4, 4))).tolist() == [[0, 0, 4]] * 2
+    assert limit_counts(np.zeros((0, 3, 4, 4))).shape == (0, 3)
+    assert limit_counts(np.zeros((2, 3, 0, 0))).tolist() == [[0, 0, 0]] * 2
+    # the cut is relative to the largest coefficient: a tiny family still counts
+    assert limit_counts(1e-12 * _series(np.diag([1, -1, 0]))).tolist() == [[0, 0, 1]]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -105,6 +171,8 @@ def test_bad_tolerance_rejected(tol):
         inertia(HermitianMatrix([[1.0]]), tol)
     with pytest.raises(ValueError):
         inertia_counts(np.zeros((0, 2, 2)), tol)
+    with pytest.raises(ValueError):
+        limit_counts(np.zeros((0, 2, 2, 2)), tol)
 
 
 def test_sylvester_invariance_sample():

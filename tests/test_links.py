@@ -18,7 +18,7 @@ from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
                             boundary_limit_form, form_at, linking_matrix,
                             parse_link, save_link, sign_key, sign_vectors,
                             signature_nullity)
-from sigtorus.verify import DEFAULT_SCHEDULE, directional_limit
+from sigtorus.verify import directional_limit
 
 
 def rational_point(rnd, mu, max_den=48):
@@ -100,7 +100,7 @@ def test_boundary_point_rejected():
     with pytest.raises(BoundaryPoint):
         signature_nullity(make_twist(2), TorusPoint([0, Fraction(1, 2)]))
     with pytest.raises(BoundaryPoint):
-        signature_nullity(make_twist(2), TorusPoint([0, Fraction(1, 2)]), relative=True)
+        signature_nullity(make_twist(2), TorusPoint([Fraction(1, 2), 0]))
 
 
 def test_conjugation_symmetry():
@@ -167,16 +167,10 @@ def test_degeneration_bound_along_schedule():
                       (make_torus(2), (2,)), (make_torus(3), (3,))):
         for _ in range(10):
             pt = rational_point(rnd, 1)
-            for side in (1, -1):
+            for side, name in ((1, "plus"), (-1, "minus")):
                 limit_ine = inertia(boundary_limit_form(link, pt, side))
-                deltas = [Fraction(1, 16 * 2 ** m) for m in range(12, 16)]
-                tail = []
-                for d in deltas:
-                    angle = d if side > 0 else 1 - d
-                    tail.append(signature_nullity(link, pt.prepend(angle), relative=True))
-                assert len({t for t in tail}) == 1
-                sig, eta = tail[-1]
-                assert abs(sig - limit_ine.signature) <= limit_ine.nullity - eta
+                lim = directional_limit(link, pt, name)
+                assert abs(lim.value - limit_ine.signature) <= limit_ine.nullity - lim.eta
 
 
 def test_clasp_route_matches_limit_form():
@@ -255,18 +249,18 @@ def test_stacked_grid_matches_per_point_loop(tmp_path, monkeypatch, link, rest):
 
 @pytest.mark.parametrize("link, rest", STACK_CASES, ids=STACK_IDS)
 def test_stacked_limits_match_per_point_loop(link, rest):
+    # the exact limit against the sampled forms next to the boundary, each
+    # normalized and diagonalized on its own
     rnd = random.Random(8)
     for _ in range(3):
         pt = TorusPoint((rational_point(rnd, 1)[0],) + rest)
         for side in ("plus", "minus"):
-            expected = []
-            for delta in DEFAULT_SCHEDULE.deltas():
-                angle = delta if side == "plus" else 1 - delta
-                expected.append((delta,) + _loop_sigma_eta(link, pt.prepend(angle),
-                                                           relative=True))
-            samples = directional_limit(link, pt, side).samples
-            assert samples == expected
-            assert all(type(s) is int and type(e) is int for _, s, e in samples)
+            expected = {_loop_sigma_eta(link, pt.prepend(d if side == "plus" else 1 - d),
+                                        relative=True)
+                        for d in (Fraction(1, 2 ** 20), Fraction(1, 2 ** 22))}
+            res = directional_limit(link, pt, side)
+            assert {(res.value, res.eta)} == expected
+            assert type(res.value) is int and type(res.eta) is int
 
 
 # -- non-finite angles and empty point lists -----------------------------------

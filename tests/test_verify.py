@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sampler import path_rows, sampled_limit
 
 from sigtorus import links, verify
-from sigtorus.angles import TorusPoint, angle_to_complex
+from sigtorus.angles import TorusPoint
 from sigtorus.errors import (BoundaryPoint, DomainError, MissingConwayData,
                              MissingSublink, MissingUnderlying,
                              UnsupportedCase, WrongColorCount)
-from sigtorus.families import make_torus, make_twist, make_unlink, unknot
+from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus,
+                               unknot)
 from sigtorus.laurent import LaurentPoly, RationalFunction
-from sigtorus.links import (ColoredLink, SeifertSystem, parse_link, sign_key,
-                            sign_vectors, signature_nullity,
-                            signature_nullity_batch)
-from sigtorus.verify import (DEFAULT_SCHEDULE, PLUS_MINUS_ONE, LimitSchedule,
-                             VerificationReport, directional_limit,
+from sigtorus.links import (ColoredLink, SeifertSystem, assemble_forms,
+                            parse_link, sign_key, sign_vectors, signature_nullity)
+from sigtorus.verify import (PLUS_MINUS_ONE, VerificationReport, directional_limit,
                              predict_lt_limit_2comp, predict_torres,
                              random_rational_point, run_suite,
                              torres_reports, verify_3d, verify_4d,
@@ -49,8 +49,8 @@ def test_torus_directional_limits():
     link = make_torus(3)
     plus = directional_limit(link, TorusPoint([Fraction(1, 10)]), "plus")
     minus = directional_limit(link, TorusPoint([Fraction(1, 10)]), "minus")
-    assert plus.stable and plus.value == 2
-    assert minus.stable and minus.value == -2
+    assert (plus.value, plus.eta) == (2, 0)
+    assert (minus.value, minus.eta) == (-2, 0)
 
 
 def test_twist_directional_limits():
@@ -59,12 +59,12 @@ def test_twist_directional_limits():
         sign = (k > 0) - (k < 0)
         for side in ("plus", "minus"):
             res = directional_limit(link, TorusPoint([Fraction(2, 7)]), side)
-            assert res.stable and res.value == sign
+            assert res.value == sign
 
 
 def test_unlink_directional_limit():
     res = directional_limit(make_unlink(2), TorusPoint([Fraction(1, 3)]), "plus")
-    assert res.stable and res.value == 0
+    assert (res.value, res.eta) == (0, 1)
 
 
 def test_limit_at_degenerate_point_stays_within_bound():
@@ -72,32 +72,24 @@ def test_limit_at_degenerate_point_stays_within_bound():
     # one unit away from the jump value, saturating the bound
     link = make_torus(3)
     res = directional_limit(link, TorusPoint([Fraction(1, 3)]), "plus")
-    assert (not res.stable) or abs(res.value - 1) <= 1
+    assert res.value == 0
 
 
-def test_schedule_robustness():
-    link = make_torus(3)
-    pt = TorusPoint([Fraction(1, 10)])
-    base = directional_limit(link, pt, "plus").value
-    halved = directional_limit(link, pt, "plus",
-                               LimitSchedule(initial=Fraction(1, 32))).value
-    widened = directional_limit(link, pt, "plus",
-                                LimitSchedule(window=8)).value
-    assert base == halved == widened == 2
-    for initial in (Fraction(1), Fraction(0), Fraction(3, 2)):
-        with pytest.raises(ValueError):
-            LimitSchedule(initial=initial)
-
-
-@pytest.mark.parametrize("kwargs, text", [
-    ({"steps": 0}, "at least one step"),
-    ({"window": 0, "steps": 0}, "at least one step"),
-    ({"window": 0}, "window"),
-    ({"window": 6, "steps": 5}, "window"),
-], ids=["no-steps", "no-steps-no-window", "empty-window", "window-beyond-steps"])
-def test_schedule_rejects_bad_steps_and_window(kwargs, text):
-    with pytest.raises(ValueError, match=text):
-        LimitSchedule(**kwargs)
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, -3])
+def test_torus_limits_on_walls(ell):
+    # at theta' = k/|l| the limits are the closed-form profile's values next
+    # to the boundary: sgn(l)(|l| - 2k - 1) from 0+ and sgn(l)(2k - |l| - 1) from 1-
+    link, m, sign = make_torus(ell), abs(ell), (ell > 0) - (ell < 0)
+    tiny = Fraction(1, 2 ** 40)
+    for k in range(1, m):
+        pt = TorusPoint([Fraction(k, m)])
+        plus = directional_limit(link, pt, "plus")
+        minus = directional_limit(link, pt, "minus")
+        assert plus.value == sign * (m - 2 * k - 1) == oracle_torus(ell, tiny, pt[0])[0]
+        assert minus.value == sign * (2 * k - m - 1) == oracle_torus(ell, 1 - tiny, pt[0])[0]
+        # the limit form has a one-dimensional kernel on the wall, which the
+        # next order closes
+        assert plus.eta == minus.eta == 0
 
 
 def test_side_symmetry_for_single_color():
@@ -105,7 +97,7 @@ def test_side_symmetry_for_single_color():
                  make_torus(1).underlying_oriented):
         plus = directional_limit(link, TorusPoint(()), "plus")
         minus = directional_limit(link, TorusPoint(()), "minus")
-        assert plus.stable and minus.stable and plus.value == minus.value
+        assert plus.value == minus.value
 
 
 @pytest.mark.parametrize("call, error, text", [
@@ -409,25 +401,30 @@ def test_run_suite_all_matches_per_checker_loop(link):
 
 
 def test_run_suite_shares_one_plan_per_point(monkeypatch):
-    limit_calls, batch_calls, slopes = [], [], []
-    sample_limits = verify._sample_limits
+    rest_calls, corner_calls, batch_calls, slopes = [], [], [], []
+    rest_limit_counts = verify.rest_limit_counts
+    corner_limit_counts = verify.corner_limit_counts
     batch = verify.signature_nullity_batch
     slope = verify.slope
 
-    def counted_limits(link, paths, *args):
-        limit_calls.append((id(link), paths))
-        return sample_limits(link, paths, *args)
+    def counted_rest(link, rows, *args):
+        rest_calls.append((id(link), [tuple(row) for row in rows]))
+        return rest_limit_counts(link, rows, *args)
 
-    def counted_batch(link, omegas, *args, **kwargs):
-        batch_calls.append((id(link), [tuple(row) for row in omegas],
-                            kwargs.get("relative", False)))
-        return batch(link, omegas, *args, **kwargs)
+    def counted_corners(link, *args):
+        corner_calls.append(id(link))
+        return corner_limit_counts(link, *args)
+
+    def counted_batch(link, omegas, *args):
+        batch_calls.append((id(link), [tuple(row) for row in omegas]))
+        return batch(link, omegas, *args)
 
     def counted_slope(nabla_link, nabla_rest, point):
         slopes.append(point)
         return slope(nabla_link, nabla_rest, point)
 
-    monkeypatch.setattr(verify, "_sample_limits", counted_limits)
+    monkeypatch.setattr(verify, "rest_limit_counts", counted_rest)
+    monkeypatch.setattr(verify, "corner_limit_counts", counted_corners)
     monkeypatch.setattr(verify, "signature_nullity_batch", counted_batch)
     monkeypatch.setattr(verify, "slope", counted_slope)
     seed = 3
@@ -437,23 +434,18 @@ def test_run_suite_shares_one_plan_per_point(monkeypatch):
             rnd = random.Random(seed)
             points = [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
             assert len(set(points)) == samples
-            del limit_calls[:], batch_calls[:], slopes[:]
+            del rest_calls[:], corner_calls[:], batch_calls[:], slopes[:]
             assert_all_pass(run_suite(link, "all", samples=samples, seed=seed))
-            # no (point, side) limit and no corner is sampled twice
-            paths = [(i, path) for i, call in limit_calls for path in call]
-            assert len(paths) == len(set(paths))
-            # one stacked limit call per side for all rest points, one for
-            # all corners, each a single signature_nullity_batch call
-            own = [call for i, call in limit_calls if i == id(link)]
-            for side in ("plus", "minus"):
-                assert [len(call) for call in own
-                        if call[0][0] == side] == [samples]
-            assert [len(call) for call in own
-                    if call[0][0] not in ("plus", "minus")] == [2 ** link.mu]
-            assert sum(i == id(link) and relative
-                       for i, _, relative in batch_calls) == len(own) == 3
+            # both sides at every rest point in one stacked call, all corners
+            # in one more; the link's own forms are evaluated only on the
+            # diagonal of the multi-lt identity
+            assert [rows for i, rows in rest_calls if i == id(link)] == \
+                [[p.omega() for p in points]]
+            assert corner_calls.count(id(link)) == 1
+            assert all(len(set(row)) == 1 for i, rows in batch_calls if i == id(link)
+                       for row in rows)
             # the sublink inertia of every point, once, in one stacked call
-            assert [rows for i, rows, _ in batch_calls if i == id(sub)] == \
+            assert [rows for i, rows in batch_calls if i == id(sub)] == \
                 [[p.omega() for p in points]]
             # the 4d bound and the Torres prediction share one slope per point
             split = not any(link.linking_vector())
@@ -483,15 +475,6 @@ def _random_three_colors(seed, n=3):
                        sublinks={"2,3": sub})
 
 
-def _per_point_trail(link, signs, fixed, tol=1e-9):
-    """The samples of one path to the boundary, evaluated on their own."""
-    deltas = DEFAULT_SCHEDULE.deltas()
-    rows = [tuple(angle_to_complex(d if s > 0 else 1 - d) for s in signs) + fixed
-            for d in deltas]
-    sigmas, etas = signature_nullity_batch(link, rows, tol, relative=True)
-    return list(zip(deltas, sigmas, etas))
-
-
 def _keeping(fn, results):
     """``fn``, appending what each call returns to ``results``."""
     def kept(*args):
@@ -516,17 +499,39 @@ def test_batched_limits_match_per_point_loop(link, monkeypatch):
     assert [rest.point for rest in group] == \
         [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
     for rest in group:
-        omega = rest.point.omega()
-        for side, sign in (("plus", 1), ("minus", -1)):
-            assert rest._limits[side].samples == _per_point_trail(link, (sign,), omega)
+        for side in ("plus", "minus"):
+            assert rest._limits[side] == directional_limit(link, rest.point, side)
         assert rest._sub_inertia == signature_nullity(link.rest_sublink(), rest.point)
+    # every corner the sampler reads cleanly agrees with the descent
     (limits,) = corners
-    assert {key: lim.samples for key, lim in limits.items()} == \
-        {sign_key(signs): _per_point_trail(link, signs, ())
-         for signs in sign_vectors(link.mu)}
-    # blocks of three forms split every stacked call; the report must not move
+    for signs in sign_vectors(link.mu):
+        sampled = sampled_limit(link, signs)
+        lim = limits[sign_key(signs)]
+        assert sampled in (None, (lim.value, lim.eta))
+    # blocks of three forms split every stacked call into single points and
+    # single corners; the report must not move
     monkeypatch.setattr(links, "_STACK_BYTES", 3 * 16 * link.seifert.n ** 2)
     assert [r.to_json_dict() for r in run_suite(link, "all", samples, seed)] == reports
+
+
+def test_corner_limits_with_a_fourth_order_eigenvalue():
+    # along each corner path one eigenvalue of H vanishes like delta^4 while
+    # ||H|| ~ delta^2: a cut at 1e-9 ||H|| reads it as zero from delta ~ 2e-5
+    # on, which covers the last offsets of a sampled limit
+    mats = {"++": [[2, 0, 2], [2, 1, 2], [-1, 0, -2]],
+            "+-": [[0, 2, -1], [0, 2, 2], [2, -2, -1]],
+            "-+": [[0, 0, 2], [2, 2, -2], [-1, 2, -1]],
+            "--": [[2, 2, -1], [0, 1, 0], [2, 2, -2]]}
+    link = ColoredLink(2, [1, 1], {}, SeifertSystem(2, mats))
+    limits = verify._corner_limits(link, 1e-9)
+    expected = {"++": -1, "+-": 1, "-+": 1, "--": -1}
+    assert {key: lim.value for key, lim in limits.items()} == expected
+    assert all(lim.eta == 0 for lim in limits.values())
+    for signs in sign_vectors(2):
+        for form in assemble_forms(link, path_rows(signs, (), [1e-3, 1e-2])):
+            eigs = np.linalg.eigvalsh(form)
+            assert np.min(np.abs(eigs)) > 1e-6 * np.max(np.abs(eigs))
+            assert np.sum(eigs > 0) - np.sum(eigs < 0) == expected[sign_key(signs)]
 
 
 @pytest.mark.parametrize("samples", [0, -1])
