@@ -40,10 +40,6 @@ def as_angle(value):
     return normalize_angle(value)
 
 
-def is_exact(a):
-    return isinstance(a, Fraction)
-
-
 def is_zero_angle(a):
     return a == 0
 

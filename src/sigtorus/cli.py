@@ -209,7 +209,7 @@ def cmd_family(args):
 
 def cmd_torres(args):
     link = load_link(args.link)
-    point = _point(args.omega, "--omega", link.mu - 1) if link.mu > 1 else None
+    point = _point(args.omega, "--omega", link.mu - 1)
     prediction = predict_torres(link, point, _tolerance(args))
     sigma = "unresolved" if prediction.sigma is None else str(prediction.sigma)
     eta = "unresolved" if prediction.eta is None else str(prediction.eta)

@@ -99,19 +99,6 @@ def slope(nabla_link, nabla_rest, point):
     return SlopeValue(quotient.real)
 
 
-def extended_sign(value):
-    """Sign on the reals extended by sign(infinity) = 0."""
-    if isinstance(value, SlopeValue):
-        if value.is_infinite:
-            return 0
-        value = value.value
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
 def classify_slope(value):
     """The pair (s, eps) attached to a slope value.
 
@@ -127,24 +114,14 @@ def classify_slope(value):
     return (1 if value.value > 0 else -1), 0
 
 
-def conway_nonzero_at(conway, point):
-    """True when the Conway numerator is nonzero at sqrt(omega').
-
-    A nonzero test with the structural-zero threshold; a pole (denominator
-    zero, numerator not) still counts as nonzero.
-    """
-    rational = as_rational(conway)
-    values = point.sqrt_omega() if isinstance(point, TorusPoint) else tuple(point)
-    _, zero = _scaled_zero(rational.num, values)
-    return not zero
-
-
 def torres_generic(link, point):
     """True when the full Alexander polynomial is nonzero at (1, omega').
 
     Equivalent, through the Torres factorization, to the wall indicator
     vanishing and the sublink's Conway function being nonzero at the square
-    roots.
+    roots.  This is the Conway-side test; ``verify`` decides the same
+    question from the sublink's nullity at omega' instead, and this function
+    is kept as the independent oracle for it.
     """
     if not isinstance(point, TorusPoint):
         point = TorusPoint(point)

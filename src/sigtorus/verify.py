@@ -22,8 +22,7 @@ from .hermitian import DEFAULT_TOL, integer_inertia
 from .laurent import as_rational
 from .links import (corner_limit_counts, linking_matrix, rest_limit_counts,
                     sign_key, sign_vectors, signature_nullity_batch)
-from .slope import (classify_slope, conway_factor_split, conway_nonzero_at,
-                    slope, torres_generic)
+from .slope import classify_slope, conway_factor_split, slope
 
 
 def _sgn(value):
@@ -163,11 +162,14 @@ class _RestPoint:
 
     @cached_property
     def generic(self):
-        """torres_generic at omega', or None without sublink Conway data."""
-        try:
-            return torres_generic(self.link, self.point)
-        except MissingConwayData:
-            return None
+        """True when the Alexander polynomial is nonzero at (1, omega').
+
+        By Torres's formula that is: no wall passes through omega' and the
+        sublink's Alexander polynomial is nonzero there, which on the open
+        torus holds exactly when the sublink's nullity at omega' is 0.
+        """
+        return (wall_indicator(self.link.linking_vector(), self.point) == 0
+                and self.sub_inertia[1] == 0)
 
 
 def _rest_group(link, points, tol):
@@ -234,9 +236,9 @@ def verify_3d(link, point, tol=DEFAULT_TOL):
     """Check the limit bound with the combinatorial jump and wall terms.
 
     Requires every color to be a knot (reported as skipped otherwise) and
-    sublink data for the link with color 1 removed.  When the Alexander
-    value at (1, omega') is provably nonzero, the exact equality of the
-    limits with sigma(L') +/- jump is checked as well.
+    sublink data for the link with color 1 removed.  Where the rest point is
+    generic (no wall through omega' and eta(L', omega') = 0), the exact
+    equality of the limits with sigma(L') +/- jump is checked as well.
     """
     return _check_3d(_RestPoint(link, point, tol))
 
@@ -256,10 +258,7 @@ def _check_3d(rest):
 
     reports = [_leq("3d/bound/" + side, inputs, abs(rest.limit(side).value - center),
                     rhs, notes) for side, center in zip(_SIDES, centers)]
-    if rest.generic is None:
-        reports.append(_skip("3d/equality", inputs,
-                             "genericity untestable: sublink carries no Conway data"))
-    elif rest.generic:
+    if rest.generic:
         reports += [_eq("3d/equality/" + side, inputs, rest.limit(side).value, center,
                         notes) for side, center in zip(_SIDES, centers)]
     return reports
@@ -273,9 +272,10 @@ def verify_4d(link, point, tol=DEFAULT_TOL):
     (sigma, eta)(1, w') is the rest point's Torres boundary value, shared
     with :func:`predict_torres`.  Linked case: the bounds, the
     difference-of-limits bound, and the forced equality at total linking 1
-    with nonvanishing sublink Alexander value.  Split case: the bounds, and
-    the forced equality when the slope is finite and nonzero; where the
-    slope formula reads 0/0 the bound is untestable.
+    where eta(L', omega') = 0 (no wall passes through omega' at total
+    linking 1, so that is the rest point's genericity).  Split case: the
+    bounds, and the forced equality when the slope is finite and nonzero;
+    where the slope formula reads 0/0 the bound is untestable.
     """
     return _check_4d(_RestPoint(link, point, tol))
 
@@ -294,18 +294,13 @@ def _check_4d(rest):
     equalities = []
     if slope_value is None:
         case = "linked"
-        if total == 1:
-            conway = rest.sub.conway
-            if conway is None:
-                equalities = [_skip("4d/linked/equality", inputs,
-                                    "sublink carries no Conway data")]
-            elif conway_nonzero_at(conway, point):
-                equalities = [_eq("4d/linked/equality/" + side, inputs,
-                                  rest.limit(side).value, center, notes)
-                              for side in _SIDES]
-            else:
-                equalities = [_skip("4d/linked/equality", inputs,
-                                    "sublink Alexander value vanishes here")]
+        if total == 1 and rest.sub_inertia[1] == 0:
+            equalities = [_eq("4d/linked/equality/" + side, inputs,
+                              rest.limit(side).value, center, notes)
+                          for side in _SIDES]
+        elif total == 1:
+            equalities = [_skip("4d/linked/equality", inputs,
+                                "sublink Alexander value vanishes here")]
     else:
         case = "split"
         inputs = dict(inputs, slope=repr(slope_value))
@@ -432,8 +427,9 @@ def predict_torres(link, point=None, tol=DEFAULT_TOL):
     centered on: a split first knot uses the slope, a first color with no
     split component the linking-count correction.  Anything else is
     unsupported and reported, not guessed.  When the linking numbers with
-    the first color are not all zero and the point is generic, the midpoint
-    of the two directional limits is checked against the sublink signature.
+    the first color are not all zero and the point is generic (no wall
+    through omega' and eta(L', omega') = 0), the midpoint of the two
+    directional limits is checked against the sublink signature.
     """
     return _predict_torres(_RestPoint(link, () if link.mu == 1 else point, tol))
 
@@ -455,12 +451,9 @@ def _predict_torres(rest):
 
     midpoint = "skipped"
     midpoint_value = None
-    if any(link.linking_vector()):
-        if rest.generic is None:
-            notes.append("midpoint skipped: genericity untestable")
-        elif rest.generic:
-            midpoint_value = Fraction(rest.limit("plus").value + rest.limit("minus").value, 2)
-            midpoint = "pass" if midpoint_value == sig_rest else "fail"
+    if any(link.linking_vector()) and rest.generic:
+        midpoint_value = Fraction(rest.limit("plus").value + rest.limit("minus").value, 2)
+        midpoint = "pass" if midpoint_value == sig_rest else "fail"
     return TorresPrediction(sigma, eta, midpoint, notes, sig_rest, midpoint_value)
 
 

@@ -333,10 +333,11 @@ def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     (("torus", 3), ["eval", "--omega", "1/3,1e400"], "--omega"),
     (("torus", 3), ["limit", "--side", "plus", "--omega-rest", "1e400"], "--omega-rest"),
     (("unlink", 3), ["grid", "--resolution", "3", "--rest", "1e400"], "--rest"),
+    (("unlink", 1), ["torres", "--omega", "1/3"], "--omega"),
 ], ids=["zero-denominator", "not-a-number", "too-few", "too-many", "axes-not-int",
         "rest-zero-denominator", "limit-count", "slope-count", "torres-missing",
         "samples-negative", "samples-zero", "omega-not-finite", "omega-rest-not-finite",
-        "rest-not-finite"])
+        "rest-not-finite", "torres-one-color-count"])
 def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
     if argv[0] == "grid":

@@ -9,8 +9,7 @@ from sigtorus.errors import Indeterminate, NotDivisible, PoleEncountered
 from sigtorus.families import make_torus, make_twist
 from sigtorus.laurent import LaurentPoly, RationalFunction
 from sigtorus.slope import (SlopeValue, classify_slope, conway_factor_split,
-                            conway_nonzero_at, extended_sign, slope,
-                            torres_generic)
+                            slope, torres_generic)
 
 
 def t_minus_inv(nvars, j):
@@ -65,8 +64,6 @@ def test_classification_table():
     assert classify_slope(SlopeValue(-0.5)) == (-1, 0)
     assert classify_slope(SlopeValue(0.0)) == (0, 1)
     assert classify_slope(SlopeValue.infinity()) == (0, -1)
-    assert extended_sign(SlopeValue.infinity()) == 0
-    assert extended_sign(SlopeValue(-3.0)) == -1
 
 
 def test_classification_invariant_under_positive_scaling():
@@ -84,13 +81,6 @@ def test_torres_generic_predicate():
     assert not torres_generic(torus, TorusPoint([Fraction(1, 3)]))
     # vanishing linking forces the wall indicator to 1
     assert not torres_generic(make_twist(2), TorusPoint([Fraction(1, 5)]))
-
-
-def test_conway_nonzero_at():
-    link = make_twist(2)
-    assert conway_nonzero_at(link.rest_sublink().conway, TorusPoint([Fraction(1, 3)]))
-    zero = RationalFunction(LaurentPoly.zero(1))
-    assert not conway_nonzero_at(zero, TorusPoint([Fraction(1, 3)]))
 
 
 def test_factor_split_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus
 from sigtorus.laurent import LaurentPoly, RationalFunction
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_forms,
                             parse_link, sign_key, sign_vectors, signature_nullity)
+from sigtorus.slope import torres_generic
 from sigtorus.verify import (PLUS_MINUS_ONE, VerificationReport, directional_limit,
                              predict_lt_limit_2comp, predict_torres,
                              random_rational_point, run_suite,
@@ -180,6 +182,22 @@ def test_verify_4d_unit_linking_equality():
     assert len(eq) == 2 and all(r.rhs == 0 for r in eq)
 
 
+def test_equalities_run_without_sublink_conway_data():
+    # genericity comes from eta(L', omega') and the wall indicator, so the
+    # Hopf link's equalities need no Conway data on its sublink
+    doc = make_torus(1).to_document()
+    del doc["sublinks"]["2"]["conway"]
+    link = parse_link(doc)
+    point = TorusPoint([Fraction(2, 7)])
+    for reports, prefix in ((verify_3d(link, point), "3d/equality/"),
+                            (verify_4d(link, point), "4d/linked/equality/")):
+        assert_all_pass(reports)
+        eq = [r for r in reports if r.check.startswith(prefix)]
+        assert [r.check for r in eq] == [prefix + "plus", prefix + "minus"]
+        assert all(r.rhs == 0 for r in eq)
+    assert predict_torres(link, point).midpoint == "pass"
+
+
 def test_verify_4d_split_needs_conway():
     doc = make_twist(2).to_document()
     del doc["conway"]
@@ -281,6 +299,35 @@ def test_predict_torres_single_color():
     assert (pred.sigma, pred.eta) == (-1, 0)
     pred = predict_torres(make_unlink(3).underlying_oriented)
     assert (pred.sigma, pred.eta) == (0, 2)
+
+
+def _chain(lk12, lk13):
+    """The three-component chain: the first knot clasps the two others,
+    which form a split unlink (twist(0)).  Its C-complex is three disks and
+    two clasps, so the Seifert matrices are empty."""
+    empty = {sign_key(eps): [] for eps in sign_vectors(3)}
+    return ColoredLink(mu=3, components_per_color=[1, 1, 1],
+                       linking={("1.1", "2.1"): lk12, ("1.1", "3.1"): lk13,
+                                ("2.1", "3.1"): 0},
+                       seifert=SeifertSystem(3, empty), sublinks={"2,3": make_twist(0)})
+
+
+_FAREY_12 = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
+
+
+@pytest.mark.parametrize(
+    "link", [pytest.param(make_torus(ell), id="torus%d" % ell) for ell in range(-7, 8) if ell]
+    + [pytest.param(make_twist(k), id="twist%d" % k) for k in range(-2, 4)]
+    + [pytest.param(make_unlink(mu), id="unlink%d" % mu) for mu in (2, 3, 4)]
+    + [pytest.param(_chain(1, 1), id="chain++"), pytest.param(_chain(1, -1), id="chain+-")])
+def test_rest_point_genericity_matches_conway_oracle(link):
+    """eta(L', omega') and the wall indicator decide genericity as the
+    Conway-side zero test does, at every rest point p/q with q <= 12 (on
+    unlink(4), every rest point p/q with q <= 4), walls included."""
+    angles = _FAREY_12 if link.mu <= 3 else [a for a in _FAREY_12 if a.denominator <= 4]
+    points = [TorusPoint(pt) for pt in itertools.product(angles, repeat=link.mu - 1)]
+    group = verify._rest_group(link, points, verify.DEFAULT_TOL)
+    assert [rest.generic for rest in group] == [torres_generic(link, pt) for pt in points]
 
 
 def _two_component_first_color(lk_values):
