@@ -9,7 +9,6 @@ error, 3 IO error, 4 verification failure.
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -24,7 +23,8 @@ from .hermitian import DEFAULT_TOL
 from .links import (load_link, save_link, signature_nullity,
                     signature_nullity_batch)
 from .slope import classify_slope, slope
-from .verify import SUITES, directional_limit, predict_torres, run_suite
+from .verify import (SUITES, directional_limit, predict_torres, report_text,
+                     run_suite)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -178,9 +178,7 @@ def cmd_verify(args):
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump([rep.to_json_dict() for rep in reports], fh,
-                          indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(report_text(reports))
         except OSError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_IO

@@ -5,11 +5,26 @@ be negative) to integer coefficients, so all ring arithmetic is exact.  Only
 evaluation at complex points leaves the exact world.
 """
 
-from .errors import DenominatorVanishes, NotDivisible, ZeroCoordinate
+import numpy as np
+
+from .errors import DenominatorVanishes, NotDivisible, SchemaError, ZeroCoordinate
 
 # A denominator value this close to zero (relative to the size of its largest
 # monomial at the point) counts as a pole.
 _DEN_EPS = 1e-12
+
+
+def as_integer(value, what, *args):
+    """An int (not a bool) or integral float as int; else SchemaError naming ``what % args``.
+
+    The one reading of an integer in a link document: Seifert entries,
+    linking numbers, counts, and Conway coefficients and exponents.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise SchemaError((what % args) + " is not an integer")
 
 
 class LaurentPoly:
@@ -155,10 +170,13 @@ class LaurentPoly:
 
     @classmethod
     def from_records(cls, nvars, records):
+        """The polynomial of :meth:`to_records` output; every coefficient and
+        exponent must be an integer in the sense of :func:`as_integer`."""
         terms = {}
         for rec in records:
-            key = tuple(int(x) for x in rec["exp"])
-            terms[key] = terms.get(key, 0) + int(rec["coeff"])
+            key = tuple(as_integer(x, "exponent %r", x) for x in rec["exp"])
+            terms[key] = terms.get(key, 0) + as_integer(rec["coeff"], "coefficient %r",
+                                                        rec["coeff"])
         return cls(nvars, terms)
 
     def __repr__(self):

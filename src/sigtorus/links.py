@@ -7,8 +7,10 @@ data.  The Hermitian form at a torus point and its signature/nullity are
 computed here.
 """
 
+import functools
 import itertools
 import json
+import operator
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
 from .hermitian import DEFAULT_TOL, HermitianMatrix, inertia_counts, limit_counts
-from .laurent import RationalFunction
+from .laurent import RationalFunction, as_integer as _integer
 
 
 def sign_vectors(mu):
@@ -28,20 +30,17 @@ def sign_key(eps):
     return "".join("+" if e > 0 else "-" for e in eps)
 
 
-def _integer(value, what, *args):
-    """An int (not a bool) or integral float as int; else SchemaError naming ``what % args``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise SchemaError((what % args) + " is not an integer")
-
-
 # A row whose entries are all exactly int (so no bool) needs no per-entry check.
 _INT_ONLY = frozenset((int,))
 
 
 def _as_integer_matrix(data, context):
+    """One Seifert matrix as an int64 (n, n) array, checked entry by entry.
+
+    Rows must be square; an entry must be an int (not a bool) or an integral
+    float, and fit in 64 bits.  Errors name ``context`` and the failing row
+    or entry.
+    """
     try:
         rows = [list(row) for row in data]
     except TypeError:
@@ -60,11 +59,84 @@ def _as_integer_matrix(data, context):
         raise SchemaError("%s has an entry beyond 64 bits" % context) from None
 
 
+@functools.lru_cache(maxsize=8)
+def _layout(mu):
+    """The sign keys of ``mu`` colors in :func:`sign_vectors` order, as a
+    tuple, as a frozenset and as a getter of a document's values in that
+    order.  Index 2^mu - 1 - i holds the negation of sign vector i, and the
+    first half holds the sign vectors with eps_1 = +.
+    """
+    keys = tuple(sign_key(eps) for eps in sign_vectors(mu))
+    return keys, frozenset(keys), operator.itemgetter(*keys)
+
+
+def _int_stack(mu, matrices):
+    """The (2^mu, n, n) int64 stack of a system whose every entry is exactly
+    an int and whose pairs are transposes; None for anything else."""
+    _, key_set, values = _layout(mu)
+    if not isinstance(matrices, dict) or matrices.keys() != key_set:
+        return None
+    mats = values(matrices)
+    try:
+        if not _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(
+                itertools.chain.from_iterable(mats)))):
+            return None
+        stack = np.array(mats, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if stack.ndim == 2:  # every matrix is []
+        stack = stack.reshape(len(mats), 0, 0)
+    # stack[::-1] holds the matrix at -eps where stack holds eps's; a
+    # non-square stack fails too, its transpose having another shape.
+    if not np.array_equal(stack[::-1], stack.transpose(0, 2, 1)):
+        return None
+    return stack
+
+
+def _per_matrix_stack(mu, matrices):
+    """The stack of :func:`_int_stack`, checked matrix by matrix, so that any
+    defect raises the error that names it: a missing or extra key, a bad
+    row or entry, a size mismatch, or the first pair that is not transposed.
+    """
+    parsed = {}
+    n = None
+    for eps in sign_vectors(mu):
+        key = sign_key(eps)
+        if key not in matrices:
+            raise SchemaError("seifert: missing matrix for sign vector %r" % key)
+        mat = _as_integer_matrix(matrices[key], "seifert[%s]" % key)
+        if n is None:
+            n = mat.shape[0]
+        elif mat.shape[0] != n:
+            raise DimensionMismatch("seifert[%s] is %dx%d, expected %dx%d"
+                                    % (key, mat.shape[0], mat.shape[0], n, n))
+        parsed[key] = mat
+    extra = set(matrices) - set(parsed)
+    if extra:
+        raise SchemaError("seifert: unexpected keys %r" % sorted(extra))
+    # A^eps for eps_1 = + determine the system: the other half are their
+    # transposes, so each {eps, -eps} pair is compared once.
+    half = [eps for eps in sign_vectors(mu) if eps[0] > 0]
+    for eps in half:
+        key = sign_key(eps)
+        other = sign_key(tuple(-e for e in eps))
+        if not np.array_equal(parsed[other], parsed[key].T):
+            raise SymmetryViolation(
+                "seifert[%s] is not the transpose of seifert[%s]" % (other, key))
+    return np.array(list(parsed.values()))
+
+
 class SeifertSystem:
     """The 2^mu generalized Seifert matrices of a C-complex basis.
 
     Validates that every sign vector is present, that all matrices share one
     size, and that the matrix at -eps is the transpose of the matrix at eps.
+    A system whose entries are all exactly ``int`` is read and checked in one
+    stacked pass: one type scan, one array and one transpose comparison.
+    Anything else (numpy arrays, integral floats, any defect) is read matrix
+    by matrix, which names the offending key, row or entry.  ``matrices``
+    maps each sign key to a view of one int64 (2^mu, n, n) stack, and
+    ``half_stack`` is the float stack of the matrices with eps_1 = +.
     """
 
     __slots__ = ("mu", "n", "matrices", "half_stack")
@@ -73,34 +145,12 @@ class SeifertSystem:
         self.mu = int(mu)
         if self.mu < 1:
             raise SchemaError("color count must be at least 1")
-        parsed = {}
-        n = None
-        for eps in sign_vectors(self.mu):
-            key = sign_key(eps)
-            if key not in matrices:
-                raise SchemaError("seifert: missing matrix for sign vector %r" % key)
-            mat = _as_integer_matrix(matrices[key], "seifert[%s]" % key)
-            if n is None:
-                n = mat.shape[0]
-            elif mat.shape[0] != n:
-                raise DimensionMismatch("seifert[%s] is %dx%d, expected %dx%d"
-                                        % (key, mat.shape[0], mat.shape[0], n, n))
-            parsed[key] = mat
-        extra = set(matrices) - set(parsed)
-        if extra:
-            raise SchemaError("seifert: unexpected keys %r" % sorted(extra))
-        # A^eps for eps_1 = + determine the system: the other half are their
-        # transposes, so each {eps, -eps} pair is compared once.
-        half = [eps for eps in sign_vectors(self.mu) if eps[0] > 0]
-        for eps in half:
-            key = sign_key(eps)
-            other = sign_key(tuple(-e for e in eps))
-            if not np.array_equal(parsed[other], parsed[key].T):
-                raise SymmetryViolation(
-                    "seifert[%s] is not the transpose of seifert[%s]" % (other, key))
-        self.n = n
-        self.matrices = parsed
-        self.half_stack = np.array([parsed[sign_key(eps)] for eps in half], dtype=float)
+        stack = _int_stack(self.mu, matrices)
+        if stack is None:
+            stack = _per_matrix_stack(self.mu, matrices)
+        self.n = stack.shape[1]
+        self.matrices = dict(zip(_layout(self.mu)[0], stack))
+        self.half_stack = stack[:len(stack) // 2].astype(float)
 
     def matrix(self, eps):
         return self.matrices[sign_key(eps)]
@@ -255,7 +305,7 @@ def parse_link(document):
     if conway is not None:
         try:
             conway = RationalFunction.from_document(mu, conway)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError("conway: missing key or bad value: %s" % exc) from None
     sublinks = {key: parse_link(sub) for key, sub in sublinks.items()}
     underlying = document.get("underlying_oriented")

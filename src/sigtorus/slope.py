@@ -54,10 +54,20 @@ def _scaled_zero(poly, point):
     return value, abs(value) <= _ZERO_EPS * scale
 
 
-def _eval_part(rational, point, what):
+def _eval_part(rational, point, what, error):
+    """The value of a rational function at a point, and whether it is zero.
+
+    Where the denominator vanishes and divides the numerator exactly, the
+    quotient is evaluated instead (a removable 0/0); where it vanishes and
+    does not divide, ``error`` is raised.
+    """
     dval, dscale = rational.den.eval_with_scale(point)
     if abs(dval) <= _POLE_EPS * max(1.0, dscale):
-        raise PoleEncountered("%s has a pole at the evaluation point" % what)
+        try:
+            quotient = divide_exact(rational.num, rational.den)
+        except NotDivisible:
+            raise error("%s has a pole at the evaluation point" % what) from None
+        return _scaled_zero(quotient, point)
     nval, nzero = _scaled_zero(rational.num, point)
     return nval / dval, nzero
 
@@ -67,7 +77,8 @@ def slope(nabla_link, nabla_rest, point):
 
     Raises Indeterminate when numerator and denominator both vanish (the
     formula does not apply there) and PoleEncountered when a stored
-    denominator vanishes at the evaluation point.
+    denominator vanishes at the evaluation point and does not divide its
+    numerator.
     """
     if not isinstance(point, TorusPoint):
         point = TorusPoint(point)
@@ -82,9 +93,9 @@ def slope(nabla_link, nabla_rest, point):
     roots = point.sqrt_omega()
     numerator, num_zero = _eval_part(nabla_link.derivative(0),
                                      (1.0 + 0.0j,) + roots,
-                                     "derivative of the Conway function")
+                                     "derivative of the Conway function", PoleEncountered)
     denominator, den_zero = _eval_part(nabla_rest, roots,
-                                       "Conway function of the sublink")
+                                       "Conway function of the sublink", PoleEncountered)
     if num_zero and den_zero:
         raise Indeterminate("slope formula reads 0/0 at this point")
     if den_zero:
@@ -119,9 +130,11 @@ def torres_generic(link, point):
 
     Equivalent, through the Torres factorization, to the wall indicator
     vanishing and the sublink's Conway function being nonzero at the square
-    roots.  This is the Conway-side test; ``verify`` decides the same
-    question from the sublink's nullity at omega' instead, and this function
-    is kept as the independent oracle for it.
+    roots; raises Indeterminate where its stored denominator vanishes
+    without dividing its numerator.  This is the Conway-side test;
+    ``verify`` decides the same question from the sublink's nullity at
+    omega' instead, and this function is kept as the independent oracle
+    for it.
     """
     if not isinstance(point, TorusPoint):
         point = TorusPoint(point)
@@ -132,8 +145,8 @@ def torres_generic(link, point):
         raise MissingSublink("genericity test needs sublink data for colors 2..mu")
     if sub.conway is None:
         raise MissingConwayData("genericity test needs Conway data for the sublink")
-    rational = as_rational(sub.conway)
-    _, zero = _scaled_zero(rational.num, point.sqrt_omega())
+    _, zero = _eval_part(as_rational(sub.conway), point.sqrt_omega(),
+                         "Conway function of the sublink", Indeterminate)
     return not zero
 
 

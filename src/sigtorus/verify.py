@@ -8,6 +8,7 @@ Each verifier emits one report per elementary relation (inequality or
 equality) so failures carry the audit trail.
 """
 
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -195,6 +196,8 @@ class VerificationReport:
     notes: list = field(default_factory=list)
 
     def to_json_dict(self):
+        """The report's JSON record; :func:`report_text` writes the same
+        record from its own template, so a change here goes there too."""
         return {
             "check": self.check,
             "inputs": dict(self.inputs),
@@ -208,6 +211,59 @@ class VerificationReport:
 
 def _jsonable(value):
     return str(value) if isinstance(value, Fraction) else value
+
+
+# How report_text writes a value of each exactly matched type, as json.dumps
+# would; strings go through the C-accelerated encoder json itself uses.
+_ENCODE = json.encoder.encode_basestring_ascii  # TypeError on a non-string
+_VALUES = {str: _ENCODE, int: int.__repr__, type(None): lambda value: "null"}
+# lhs and rhs as to_json_dict gives them: a Fraction as its text
+_SIDE_VALUES = {**_VALUES, Fraction: lambda value: _ENCODE(str(value))}
+_RECORD = """  {
+    "check": %s,
+    "inputs": %s,
+    "lhs": %s,
+    "notes": %s,
+    "pass": %s,
+    "relation": %s,
+    "rhs": %s
+  }"""
+
+
+def _record_text(rep):
+    """One report as an item of the list :func:`report_text` writes."""
+    try:
+        if type(rep) is not VerificationReport or type(rep.inputs) is not dict \
+                or type(rep.notes) is not list:
+            raise TypeError
+        inputs = ",\n      ".join(["%s: %s" % (_ENCODE(key), _VALUES[type(value)](value))
+                                   for key, value in sorted(rep.inputs.items())])
+        return _RECORD % (_ENCODE(rep.check),
+                          "{\n      %s\n    }" % inputs if inputs else "{}",
+                          _SIDE_VALUES[type(rep.lhs)](rep.lhs),
+                          "[\n      %s\n    ]" % ",\n      ".join(map(_ENCODE, rep.notes))
+                          if rep.notes else "[]",
+                          "true" if rep.passed else "false",
+                          _ENCODE(rep.relation),
+                          _SIDE_VALUES[type(rep.rhs)](rep.rhs))
+    except (KeyError, TypeError):  # a type or layout not matched above
+        return "  " + json.dumps(rep.to_json_dict(), indent=2,
+                                 sort_keys=True).replace("\n", "\n  ")
+
+
+def report_text(reports):
+    """The reports as JSON text: exactly the bytes that ``json.dump`` writes
+    for their :meth:`VerificationReport.to_json_dict` records with
+    ``indent=2`` and ``sort_keys=True``, followed by a newline.
+
+    ``json.dump`` with an indent runs json's pure-Python encoder.  This
+    writes each record from a fixed template of its seven sorted keys
+    instead, and sends a record holding any other value type (a float, a
+    nested value, a non-string key) through ``json.dumps`` itself.
+    """
+    if not reports:
+        return "[]\n"
+    return "[\n%s\n]\n" % ",\n".join([_record_text(rep) for rep in reports])
 
 
 def _leq(check, inputs, lhs, rhs, notes=()):

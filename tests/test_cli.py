@@ -247,6 +247,12 @@ def _break_conway_record(doc):
     del doc["conway"]["num"][0]["exp"]
 
 
+def _set_conway_field(field, value):
+    def damage(doc):
+        doc["conway"]["num"][0][field] = value if field == "coeff" else [value, 0]
+    return damage
+
+
 def _break_linking(doc):
     doc["linking"] = 5
 
@@ -263,11 +269,16 @@ def _break_sublinks(doc):
     (_set_seifert_entry(10 ** 30), "seifert"),
     (_break_components, "components_per_color"),
     (_break_conway_record, "exp"),
+    (_set_conway_field("coeff", 2.9), "conway"),
+    (_set_conway_field("coeff", True), "conway"),
+    (_set_conway_field("coeff", "2"), "conway"),
+    (_set_conway_field("exp", 0.7), "conway"),
     (_break_linking, "linking"),
     (_break_sublinks, "sublinks"),
 ], ids=["malformed-json", "seifert-entry", "seifert-entry-string", "seifert-entry-bool",
         "seifert-entry-beyond-int64", "components-not-list", "conway-no-exp",
-        "linking-not-list", "sublinks-not-object"])
+        "conway-coeff-fraction", "conway-coeff-bool", "conway-coeff-string",
+        "conway-exp-fraction", "linking-not-list", "sublinks-not-object"])
 def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
     bad = tmp_path / "bad.json"

@@ -2,9 +2,12 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from sigtorus.angles import TorusPoint, normalize_angle, parse_angle
 from sigtorus.corrections import signature_jump, wall_indicator
@@ -370,3 +373,64 @@ def test_transpose_defect_names_the_first_failing_pair():
         with pytest.raises(SymmetryViolation) as info:
             parse_link(doc)
         assert str(info.value) == expected
+
+
+# -- the stacked Seifert check against the per-matrix path -----------------------
+
+def _damaged(rnd, mu, n, defect):
+    """An all-int document with transposed pairs, then one ``defect``."""
+    mats = {}
+    for eps in sign_vectors(mu):
+        if eps[0] > 0:
+            mat = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            mats[sign_key(eps)] = mat
+            mats[sign_key(tuple(-e for e in eps))] = [list(r) for r in zip(*mat)]
+    key = rnd.choice(sorted(mats))
+    i, j = rnd.randrange(max(n, 1)), rnd.randrange(max(n, 1))
+    if defect == "numpy":
+        mats = {k: np.array(m, dtype=np.int64).reshape(n, n) for k, m in mats.items()}
+    elif defect == "missing":
+        del mats[key]
+    elif defect == "extra":
+        mats["+" * (mu + 1)] = mats[key]
+    elif n and defect == "ragged":
+        mats[key][i].append(0)
+    elif defect == "non-square":
+        mats[key].append([0] * n)
+    elif defect == "other-size":
+        mats[key] = [[0] * (n + 1) for _ in range(n + 1)]
+    elif defect == "list":
+        mats = list(mats.values())
+    elif n and defect == "transpose":
+        mats[key][i][j] += 1
+    elif n and defect != "none":  # another kind of entry at (i, j) and its transpose
+        value = {"float": float(mats[key][i][j]), "beyond-64-bits": 10 ** 30,
+                 "bool": True, "string": "3"}[defect]
+        other = sign_key(tuple(-1 if c == "+" else 1 for c in key))
+        mats[key][i][j] = mats[other][j][i] = value
+    return {"mu": mu, "components_per_color": [1] * mu, "seifert": mats}
+
+
+def _parsed(doc):
+    """What ``parse_link`` makes of the Seifert system, or the error it raises."""
+    try:
+        system = parse_link(doc).seifert
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    assert all(mat.dtype == np.int64 for mat in system.matrices.values())
+    return (system.n, {key: mat.tolist() for key, mat in system.matrices.items()},
+            system.half_stack.dtype, system.half_stack.shape, system.half_stack.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=hst.integers(1, 4), n=hst.integers(0, 6), seed=hst.integers(0, 2 ** 32 - 1),
+       defect=hst.sampled_from(["none", "numpy", "float", "missing", "extra", "ragged",
+                                "non-square", "other-size", "beyond-64-bits", "bool",
+                                "string", "transpose", "list"]))
+def test_stacked_check_matches_per_matrix_path(mu, n, seed, defect):
+    doc = _damaged(random.Random(seed), mu, n, defect)
+    if defect == "none":  # the documents the stacked check exists for take it
+        assert links._int_stack(mu, doc["seifert"]) is not None
+    stacked = _parsed(doc)
+    with mock.patch.object(links, "_int_stack", lambda mu, matrices: None):
+        assert _parsed(doc) == stacked

@@ -83,6 +83,16 @@ def test_torres_generic_predicate():
     assert not torres_generic(make_twist(2), TorusPoint([Fraction(1, 5)]))
 
 
+def test_removable_zero_by_zero_is_cancelled():
+    # torus(3)'s sublink Conway function (t^3 - t^-3)/(t - t^-1), t = t1 t2,
+    # reads 0/0 where t = -1; its value there is t^2 + 1 + t^-2 = 3
+    rest = make_torus(3).conway
+    nabla = RationalFunction(LaurentPoly.variable(3, 0))  # d/dt1 = 1
+    for angles in ((Fraction(1, 5), Fraction(4, 5)), (Fraction(2, 7), Fraction(5, 7))):
+        value = slope(nabla, rest, TorusPoint(angles))
+        assert value.value == pytest.approx(-1 / 6, abs=1e-12)
+
+
 def test_factor_split_examples():
     for k in (-3, 2, 5):
         assert conway_factor_split(make_twist(k).conway) == LaurentPoly.constant(2, k)

@@ -1,15 +1,18 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from sampler import path_rows, sampled_limit
 
 from sigtorus import links, verify
 from sigtorus.angles import TorusPoint
 from sigtorus.errors import (BoundaryPoint, DomainError, MissingConwayData,
-                             MissingSublink, MissingUnderlying,
+                             MissingSublink, MissingUnderlying, SigtorusError,
                              UnsupportedCase, WrongColorCount)
 from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus,
                                unknot)
@@ -17,9 +20,10 @@ from sigtorus.laurent import LaurentPoly, RationalFunction
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_forms,
                             parse_link, sign_key, sign_vectors, signature_nullity)
 from sigtorus.slope import torres_generic
-from sigtorus.verify import (PLUS_MINUS_ONE, VerificationReport, directional_limit,
-                             predict_lt_limit_2comp, predict_torres,
-                             random_rational_point, run_suite,
+from sigtorus.verify import (PLUS_MINUS_ONE, SUITES, VerificationReport,
+                             directional_limit, predict_lt_limit_2comp,
+                             predict_torres, random_rational_point,
+                             report_text, run_suite,
                              torres_reports, verify_3d, verify_4d,
                              verify_corner_limits, verify_lt, verify_multi_lt)
 
@@ -312,6 +316,16 @@ def _chain(lk12, lk13):
                        seifert=SeifertSystem(3, empty), sublinks={"2,3": make_twist(0)})
 
 
+def _clasping_torus3():
+    """A first knot with linking numbers 1 and 2 with the two colors of
+    torus(3), whose Conway function (t^3 - t^-3)/(t - t^-1), t = t2 t3,
+    reads 0/0 where t = -1 (value 3 there)."""
+    empty = {sign_key(eps): [] for eps in sign_vectors(3)}
+    return ColoredLink(mu=3, components_per_color=[1, 1, 1],
+                       linking={("1.1", "2.1"): 1, ("1.1", "3.1"): 2},
+                       seifert=SeifertSystem(3, empty), sublinks={"2,3": make_torus(3)})
+
+
 _FAREY_12 = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
 
 
@@ -319,11 +333,14 @@ _FAREY_12 = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
     "link", [pytest.param(make_torus(ell), id="torus%d" % ell) for ell in range(-7, 8) if ell]
     + [pytest.param(make_twist(k), id="twist%d" % k) for k in range(-2, 4)]
     + [pytest.param(make_unlink(mu), id="unlink%d" % mu) for mu in (2, 3, 4)]
-    + [pytest.param(_chain(1, 1), id="chain++"), pytest.param(_chain(1, -1), id="chain+-")])
+    + [pytest.param(_chain(1, 1), id="chain++"), pytest.param(_chain(1, -1), id="chain+-")]
+    + [pytest.param(_clasping_torus3(), id="clasp-torus3")])
 def test_rest_point_genericity_matches_conway_oracle(link):
     """eta(L', omega') and the wall indicator decide genericity as the
     Conway-side zero test does, at every rest point p/q with q <= 12 (on
-    unlink(4), every rest point p/q with q <= 4), walls included."""
+    unlink(4), every rest point p/q with q <= 4), walls included.  On
+    clasp-torus3 these include (1/5, 4/5) and (2/7, 5/7), where the
+    sublink's Conway function reads a removable 0/0."""
     angles = _FAREY_12 if link.mu <= 3 else [a for a in _FAREY_12 if a.denominator <= 4]
     points = [TorusPoint(pt) for pt in itertools.product(angles, repeat=link.mu - 1)]
     group = verify._rest_group(link, points, verify.DEFAULT_TOL)
@@ -585,3 +602,83 @@ def test_corner_limits_with_a_fourth_order_eigenvalue():
 def test_run_suite_rejects_non_positive_samples(samples):
     with pytest.raises(DomainError, match="samples"):
         run_suite(make_torus(3), "all", samples=samples)
+
+
+# -- the report writer against json.dump -----------------------------------------
+
+def _json_dump_text(reports):
+    return json.dumps([rep.to_json_dict() for rep in reports], indent=2, sort_keys=True) + "\n"
+
+
+def _every_report(link, samples, seed):
+    """The reports of every suite the link has data for, and of the 3d, 4d
+    and Torres checks at a decimal rest point."""
+    reports = []
+    for suite in SUITES:
+        try:
+            reports += run_suite(link, suite, samples, seed)
+        except SigtorusError:  # a suite asked for explicitly lacks its data
+            pass
+    if link.mu >= 2:
+        for check in (verify_3d, verify_4d, torres_reports):
+            try:
+                reports += check(link, [0.3] * (link.mu - 1))
+            except SigtorusError:
+                pass
+    return reports
+
+
+def _without_data(link):
+    """``link`` with no sublink or underlying_oriented data."""
+    return ColoredLink(link.mu, link.components_per_color, link.linking, link.seifert,
+                       link.conway, link.rank_alexander)
+
+
+def test_report_text_is_json_dump_on_builtins():
+    links_ = ([make_torus(ell) for ell in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)]
+              + [make_twist(k) for k in range(-2, 4)]
+              + [make_unlink(mu) for mu in (2, 3, 4)]
+              + [make_torus(3).underlying_oriented, _without_data(make_torus(3)),
+                 _without_data(make_unlink(3))])
+    seen = set()
+    for link in links_:
+        reports = _every_report(link, 5, 3)
+        assert report_text(reports) == _json_dump_text(reports)
+        for rep in reports:
+            seen.add(("fraction-lhs", type(rep.lhs) is Fraction))
+            seen.add(("slope-input", "slope" in rep.inputs))
+            seen.add(("decimal", rep.inputs.get("omega_rest") == "0.3"))
+            seen.add(("empty-inputs", not rep.inputs))
+            seen.add(("empty-notes", not rep.notes))
+    # every case the writer formats differently from a one-line value came up
+    assert {(case, True) for case, _ in seen} <= seen
+    assert report_text([]) == _json_dump_text([]) == "[]\n"
+
+
+def _random_link(seed, mu, n):
+    """A random mu-colored system with a random (mu - 1)-colored sublink."""
+    rnd = random.Random(seed)
+    ids = ["%d.1" % color for color in range(1, mu + 1)]
+    linking = {pair: rnd.randint(-2, 2) for pair in itertools.combinations(ids, 2)}
+    sub_linking = {("%d.1" % (int(a[0]) - 1), "%d.1" % (int(b[0]) - 1)): value
+                   for (a, b), value in linking.items() if a != "1.1"}
+    sub = ColoredLink(mu - 1, [1] * (mu - 1), sub_linking, _random_seifert(rnd, mu - 1, n - 1))
+    rest_key = ",".join(str(color) for color in range(2, mu + 1))
+    return ColoredLink(mu, [1] * mu, linking, _random_seifert(rnd, mu, n),
+                       sublinks={rest_key: sub})
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), mu=hst.integers(2, 3), n=hst.integers(1, 3),
+       samples=hst.integers(1, 6), suite_seed=hst.integers(0, 63))
+def test_report_text_is_json_dump_on_random_systems(seed, mu, n, samples, suite_seed):
+    reports = _every_report(_random_link(seed, mu, n), samples, suite_seed)
+    assert report_text(reports) == _json_dump_text(reports)
+
+
+def test_report_text_sends_other_values_through_json():
+    hand = VerificationReport("hand/built", {"nested": {"b": [1, 2.5]}, "a": "\u00e9"},
+                              0.25, None, "==", False, ["na\u00efve \u2014 note"])
+    reports = run_suite(make_twist(2), "all", 2, 0)
+    for mixed in ([hand], [hand] + reports, reports[:3] + [hand] + reports[3:]):
+        assert report_text(mixed) == _json_dump_text(mixed)
