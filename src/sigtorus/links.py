@@ -34,31 +34,6 @@ def sign_key(eps):
 _INT_ONLY = frozenset((int,))
 
 
-def _as_integer_matrix(data, context):
-    """One Seifert matrix as an int64 (n, n) array, checked entry by entry.
-
-    Rows must be square; an entry must be an int (not a bool) or an integral
-    float, and fit in 64 bits.  Errors name ``context`` and the failing row
-    or entry.
-    """
-    try:
-        rows = [list(row) for row in data]
-    except TypeError:
-        raise SchemaError("%s must be a list of rows" % context) from None
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise DimensionMismatch("%s: row %d has length %d, expected %d"
-                                    % (context, i, len(row), n))
-        if not _INT_ONLY.issuperset(map(type, row)):
-            rows[i] = [_integer(v, "%s: entry (%d, %d)", context, i, j)
-                       for j, v in enumerate(row)]
-    try:
-        return np.array(rows, dtype=np.int64).reshape(n, n)
-    except OverflowError:
-        raise SchemaError("%s has an entry beyond 64 bits" % context) from None
-
-
 @functools.lru_cache(maxsize=8)
 def _layout(mu):
     """The sign keys of ``mu`` colors in :func:`sign_vectors` order, as a
@@ -70,73 +45,100 @@ def _layout(mu):
     return keys, frozenset(keys), operator.itemgetter(*keys)
 
 
-def _int_stack(mu, matrices):
-    """The (2^mu, n, n) int64 stack of a system whose every entry is exactly
-    an int and whose pairs are transposes; None for anything else."""
-    _, key_set, values = _layout(mu)
-    if not isinstance(matrices, dict) or matrices.keys() != key_set:
-        return None
+def _integer_rows(data, context):
+    """One Seifert matrix as square lists of ints.  Rows that are not all
+    exactly int are read entry by entry; errors name ``context`` and the
+    failing row or entry."""
+    try:
+        rows = [list(row) for row in data]
+    except TypeError:
+        raise SchemaError("%s must be a list of rows" % context) from None
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise DimensionMismatch("%s: row %d has length %d, expected %d"
+                                    % (context, i, len(row), len(rows)))
+        if not _INT_ONLY.issuperset(map(type, row)):
+            rows[i] = [_integer(v, "%s: entry (%d, %d)", context, i, j)
+                       for j, v in enumerate(row)]
+    return rows
+
+
+def _shape_defect(keys, mats):
+    """The error naming the first matrix, in key order, that keeps
+    ``mats`` from being one (2^mu, n, n) int64 stack."""
+    n = None
+    for key, mat in zip(keys, mats):
+        context = "seifert[%s]" % key
+        rows = _integer_rows(mat, context)
+        try:
+            np.array(rows, dtype=np.int64)
+        except OverflowError:
+            return SchemaError("%s has an entry beyond 64 bits" % context)
+        if n is None:
+            n = len(rows)
+        elif len(rows) != n:
+            return DimensionMismatch("%s is %dx%d, expected %dx%d"
+                                     % (context, len(rows), len(rows), n, n))
+    raise AssertionError("no defect in a system that did not stack")
+
+
+def _seifert_stack(mu, matrices):
+    """A ``seifert`` object as the int64 (2^mu, n, n) stack in
+    :func:`sign_vectors` order, checked in bulk: the key count and key set,
+    one type scan over every entry, one ``np.array`` and one transpose
+    comparison.  Only rows that fail the type scan are read entry by entry;
+    a defect is named only after a bulk step has failed.
+    """
+    if not isinstance(matrices, dict):
+        raise SchemaError("seifert must be an object keyed by sign vectors")
+    # Fewer than 2^(mu - 1) keys, in O(1) for any mu; past this check the
+    # 2^mu sign keys are at most twice as many as the keys given.
+    if len(matrices).bit_length() < mu:
+        raise SchemaError("seifert has %d matrices, mu = %d needs 2^%d"
+                          % (len(matrices), mu, mu))
+    keys, key_set, values = _layout(mu)
+    if matrices.keys() != key_set:
+        for key in keys:
+            if key not in matrices:
+                raise SchemaError("seifert: missing matrix for sign vector %r" % key)
+        raise SchemaError("seifert: unexpected keys %r" % sorted(set(matrices) - key_set))
     mats = values(matrices)
     try:
-        if not _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(
-                itertools.chain.from_iterable(mats)))):
-            return None
+        exact = _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(
+            itertools.chain.from_iterable(mats))))
+    except TypeError:  # a matrix or a row that is not a list
+        exact = False
+    if not exact:
+        mats = [_integer_rows(mat, "seifert[%s]" % key) for key, mat in zip(keys, mats)]
+    try:
         stack = np.array(mats, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if stack.ndim == 2:  # every matrix is []
-        stack = stack.reshape(len(mats), 0, 0)
-    # stack[::-1] holds the matrix at -eps where stack holds eps's; a
-    # non-square stack fails too, its transpose having another shape.
-    if not np.array_equal(stack[::-1], stack.transpose(0, 2, 1)):
-        return None
+    except (ValueError, OverflowError):  # ragged, or beyond 64 bits
+        raise _shape_defect(keys, mats) from None
+    if stack.shape == (len(keys), 0):  # every matrix is []
+        stack = stack.reshape(len(keys), 0, 0)
+    elif stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise _shape_defect(keys, mats)
+    # stack[::-1] holds the matrix at -eps where stack holds eps's, so pair
+    # k fails exactly when pair 2^mu - 1 - k does, and the first failing
+    # index has eps_1 = +.
+    unpaired = stack[::-1] != stack.transpose(0, 2, 1)
+    if unpaired.any():
+        k = int(unpaired.any(axis=(1, 2)).argmax())
+        raise SymmetryViolation("seifert[%s] is not the transpose of seifert[%s]"
+                                % (keys[-1 - k], keys[k]))
     return stack
-
-
-def _per_matrix_stack(mu, matrices):
-    """The stack of :func:`_int_stack`, checked matrix by matrix, so that any
-    defect raises the error that names it: a missing or extra key, a bad
-    row or entry, a size mismatch, or the first pair that is not transposed.
-    """
-    parsed = {}
-    n = None
-    for eps in sign_vectors(mu):
-        key = sign_key(eps)
-        if key not in matrices:
-            raise SchemaError("seifert: missing matrix for sign vector %r" % key)
-        mat = _as_integer_matrix(matrices[key], "seifert[%s]" % key)
-        if n is None:
-            n = mat.shape[0]
-        elif mat.shape[0] != n:
-            raise DimensionMismatch("seifert[%s] is %dx%d, expected %dx%d"
-                                    % (key, mat.shape[0], mat.shape[0], n, n))
-        parsed[key] = mat
-    extra = set(matrices) - set(parsed)
-    if extra:
-        raise SchemaError("seifert: unexpected keys %r" % sorted(extra))
-    # A^eps for eps_1 = + determine the system: the other half are their
-    # transposes, so each {eps, -eps} pair is compared once.
-    half = [eps for eps in sign_vectors(mu) if eps[0] > 0]
-    for eps in half:
-        key = sign_key(eps)
-        other = sign_key(tuple(-e for e in eps))
-        if not np.array_equal(parsed[other], parsed[key].T):
-            raise SymmetryViolation(
-                "seifert[%s] is not the transpose of seifert[%s]" % (other, key))
-    return np.array(list(parsed.values()))
 
 
 class SeifertSystem:
     """The 2^mu generalized Seifert matrices of a C-complex basis.
 
-    Validates that every sign vector is present, that all matrices share one
-    size, and that the matrix at -eps is the transpose of the matrix at eps.
-    A system whose entries are all exactly ``int`` is read and checked in one
-    stacked pass: one type scan, one array and one transpose comparison.
-    Anything else (numpy arrays, integral floats, any defect) is read matrix
-    by matrix, which names the offending key, row or entry.  ``matrices``
-    maps each sign key to a view of one int64 (2^mu, n, n) stack, and
-    ``half_stack`` is the float stack of the matrices with eps_1 = +.
+    One reader, :func:`_seifert_stack`, checks that the keys are exactly the
+    sign vectors, that the matrices are square, of one size, with integer
+    entries that fit in 64 bits, and that the matrix at -eps is the
+    transpose of the matrix at eps, naming the key, row, entry or pair of a
+    defect.  ``matrices`` maps each sign key to a view of one int64
+    (2^mu, n, n) stack, and ``half_stack`` is the float stack of the
+    matrices with eps_1 = +.
     """
 
     __slots__ = ("mu", "n", "matrices", "half_stack")
@@ -145,9 +147,7 @@ class SeifertSystem:
         self.mu = int(mu)
         if self.mu < 1:
             raise SchemaError("color count must be at least 1")
-        stack = _int_stack(self.mu, matrices)
-        if stack is None:
-            stack = _per_matrix_stack(self.mu, matrices)
+        stack = _seifert_stack(self.mu, matrices)
         self.n = stack.shape[1]
         self.matrices = dict(zip(_layout(self.mu)[0], stack))
         self.half_stack = stack[:len(stack) // 2].astype(float)

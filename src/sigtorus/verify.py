@@ -196,8 +196,8 @@ class VerificationReport:
     notes: list = field(default_factory=list)
 
     def to_json_dict(self):
-        """The report's JSON record; :func:`report_text` writes the same
-        record from its own template, so a change here goes there too."""
+        """The report's JSON record as ``json.loads`` reads it from
+        :func:`report_text`, whose template must follow any change here."""
         return {
             "check": self.check,
             "inputs": dict(self.inputs),
@@ -232,23 +232,16 @@ _RECORD = """  {
 
 def _record_text(rep):
     """One report as an item of the list :func:`report_text` writes."""
-    try:
-        if type(rep) is not VerificationReport or type(rep.inputs) is not dict \
-                or type(rep.notes) is not list:
-            raise TypeError
-        inputs = ",\n      ".join(["%s: %s" % (_ENCODE(key), _VALUES[type(value)](value))
-                                   for key, value in sorted(rep.inputs.items())])
-        return _RECORD % (_ENCODE(rep.check),
-                          "{\n      %s\n    }" % inputs if inputs else "{}",
-                          _SIDE_VALUES[type(rep.lhs)](rep.lhs),
-                          "[\n      %s\n    ]" % ",\n      ".join(map(_ENCODE, rep.notes))
-                          if rep.notes else "[]",
-                          "true" if rep.passed else "false",
-                          _ENCODE(rep.relation),
-                          _SIDE_VALUES[type(rep.rhs)](rep.rhs))
-    except (KeyError, TypeError):  # a type or layout not matched above
-        return "  " + json.dumps(rep.to_json_dict(), indent=2,
-                                 sort_keys=True).replace("\n", "\n  ")
+    inputs = ",\n      ".join(["%s: %s" % (_ENCODE(key), _VALUES[type(value)](value))
+                               for key, value in sorted(rep.inputs.items())])
+    return _RECORD % (_ENCODE(rep.check),
+                      "{\n      %s\n    }" % inputs if inputs else "{}",
+                      _SIDE_VALUES[type(rep.lhs)](rep.lhs),
+                      "[\n      %s\n    ]" % ",\n      ".join(map(_ENCODE, rep.notes))
+                      if rep.notes else "[]",
+                      "true" if rep.passed else "false",
+                      _ENCODE(rep.relation),
+                      _SIDE_VALUES[type(rep.rhs)](rep.rhs))
 
 
 def report_text(reports):
@@ -258,8 +251,9 @@ def report_text(reports):
 
     ``json.dump`` with an indent runs json's pure-Python encoder.  This
     writes each record from a fixed template of its seven sorted keys
-    instead, and sends a record holding any other value type (a float, a
-    nested value, a non-string key) through ``json.dumps`` itself.
+    instead.  It formats the str, int and None values and the Fraction
+    ``lhs``/``rhs`` that :func:`run_suite` emits, and raises KeyError or
+    TypeError on any other type (a float, a nested value).
     """
     if not reports:
         return "[]\n"

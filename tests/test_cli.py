@@ -261,6 +261,16 @@ def _break_sublinks(doc):
     doc["sublinks"] = [1]
 
 
+def _set_seifert(value):
+    def damage(doc):
+        doc["seifert"] = value
+    return damage
+
+
+def _seifert_as_list(doc):
+    doc["seifert"] = list(doc["seifert"].values())
+
+
 @pytest.mark.parametrize("damage, key", [
     (None, "JSON"),
     (_set_seifert_entry("a"), "seifert"),
@@ -275,10 +285,15 @@ def _break_sublinks(doc):
     (_set_conway_field("exp", 0.7), "conway"),
     (_break_linking, "linking"),
     (_break_sublinks, "sublinks"),
+    (_set_seifert(None), "seifert must be an object"),
+    (_set_seifert(5), "seifert must be an object"),
+    (_set_seifert("++"), "seifert must be an object"),
+    (_seifert_as_list, "seifert must be an object"),
 ], ids=["malformed-json", "seifert-entry", "seifert-entry-string", "seifert-entry-bool",
         "seifert-entry-beyond-int64", "components-not-list", "conway-no-exp",
         "conway-coeff-fraction", "conway-coeff-bool", "conway-coeff-string",
-        "conway-exp-fraction", "linking-not-list", "sublinks-not-object"])
+        "conway-exp-fraction", "linking-not-list", "sublinks-not-object", "seifert-null",
+        "seifert-number", "seifert-string", "seifert-list"])
 def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
     bad = tmp_path / "bad.json"

@@ -8,13 +8,15 @@ of ``sampler.py`` wherever they read cleanly, and single-point calls.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from sampler import sampled_limit
 
 from sigtorus import verify
 from sigtorus.angles import TorusPoint
-from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
+from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts, sign_key,
+                            sign_vectors)
 from sigtorus.verify import directional_limit
 
 TOL = 1e-9
@@ -105,3 +107,15 @@ def test_stacked_group_matches_single_points(system):
     for rest in group:
         assert [(lim.value, lim.eta) for lim in rest._limits.values()] == \
             _rest_limits(link, rest.point)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the corner descent returns (1, 0) at all four corners of this system, "
+    "where H along corners +- and -+ has eigenvalues -a, 0, +a (mpmath at 60 "
+    "digits), so the limit there is (0, 1)"))
+def test_corner_limits_of_a_system_singular_along_the_corner_path():
+    link = _link(2, 3, [[0, 2, 0, 2, 2, 0, -2, 2, -2], [0, 2, 0, 2, 2, 2, -2, 2, -2]])
+    corners = corner_limit_counts(link, TOL).tolist()  # at ++, +-, -+, --
+    for row, signs in ((1, (1, -1)), (2, (-1, 1))):
+        assert sampled_limit(link, signs) == (0, 1)
+        assert corners[row] == [0, 1]

@@ -1,8 +1,11 @@
 import cmath
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +14,8 @@ from hypothesis import strategies as hst
 
 from sigtorus.angles import TorusPoint, normalize_angle, parse_angle
 from sigtorus.corrections import signature_jump, wall_indicator
-from sigtorus.errors import (BoundaryPoint, DomainError, SchemaError,
-                             SymmetryViolation)
+from sigtorus.errors import (BoundaryPoint, DimensionMismatch, DomainError,
+                             SchemaError, SymmetryViolation)
 from sigtorus import cli, links
 from sigtorus.families import (make_torus, make_twist, make_unlink,
                                torus_clasp_sequence)
@@ -55,6 +58,12 @@ def test_dimension_mismatch_rejected():
     doc["seifert"]["+-"] = [[2, 0], [0, 2]]
     with pytest.raises(SchemaError):
         parse_link(doc)
+
+
+def test_equally_non_square_matrices_rejected():
+    # they stack into one (2, 2, 1) array, whose transpose still broadcasts
+    with pytest.raises(DimensionMismatch, match=r"seifert\[\+\]: row 0 has length 1, expected 2"):
+        SeifertSystem(1, {"+": [[1], [1]], "-": [[1], [1]]})
 
 
 def test_twist_form_closed_expression():
@@ -375,18 +384,25 @@ def test_transpose_defect_names_the_first_failing_pair():
         assert str(info.value) == expected
 
 
-# -- the stacked Seifert check against the per-matrix path -----------------------
+# -- every outcome of the one Seifert reader -----------------------------------
 
 def _damaged(rnd, mu, n, defect):
-    """An all-int document with transposed pairs, then one ``defect``."""
+    """An all-int document with transposed pairs, then one ``defect``.
+
+    Also returns the undamaged matrices, the damaged key (or, for an entry
+    written at a pair, its member with eps_1 = +) and the damaged entry
+    (i, j) in that key's matrix.
+    """
     mats = {}
     for eps in sign_vectors(mu):
         if eps[0] > 0:
             mat = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             mats[sign_key(eps)] = mat
             mats[sign_key(tuple(-e for e in eps))] = [list(r) for r in zip(*mat)]
+    clean = {k: [list(r) for r in m] for k, m in mats.items()}
     key = rnd.choice(sorted(mats))
     i, j = rnd.randrange(max(n, 1)), rnd.randrange(max(n, 1))
+    other = sign_key(tuple(-1 if c == "+" else 1 for c in key))
     if defect == "numpy":
         mats = {k: np.array(m, dtype=np.int64).reshape(n, n) for k, m in mats.items()}
     elif defect == "missing":
@@ -406,20 +422,43 @@ def _damaged(rnd, mu, n, defect):
     elif n and defect != "none":  # another kind of entry at (i, j) and its transpose
         value = {"float": float(mats[key][i][j]), "beyond-64-bits": 10 ** 30,
                  "bool": True, "string": "3"}[defect]
-        other = sign_key(tuple(-1 if c == "+" else 1 for c in key))
         mats[key][i][j] = mats[other][j][i] = value
-    return {"mu": mu, "components_per_color": [1] * mu, "seifert": mats}
+    if defect in ("transpose", "float", "beyond-64-bits", "bool", "string") \
+            and key[0] == "-":
+        key, i, j = other, j, i
+    return {"mu": mu, "components_per_color": [1] * mu, "seifert": mats}, clean, key, i, j
 
 
-def _parsed(doc):
-    """What ``parse_link`` makes of the Seifert system, or the error it raises."""
-    try:
-        system = parse_link(doc).seifert
-    except Exception as exc:  # compared by type and message
-        return type(exc), str(exc)
-    assert all(mat.dtype == np.int64 for mat in system.matrices.values())
-    return (system.n, {key: mat.tolist() for key, mat in system.matrices.items()},
-            system.half_stack.dtype, system.half_stack.shape, system.half_stack.tolist())
+def _expected_error(mu, n, defect, key, i, j):
+    """The error class and message that name the one ``defect``, or None
+    where the document is valid."""
+    keys = [sign_key(eps) for eps in sign_vectors(mu)]
+    if defect == "missing":
+        return SchemaError, "seifert: missing matrix for sign vector %r" % key
+    if defect == "extra":
+        return SchemaError, "seifert: unexpected keys %r" % ["+" * (mu + 1)]
+    if defect == "list":
+        return SchemaError, "seifert must be an object keyed by sign vectors"
+    if defect == "non-square":
+        return DimensionMismatch, "seifert[%s]: row 0 has length %d, expected %d" % (key, n, n + 1)
+    if defect == "other-size":
+        if key == keys[0]:  # the first matrix sets the size the second one misses
+            return DimensionMismatch, "seifert[%s] is %dx%d, expected %dx%d" % (
+                keys[1], n, n, n + 1, n + 1)
+        return DimensionMismatch, "seifert[%s] is %dx%d, expected %dx%d" % (
+            key, n + 1, n + 1, n, n)
+    if n == 0 or defect in ("none", "numpy", "float"):
+        return None
+    if defect == "ragged":
+        return DimensionMismatch, "seifert[%s]: row %d has length %d, expected %d" % (
+            key, i, n + 1, n)
+    if defect == "transpose":
+        other = sign_key(tuple(-1 if c == "+" else 1 for c in key))
+        return SymmetryViolation, "seifert[%s] is not the transpose of seifert[%s]" % (
+            other, key)
+    if defect == "beyond-64-bits":
+        return SchemaError, "seifert[%s] has an entry beyond 64 bits" % key
+    return SchemaError, "seifert[%s]: entry (%d, %d) is not an integer" % (key, i, j)
 
 
 @settings(max_examples=300, deadline=None)
@@ -427,10 +466,45 @@ def _parsed(doc):
        defect=hst.sampled_from(["none", "numpy", "float", "missing", "extra", "ragged",
                                 "non-square", "other-size", "beyond-64-bits", "bool",
                                 "string", "transpose", "list"]))
-def test_stacked_check_matches_per_matrix_path(mu, n, seed, defect):
-    doc = _damaged(random.Random(seed), mu, n, defect)
-    if defect == "none":  # the documents the stacked check exists for take it
-        assert links._int_stack(mu, doc["seifert"]) is not None
-    stacked = _parsed(doc)
-    with mock.patch.object(links, "_int_stack", lambda mu, matrices: None):
-        assert _parsed(doc) == stacked
+def test_seifert_reader_outcome_per_defect(mu, n, seed, defect):
+    doc, clean, key, i, j = _damaged(random.Random(seed), mu, n, defect)
+    expected = _expected_error(mu, n, defect, key, i, j)
+    if expected is not None:
+        with pytest.raises(SchemaError) as info:
+            parse_link(doc)
+        assert (type(info.value), str(info.value)) == expected
+        return
+    system = parse_link(doc).seifert
+    assert system.n == n
+    assert {k: (m.dtype, m.tolist()) for k, m in system.matrices.items()} == \
+        {k: (np.dtype(np.int64), m) for k, m in clean.items()}
+    half = np.array([clean[sign_key(eps)] for eps in sign_vectors(mu) if eps[0] > 0],
+                    dtype=float).reshape(2 ** (mu - 1), n, n)
+    assert system.half_stack.dtype == half.dtype
+    assert np.array_equal(system.half_stack, half) and system.half_stack.shape == half.shape
+
+
+_PARSE_IN_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sigtorus.errors import SchemaError
+from sigtorus.links import parse_link
+try:
+    parse_link(json.loads(sys.argv[1]))
+except SchemaError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("mu", [20, 40, 10 ** 30], ids=["20", "40", "1e30"])
+def test_oversized_mu_is_refused_by_the_key_count(mu):
+    """The key count is compared with 2^mu before any sign key is listed,
+    so a huge mu fails at once; the parse runs in a child process under a
+    1 GiB address-space limit so that a regression cannot exhaust memory."""
+    doc = {"mu": mu, "components_per_color": [1], "seifert": {}}
+    src = os.path.dirname(os.path.dirname(links.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", _PARSE_IN_CHILD, json.dumps(doc)],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "seifert has 0 matrices, mu = %d needs 2^%d\n" % (mu, mu)
