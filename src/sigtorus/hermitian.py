@@ -89,14 +89,16 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
 
     ``coefficients`` is a (P, D, n, n) stack of Taylor coefficients F_0 ..
     F_{D-1} of F(t) = sum_k t^k F_k.  Returns an int (P, 3) array: sigma(F(t))
-    as t -> 0+ and as t -> 0-, and the nullity of F(t) for small t != 0.
+    as t -> 0+ and as t -> 0-, and the nullity of F(t) for small t != 0.  On
+    a path family of :mod:`sigtorus.links` (F of degree k in t = tan(pi delta))
+    t -> 0- reads the path with the opposite signs.
 
     Each family is divided by its largest coefficient norm.  Level k counts
     the inertia of the current F_0 with :func:`inertia_counts`, adds its
     signature to the t -> 0+ limit and (-1)^k times it to the t -> 0- one,
     and passes to S(t) / t, S the Schur complement of F(t) onto ker F_0
     (Rellich; Kato, ch. II).  A level takes one coefficient: if det F(t) has
-    order r at 0 (a pencil F_0 + t F_1 has r <= n), r + 1 levels settle it.
+    order r at 0 (r <= k n for F of degree k), r + 1 levels settle it.
     What is left in the kernel when the coefficients run out is the nullity.
     """
     family = np.asarray(coefficients, dtype=complex)

@@ -3,8 +3,12 @@
 A mu-colored link is described by the counts of components per color, the
 pairwise linking numbers of its components, the 2^mu generalized Seifert
 matrices of a C-complex basis, and optional Conway-function and sublink
-data.  The Hermitian form at a torus point and its signature/nullity are
-computed here.
+data.  The Hermitian form at a torus point, its signature/nullity and its
+one-sided limits toward the boundary are computed here.  Every limit reads
+one path family: along a path sending k coordinates to 1 at angles
+eps_j delta, the form is a real multiple of a matrix polynomial F(t) of
+degree k in t = tan(pi delta), F(-t) is the path of -eps, and k n + 1
+levels of :func:`sigtorus.hermitian.limit_counts` settle it.
 """
 
 import functools
@@ -160,11 +164,16 @@ class SeifertSystem:
                 for key, mat in sorted(self.matrices.items())}
 
 
-def _component_ids(components_per_color):
-    out = []
-    for color, count in enumerate(components_per_color, start=1):
-        out.extend("%d.%d" % (color, k) for k in range(1, count + 1))
-    return out
+def _is_component(comp_id, components_per_color):
+    """Whether ``comp_id`` is a canonical "c.k" with 1 <= c <= mu and k at
+    most the count of color c, decided without listing the components."""
+    color, _, index = str(comp_id).partition(".")
+    try:
+        c, k = int(color), int(index)
+    except ValueError:
+        return False
+    return ("%d.%d" % (c, k) == comp_id and 1 <= c <= len(components_per_color)
+            and 1 <= k <= components_per_color[c - 1])
 
 
 class ColoredLink:
@@ -183,10 +192,9 @@ class ColoredLink:
         if len(comps) != self.mu or any(c < 1 for c in comps):
             raise SchemaError("components_per_color must list a positive count per color")
         self.components_per_color = tuple(comps)
-        ids = set(_component_ids(comps))
         canon = {}
         for (a, b), value in dict(linking or {}).items():
-            if a not in ids or b not in ids:
+            if not (_is_component(a, comps) and _is_component(b, comps)):
                 raise SchemaError("linking refers to unknown component %r" % ((a, b),))
             if a == b:
                 raise SchemaError("linking number of a component with itself")
@@ -215,13 +223,6 @@ class ColoredLink:
 
     # -- component bookkeeping ------------------------------------------
 
-    def component_ids(self):
-        return _component_ids(self.components_per_color)
-
-    def components_of_color(self, color):
-        count = self.components_per_color[color - 1]
-        return ["%d.%d" % (color, k) for k in range(1, count + 1)]
-
     @property
     def total_components(self):
         return sum(self.components_per_color)
@@ -235,10 +236,10 @@ class ColoredLink:
         return self.linking.get(key, 0)
 
     def lk_colors(self, i, j):
-        """Total linking number between the sublinks of two colors."""
-        return sum(self.lk(a, b)
-                   for a in self.components_of_color(i)
-                   for b in self.components_of_color(j))
+        """Total linking number between the sublinks of two colors: a sum
+        over the ordered pairs of each linking record."""
+        return sum(value for (a, b), value in self.linking.items() for pair in ((a, b), (b, a))
+                   if (self.color_of(pair[0]), self.color_of(pair[1])) == (i, j))
 
     def linking_vector(self):
         """lk(L_1, L_j) for j = 2..mu."""
@@ -425,32 +426,48 @@ def signature_nullity(link, point, tol=DEFAULT_TOL):
 
 # -- one-sided limits toward the boundary ----------------------------------
 
-def _pencils(link, rest_omegas):
-    """P = i (M - M^*) and Q = M + M^* at rest points omega' (a (P, mu - 1)
-    array), M = sum_eps' c_eps'(omega') A^(+, eps'): for theta in (0, 1),
-    H(e^(2 pi i theta), omega') = sin(2 pi theta) (P + tan(pi theta) Q)."""
-    rest = np.asarray(rest_omegas, dtype=complex)
-    origin = np.zeros((len(rest), 1))  # omega_1 = 0 makes the first factor 1
-    m = np.einsum("pk,kab->pab", _coefficients(np.concatenate([origin, rest], axis=1)),
-                  link.seifert.half_stack)
-    m_star = m.conj().transpose(0, 2, 1)
-    return 1j * (m - m_star), m + m_star
+def _path_forms(link, signs, rest):
+    """Coefficients F_0 .. F_k of the form along paths to the boundary, one
+    family per row: a (P, k + 1, n, n) complex stack.
+
+    Path p sends coordinates 1..k to 1 at angles signs[p, j] delta and holds
+    the others at rest[p] (a (P, mu - k) array).  With t = tan(pi delta),
+    H = prod_j (2 eps_j t / (1 + t^2)) F(t) for F = M + M^* and
+    M = sum_{eta_1 = +} prod_{j <= k} (i eta_j + eps_j t)
+    prod_{j > k} (1 - conj(omega_j)^eta_j) A^eta, a polynomial of degree k.
+    """
+    count, k = signs.shape
+    i_eta = 1j * np.array(sign_vectors(link.mu)[:len(link.seifert.half_stack)])
+    terms = np.zeros((count, k + 1, len(i_eta)), dtype=complex)  # index (p, degree, eta)
+    # omega_j = 0 makes the factors of the path coordinates 1
+    terms[:, 0] = _coefficients(np.concatenate([np.zeros((count, k)), rest], axis=1))
+    for j in range(k):
+        terms[:, 1:] = i_eta[:, j] * terms[:, 1:] + signs[:, j, None, None] * terms[:, :-1]
+        terms[:, 0] *= i_eta[:, j]
+    m = np.einsum("pde,eab->pdab", terms, link.seifert.half_stack)
+    return m + m.conj().transpose(0, 1, 3, 2)
+
+
+def _path_limit_counts(link, signs, rest, tol):
+    """:func:`limit_counts` of the families of :func:`_path_forms`, in blocks:
+    an int (P, 3) array of sigma's limit as t -> 0+ and t -> 0-, and eta's."""
+    rest, k, n = np.asarray(rest, dtype=complex), signs.shape[1], link.seifert.n
+    depth = k * max(n, 1) + 1  # det F(t) has degree at most k n
+
+    def counts(rows):
+        family = np.zeros((len(rows), depth, n, n), dtype=complex)
+        family[:, :k + 1] = _path_forms(link, signs[rows], rest[rows])
+        return limit_counts(family, tol)
+
+    return _by_blocks(counts, np.arange(len(signs)), 16 * depth * max(n, 1) ** 2)
 
 
 def rest_limit_counts(link, rest_omegas, tol=DEFAULT_TOL):
     """The limits as omega_1 -> 1 at rest points omega' (a (P, mu - 1) array):
     an int (P, 3) array of sigma's limit through angles 0+ ("plus") and 1-
-    ("minus"), and eta's.  With t = tan(pi theta), plus is lim sigma(P + t Q)
-    as t -> 0+, and minus is -lim sigma(P + t Q) as t -> 0-."""
-    n = link.seifert.n
-    depth = max(n, 1) + 1  # det(P + t Q) has degree at most n
-
-    def counts(rows):
-        family = np.zeros((len(rows), depth, n, n), dtype=complex)
-        family[:, 0], family[:, 1] = _pencils(link, rows)
-        return limit_counts(family, tol)
-
-    limits = _by_blocks(counts, rest_omegas, 16 * depth * max(n, 1) ** 2)
+    ("minus"), and eta's.  Both sides read one path family (k = 1): plus is
+    lim sigma(F(t)) as t -> 0+, and minus is -lim sigma(F(t)) as t -> 0-."""
+    limits = _path_limit_counts(link, np.ones((len(rest_omegas), 1)), rest_omegas, tol)
     limits[:, 1] *= -1
     return limits
 
@@ -458,25 +475,15 @@ def rest_limit_counts(link, rest_omegas, tol=DEFAULT_TOL):
 def corner_limit_counts(link, tol=DEFAULT_TOL):
     """The limits with coordinate j at angle eps_j delta, delta -> 0+, per sign
     vector eps in :func:`sign_vectors` order: an int (2^mu, 2) array of
-    sigma's limit and eta's.  On the path H = (2 sin(pi delta))^mu (prod eps_j)
-    G(delta), G(delta) = sum_eta (prod_j i eta_j) e^(-i pi delta (eta . eps)) A^eta;
-    z^mu G is a matrix polynomial of degree 2 mu in z = e^(-i pi delta), so
-    2 mu n + 1 Taylor coefficients of G settle the descent."""
-    half = np.array([eps for eps in sign_vectors(link.mu) if eps[0] > 0])
-    signs = np.array(sign_vectors(link.mu))
-    depth = 2 * link.mu * link.seifert.n + 1
-
-    def counts(rows):
-        step = -1j * np.pi * (rows @ half.T)
-        terms = np.empty((len(rows), depth, len(half)), dtype=complex)
-        terms[:, 0] = np.prod(1j * half, axis=1)
-        for k in range(1, depth):
-            terms[:, k] = terms[:, k - 1] * step / k
-        m = np.einsum("cke,eab->ckab", terms, link.seifert.half_stack)
-        return limit_counts(m + m.conj().transpose(0, 1, 3, 2), tol)
-
-    limits = _by_blocks(counts, signs, 16 * depth * max(link.seifert.n, 1) ** 2)
-    return np.stack([np.prod(signs, axis=1) * limits[:, 0], limits[:, 2]], axis=1)
+    sigma's limit and eta's.  One path family (k = mu) per eps with eps_1 = +
+    gives the limit at eps as t -> 0+, times prod_j eps_j, and the one at
+    -eps as t -> 0-, times (-1)^mu prod_j eps_j."""
+    half = np.array(sign_vectors(link.mu)[:len(link.seifert.half_stack)])
+    limits = _path_limit_counts(link, half, np.zeros((len(half), 0)), tol)
+    sign = np.prod(half, axis=1)
+    # sign vector 2^mu - 1 - i is the negation of sign vector i
+    sigmas = np.concatenate([sign * limits[:, 0], ((-1) ** link.mu * sign * limits[:, 1])[::-1]])
+    return np.stack([sigmas, np.concatenate([limits[:, 2], limits[::-1, 2]])], axis=1)
 
 
 def linking_matrix(link, color_signs):
@@ -489,30 +496,25 @@ def linking_matrix(link, color_signs):
     color_signs = tuple(int(s) for s in color_signs)
     if len(color_signs) != link.mu or any(s not in (-1, 1) for s in color_signs):
         raise ValueError("need one sign (+1/-1) per color")
-    ids = link.component_ids()
-    signs = [color_signs[link.color_of(cid) - 1] for cid in ids]
-    m = len(ids)
-    mat = [[0] * m for _ in range(m)]
-    for i in range(m):
-        total = 0
-        for j in range(m):
-            if i == j:
-                continue
-            v = signs[i] * signs[j] * link.lk(ids[i], ids[j])
-            mat[i][j] = v
-            total += v
-        mat[i][i] = -total
+    first = [0, *itertools.accumulate(link.components_per_color)]  # c.1 is at first[c - 1]
+    mat = [[0] * first[-1] for _ in range(first[-1])]
+    for pair, value in link.linking.items():
+        (i, sign_i), (j, sign_j) = [(first[c - 1] + k - 1, color_signs[c - 1])
+                                    for c, k in (map(int, comp.split(".")) for comp in pair)]
+        mat[i][j] = mat[j][i] = sign_i * sign_j * value
+    for i, row in enumerate(mat):
+        row[i] = -sum(row)
     return mat
 
 
 def boundary_limit_form(link, rest_point, side=1):
     """One-sided limit of H(omega_1, rest) / |1 - omega_1| as omega_1 -> 1.
 
-    This is ``side`` times P of :func:`_pencils`.  Valid when every basis
-    curve of the Seifert system crosses the first surface (true for the
-    built-in families, whose stored sublink has an empty basis).
+    This is ``side`` times F_0 of the rest path (:func:`_path_forms`).  Valid
+    when every basis curve of the Seifert system crosses the first surface
+    (true for the built-in families, whose stored sublink has an empty basis).
     """
     if rest_point.mu != link.mu - 1:
         raise ValueError("rest point needs %d coordinates" % (link.mu - 1))
-    p, _ = _pencils(link, [rest_point.omega()])
-    return HermitianMatrix((1.0 if side > 0 else -1.0) * p[0])
+    form = _path_forms(link, np.ones((1, 1)), [rest_point.omega()])[0, 0]
+    return HermitianMatrix((1.0 if side > 0 else -1.0) * form)

@@ -127,17 +127,18 @@ class _RestPoint:
         """
         link, sub = self.link, self.sub
         sig_rest, eta_rest = self.sub_inertia
-        comps1 = link.components_of_color(1)
-        rest_comps = [c for color in range(2, link.mu + 1)
-                      for c in link.components_of_color(color)]
-        split = [all(link.lk(k, c) == 0 for c in rest_comps) for k in comps1]
-        if not any(split):
-            total = sum(abs(link.lk(k, c)) for k in comps1 for c in rest_comps)
-            return sig_rest, eta_rest - len(comps1) + total, None, total
-        if not all(split):
+        # (first-color end, |lk|) of each nonzero record joining color 1 to another
+        crossing = [(a if link.color_of(a) == 1 else b, abs(value))
+                    for (a, b), value in link.linking.items()
+                    if value and (link.color_of(a) == 1) != (link.color_of(b) == 1)]
+        linked, total = len(dict(crossing)), sum(v for _, v in crossing)
+        count = link.components_per_color[0]
+        if linked == count:
+            return sig_rest, eta_rest - count + total, None, total
+        if linked:
             raise UnsupportedCase(
                 "mixed split and non-split components in the first color")
-        if len(comps1) > 1:
+        if count > 1:
             raise UnsupportedCase(
                 "algebraically split with a multi-component first color")
         if link.conway is None:

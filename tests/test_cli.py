@@ -163,6 +163,15 @@ def test_slope_command(tmp_path, capsys):
     assert out.strip() == "slope=4 s=1 eps=0"
 
 
+def test_slope_takes_no_tolerance(tmp_path, capsys):
+    """The slope's zero tests are exact, so --tol is not one of its flags."""
+    twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
+    with pytest.raises(SystemExit) as info:
+        main(["slope", "--link", twist, "--omega", "1/4", "--tol", "1e-9"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_torres_command(tmp_path, capsys):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
     code, out, _ = run(capsys, "torres", "--link", torus, "--omega", "1/5")

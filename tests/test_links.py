@@ -508,3 +508,39 @@ def test_oversized_mu_is_refused_by_the_key_count(mu):
                            capture_output=True, text=True, timeout=60, env=env)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "seifert has 0 matrices, mu = %d needs 2^%d\n" % (mu, mu)
+
+
+_HUGE_COUNTS_IN_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sigtorus.links import ColoredLink, parse_link
+link = parse_link({"mu": 1, "components_per_color": [10 ** 8],
+                   "linking": [{"a": "1.1", "b": "1.100000000", "lk": 2}],
+                   "seifert": {"+": [], "-": []}})
+print(link.total_components, link.lk("1.100000000", "1.1"))
+two = ColoredLink(2, [1, 10 ** 6], {("2.1000000", "1.1"): 3, ("2.7", "1.1"): -1},
+                  {"++": [], "+-": [], "-+": [], "--": []})
+print(two.linking_vector(), two.lk_colors(2, 1))
+"""
+
+
+def test_huge_component_counts_are_read_from_the_linking_records():
+    """Component ids are checked arithmetically and linking totals summed
+    over the records, so no per-component list is built; the child runs
+    under a 1 GiB address-space limit."""
+    src = os.path.dirname(os.path.dirname(links.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", _HUGE_COUNTS_IN_CHILD],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "100000000 2\n(2,) 2\n"
+
+
+@pytest.mark.parametrize("comp", ["3.1", "1.2", "0.1", "1.0", "01.1", "1.01", "+1.1",
+                                  "1", "1.1.1", "", 1, None])
+def test_linking_with_an_unknown_component_is_refused(comp):
+    doc = make_twist(2).to_document()
+    doc["linking"] = [{"a": comp, "b": "2.1", "lk": 1}]
+    with pytest.raises(SchemaError) as info:
+        parse_link(doc)
+    assert str(info.value) == "linking refers to unknown component %r" % ((comp, "2.1"),)
