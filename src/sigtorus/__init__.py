@@ -12,8 +12,8 @@ from .hermitian import (HermitianMatrix, Inertia, conjugate_inertia_check,
                         inertia, integer_inertia)
 from .laurent import LaurentPoly, RationalFunction, divide_exact
 from .links import (ColoredLink, SeifertSystem, boundary_limit_form, form_at,
-                    linking_matrix, load_link, parse_link, save_link,
-                    signature_nullity)
+                    linking_inertia, linking_matrix, load_link, parse_link,
+                    save_link, signature_nullity)
 from .slope import (SlopeValue, classify_slope, conway_factor_split, slope,
                     torres_generic)
 from .verify import (PLUS_MINUS_ONE, LimitResult, TorresPrediction,

@@ -41,8 +41,9 @@ def _tolerance(args):
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (value > 0 and math.isfinite(value)):
-        raise SigtorusError("%s must be a positive finite number, got %r" % (source, text))
+    # |lambda| <= ||H||, so a tolerance of 1 or more would make every eigenvalue zero
+    if not 0 < value < 1:
+        raise SigtorusError("%s must be a number in (0, 1), got %r" % (source, text))
     return value
 
 

@@ -5,9 +5,10 @@ Two backends: a floating-point one for complex Hermitian matrices (LAPACK
 many matrices) and an exact one for integer symmetric matrices (congruence
 elimination over rationals, no tolerances involved).  One-sided limits of
 the inertia of analytic families descend on their Taylor coefficients.
+One zero rule serves points and limits alike: an eigenvalue of a matrix H
+is zero when |lambda| <= tol * max(1, ||H||), at every level of a descent.
 """
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -68,11 +69,12 @@ def inertia_counts(stack, tol=DEFAULT_TOL):
 
     The matrices must be Hermitian; LAPACK ``eigvalsh`` reads only their
     lower triangles.  An eigenvalue counts as zero when its magnitude is at
-    most the cut ``tol * max(1, ||H||)`` (Frobenius norm).  Returns an
-    integer array of shape (P, 3).
+    most the cut ``tol * max(1, ||H||)`` (Frobenius norm), 0 < tol < 1.
+    Returns an integer array of shape (P, 3).
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be a positive finite number, got %r" % (tol,))
+    # |lambda| <= ||H||, so a tol of 1 or more would make every eigenvalue zero
+    if not 0 < tol < 1:
+        raise ValueError("tol must be a number in (0, 1), got %r" % (tol,))
     stack = np.asarray(stack)
     count, n = stack.shape[0], stack.shape[-1]
     if count == 0 or n == 0:
@@ -93,22 +95,17 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
     a path family of :mod:`sigtorus.links` (F of degree k in t = tan(pi delta))
     t -> 0- reads the path with the opposite signs.
 
-    Each family is divided by its largest coefficient norm.  Level k counts
-    the inertia of the current F_0 with :func:`inertia_counts`, adds its
-    signature to the t -> 0+ limit and (-1)^k times it to the t -> 0- one,
-    and passes to S(t) / t, S the Schur complement of F(t) onto ker F_0
-    (Rellich; Kato, ch. II).  A level takes one coefficient: if det F(t) has
-    order r at 0 (r <= k n for F of degree k), r + 1 levels settle it.
-    What is left in the kernel when the coefficients run out is the nullity.
+    Level k counts the inertia of the current F_0 with :func:`inertia_counts`,
+    whose cut |lambda| <= tol * max(1, ||F_0||) is the only zero rule here:
+    no family is rescaled, so a one-coefficient family counts exactly as
+    :func:`inertia_counts` does.  The level adds F_0's signature to the
+    t -> 0+ limit and (-1)^k times it to the t -> 0- one, and passes to
+    S(t) / t, S the Schur complement of F(t) onto ker F_0 (Rellich; Kato,
+    ch. II).  A level takes one coefficient: if det F(t) has order r at 0
+    (r <= k n for F of degree k), r + 1 levels settle it.  What is left in
+    the kernel when the coefficients run out is the nullity.
     """
     family = np.asarray(coefficients, dtype=complex)
-    scale = np.max(np.linalg.norm(family, axis=(2, 3)), axis=1)
-    scale[scale == 0] = 1.0
-    return _descend(family / scale[:, None, None, None], tol)
-
-
-def _descend(family, tol):
-    """:func:`limit_counts` of a normalized (P, D, m, m) stack."""
     counts = inertia_counts(family[:, 0], tol)
     minus, kernel = counts[:, 1].copy(), counts[:, 2].copy()
     counts[:, 0] -= minus
@@ -119,8 +116,8 @@ def _descend(family, tol):
     for size in sorted(set(kernel.tolist()) - {0}):
         rows = np.flatnonzero(kernel == size)
         # where F_0 = 0, S(t) / t is F(t) / t
-        deeper = _descend(family[rows, 1:] if size == family.shape[-1]
-                          else _schur_series(family[rows], size, minus[rows]), tol)
+        deeper = limit_counts(family[rows, 1:] if size == family.shape[-1]
+                              else _schur_series(family[rows], size, minus[rows]), tol)
         counts[rows, 0] += deeper[:, 0]
         counts[rows, 1] -= deeper[:, 1]
         counts[rows, 2] = deeper[:, 2]

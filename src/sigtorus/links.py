@@ -21,7 +21,8 @@ import numpy as np
 from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
-from .hermitian import DEFAULT_TOL, HermitianMatrix, inertia_counts, limit_counts
+from .hermitian import (DEFAULT_TOL, HermitianMatrix, inertia_counts, integer_inertia,
+                        limit_counts)
 from .laurent import RationalFunction, as_integer as _integer
 
 
@@ -486,6 +487,26 @@ def corner_limit_counts(link, tol=DEFAULT_TOL):
     return np.stack([sigmas, np.concatenate([limits[:, 2], limits[::-1, 2]])], axis=1)
 
 
+def _linking_rows(link, color_signs, components):
+    """The linking matrix over ``components`` (ids, in row order) for
+    reoriented colors: off-diagonal entries are the sign-twisted linking
+    numbers, diagonal entries make every row sum to zero.  Every component
+    of a nonzero linking record must be listed."""
+    color_signs = tuple(int(s) for s in color_signs)
+    if len(color_signs) != link.mu or any(s not in (-1, 1) for s in color_signs):
+        raise ValueError("need one sign (+1/-1) per color")
+    position = {comp: i for i, comp in enumerate(components)}
+    mat = [[0] * len(components) for _ in components]
+    for (a, b), value in link.linking.items():
+        if value:
+            i, j = position[a], position[b]
+            mat[i][j] = mat[j][i] = (color_signs[link.color_of(a) - 1]
+                                     * color_signs[link.color_of(b) - 1] * value)
+    for i, row in enumerate(mat):
+        row[i] = -sum(row)
+    return mat
+
+
 def linking_matrix(link, color_signs):
     """The component-level linking matrix for reoriented colors.
 
@@ -493,18 +514,18 @@ def linking_matrix(link, color_signs):
     their color.  Off-diagonal entries are the sign-twisted linking numbers,
     diagonal entries make every row sum to zero.
     """
-    color_signs = tuple(int(s) for s in color_signs)
-    if len(color_signs) != link.mu or any(s not in (-1, 1) for s in color_signs):
-        raise ValueError("need one sign (+1/-1) per color")
-    first = [0, *itertools.accumulate(link.components_per_color)]  # c.1 is at first[c - 1]
-    mat = [[0] * first[-1] for _ in range(first[-1])]
-    for pair, value in link.linking.items():
-        (i, sign_i), (j, sign_j) = [(first[c - 1] + k - 1, color_signs[c - 1])
-                                    for c, k in (map(int, comp.split(".")) for comp in pair)]
-        mat[i][j] = mat[j][i] = sign_i * sign_j * value
-    for i, row in enumerate(mat):
-        row[i] = -sum(row)
-    return mat
+    return _linking_rows(link, color_signs, [
+        "%d.%d" % (c, k) for c, count in enumerate(link.components_per_color, 1)
+        for k in range(1, count + 1)])
+
+
+def linking_inertia(link, color_signs):
+    """The exact inertia of :func:`linking_matrix`, built only over the
+    components named in nonzero linking records: every other component's
+    row and column are 0 and add exactly 1 to the nullity."""
+    named = sorted({comp for pair, value in link.linking.items() if value for comp in pair})
+    ine = integer_inertia(_linking_rows(link, color_signs, named))
+    return ine._replace(n_zero=ine.n_zero + link.total_components - len(named))
 
 
 def boundary_limit_form(link, rest_point, side=1):

@@ -19,9 +19,9 @@ from .corrections import signature_jump, wall_indicator
 from .errors import (BoundaryPoint, DomainError, Indeterminate,
                      MissingConwayData, MissingSublink, MissingUnderlying,
                      UnsupportedCase, WrongColorCount)
-from .hermitian import DEFAULT_TOL, integer_inertia
+from .hermitian import DEFAULT_TOL
 from .laurent import as_rational
-from .links import (corner_limit_counts, linking_matrix, rest_limit_counts,
+from .links import (corner_limit_counts, linking_inertia, rest_limit_counts,
                     sign_key, sign_vectors, signature_nullity_batch)
 from .slope import classify_slope, conway_factor_split, slope
 
@@ -376,7 +376,7 @@ def verify_lt(link, tol=DEFAULT_TOL):
     if link.mu != 1:
         raise WrongColorCount("Levine-Tristram checks need a 1-colored link")
     m = link.total_components
-    ine = integer_inertia(linking_matrix(link, (1,)))
+    ine = linking_inertia(link, (1,))
     rank = link.rank_alexander
     inputs = {"components": m}
     notes = [_rank_note(link),
@@ -437,7 +437,7 @@ def verify_corner_limits(link, tol=DEFAULT_TOL):
         inputs = {"signs": key}
         notes = [_rank_note(link)]
         value = limits[key].value
-        ine = integer_inertia(linking_matrix(link, signs))
+        ine = linking_inertia(link, signs)
         cross = sum(signs[i] * signs[j] * link.lk_colors(i + 1, j + 1)
                     for i in range(link.mu) for j in range(i + 1, link.mu))
         center = ine.signature + cross
@@ -488,7 +488,7 @@ def predict_torres(link, point=None, tol=DEFAULT_TOL):
 def _predict_torres(rest):
     link = rest.link
     if link.mu == 1:
-        ine = integer_inertia(linking_matrix(link, (1,)))
+        ine = linking_inertia(link, (1,))
         return TorresPrediction(ine.signature, ine.nullity - 1, "skipped",
                                 ["one-colored case: linking-matrix inertia"])
     sig_rest = rest.sub_inertia[0]

@@ -2,13 +2,17 @@
 
 The limit of the signature along a path to the boundary is read off the
 forms at the offsets delta = 1/16, 1/32, ..., 1/2^20 of a geometric
-schedule and at one far offset 2^-30.  Each form is divided by its
-Frobenius norm and its eigenvalues are cut at 1e-9.  The reading is kept
-only where it cannot mislead: the last four schedule samples and the far
-one agree, and no sample on the whole path has an eigenvalue within a
-factor 10^3 of the cut.  An eigenvalue that vanishes to high order in
-delta at the boundary crosses that band somewhere on the schedule, so it
-rules the path out instead of being cut to zero at the tail.
+schedule and at one far offset 2^-30.  Each form is divided by the size
+of its terms, prod_j |1 - omega_j| * sum_eps ||A^eps|| (Frobenius norms),
+which bounds its norm, and its eigenvalues are cut at 1e-9.  So a form
+that is zero up to rounding reads as zero however small its terms are;
+dividing by the form's own norm would lift that rounding to unit size.
+The reading is kept only where it cannot mislead: the last four schedule
+samples and the far one agree, and no sample on the whole path has an
+eigenvalue within a factor 10^3 of the cut.  An eigenvalue that vanishes
+to high order in delta at the boundary crosses that band somewhere on the
+schedule, so it rules the path out instead of being cut to zero at the
+tail.
 """
 
 from fractions import Fraction
@@ -33,10 +37,12 @@ def path_rows(signs, fixed, deltas=DELTAS):
 
 def sampled_limit(link, signs, fixed=()):
     """(sigma, eta) along the path, or None where the samples cannot be trusted."""
+    rows = path_rows(signs, fixed)
+    size = sum(float(np.linalg.norm(mat)) for mat in link.seifert.matrices.values())
     readings = []
-    for form in assemble_forms(link, path_rows(signs, fixed)):
-        norm = float(np.linalg.norm(form))
-        eigs = np.linalg.eigvalsh(form / norm) if norm > 0 else np.zeros(len(form))
+    for row, form in zip(rows, assemble_forms(link, rows)):
+        scale = size * float(np.prod(np.abs(1 - np.asarray(row))))
+        eigs = np.linalg.eigvalsh(form / scale) if scale > 0 else np.zeros(len(form))
         mags = np.abs(eigs)
         if np.any((mags > TOL / MARGIN) & (mags < TOL * MARGIN)):
             return None

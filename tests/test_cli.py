@@ -130,10 +130,13 @@ def test_grid_missing_rest_angles_exits_2(tmp_path, capsys):
 
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
-    monkeypatch.setenv("SIGTORUS_TOL", "5")
-    code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "1/6,1/6")
+    code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "1/20,1/20")
     assert code == 0
-    assert out.strip() == "sigma=0 eta=2 dim=2"
+    assert out.strip() == "sigma=2 eta=0 dim=2"
+    monkeypatch.setenv("SIGTORUS_TOL", "0.1")
+    code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "1/20,1/20")
+    assert code == 0
+    assert out.strip() == "sigma=1 eta=1 dim=2"
 
 
 def test_grid_constant_heatmap_is_zero(tmp_path, capsys):
@@ -154,6 +157,18 @@ def test_limit_command(tmp_path, capsys):
     code, out, _ = run(capsys, "limit", "--link", torus, "--side", "minus",
                        "--omega-rest", "1/10")
     assert "limit=-2" in out
+
+
+def test_limit_where_the_form_vanishes_on_the_rest_circle(tmp_path, capsys):
+    # A^{++} = [1] and A^{+-} = [-1]: H is 0 on the whole circle omega_2 = -1
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps({"mu": 2, "components_per_color": [1, 1], "seifert": {
+        "++": [[1]], "+-": [[-1]], "-+": [[-1]], "--": [[1]]}}))
+    for side in ("plus", "minus"):
+        code, out, _ = run(capsys, "limit", "--link", str(path), "--side", side,
+                           "--omega-rest", "1/2")
+        assert code == 0
+        assert out.strip() == "limit=0 side=%s status=stable" % side
 
 
 def test_slope_command(tmp_path, capsys):
@@ -333,7 +348,7 @@ def test_family_then_eval_matches_library(tmp_path, capsys):
     assert out.strip() == "sigma=%d eta=%d dim=2" % (sigma, eta)
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "1", "1e308"])
 def test_bad_tol_flag_exits_2(tmp_path, capsys, tol):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
     code, out, err = run(capsys, "eval", "--link", torus, "--omega", "1/3,1/5",
@@ -343,7 +358,7 @@ def test_bad_tol_flag_exits_2(tmp_path, capsys, tol):
     assert "--tol" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "0", "-1"])
+@pytest.mark.parametrize("value", ["abc", "nan", "0", "-1", "1", "1e308"])
 def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
     monkeypatch.setenv("SIGTORUS_TOL", value)

@@ -161,11 +161,16 @@ def test_limit_counts_of_zero_and_empty_families():
     assert limit_counts(np.zeros((2, 3, 4, 4))).tolist() == [[0, 0, 4]] * 2
     assert limit_counts(np.zeros((0, 3, 4, 4))).shape == (0, 3)
     assert limit_counts(np.zeros((2, 3, 0, 0))).tolist() == [[0, 0, 0]] * 2
-    # the cut is relative to the largest coefficient: a tiny family still counts
-    assert limit_counts(1e-12 * _series(np.diag([1, -1, 0]))).tolist() == [[0, 0, 1]]
+    # one zero rule: a one-coefficient family counts as inertia_counts does,
+    # so below the cut tol * max(1, ||F_0||) a tiny family is zero
+    for scale in (1e-12, 1.0, 1e6):
+        family = scale * _series(np.diag([1, -1, 0]))
+        (plus, minus, zero), = inertia_counts(family[:, 0]).tolist()
+        assert limit_counts(family).tolist() == [[plus - minus, plus - minus, zero]]
+    assert limit_counts(1e-12 * _series(np.diag([1, -1, 0]))).tolist() == [[0, 0, 3]]
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0, 1e308])
 def test_bad_tolerance_rejected(tol):
     with pytest.raises(ValueError):
         inertia(HermitianMatrix([[1.0]]), tol)

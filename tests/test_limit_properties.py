@@ -2,7 +2,8 @@
 
 Three oracles that share no code with the descent's stacking or its
 coordinates: a unimodular change of the Seifert basis, the sampled limits
-of ``sampler.py`` wherever they read cleanly, and single-point calls.
+of ``sampler.py`` wherever they read cleanly, and single-point calls.  On
+systems whose form vanishes on a whole circle the answer is known exactly.
 """
 
 from fractions import Fraction
@@ -14,8 +15,8 @@ from sampler import sampled_limit
 
 from sigtorus import verify
 from sigtorus.angles import TorusPoint
-from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts, sign_key,
-                            sign_vectors)
+from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
+                            rest_limit_counts, sign_key, sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
 
 TOL = 1e-9
@@ -81,6 +82,26 @@ def _systems_with_a_common_kernel(draw):
     return mu, n, halves, points
 
 
+@hst.composite
+def _systems_vanishing_on_a_circle(draw):
+    """Systems with A^eta = -A^eta' for eta' = eta with eta_j flipped, for one
+    j >= 2, and a point omega_1 with rest point omega' at theta_j = 1/2.
+    There both factors 1 - conj(omega_j)^(+-1) are 2, so the terms cancel
+    and H is 0 on the whole circle omega_j = -1."""
+    mu, n = draw(hst.integers(2, 4)), draw(hst.integers(1, 4))
+    j = draw(hst.integers(2, mu))
+    entries = hst.lists(hst.integers(-2, 2), min_size=n * n, max_size=n * n)
+    drawn, halves = {}, []
+    for eta in sign_vectors(mu)[:2 ** (mu - 1)]:  # the eta with eta_1 = +
+        key = eta[:j - 1] + eta[j:]
+        if key not in drawn:
+            drawn[key] = draw(entries)
+        halves.append(drawn[key] if eta[j - 1] > 0 else [-x for x in drawn[key]])
+    angles = draw(hst.lists(_angle, min_size=mu, max_size=mu))
+    angles[j - 1] = Fraction(1, 2)
+    return mu, n, halves, angles[0], TorusPoint(angles[1:])
+
+
 def _rest_limits(link, point):
     return [(lim.value, lim.eta) for lim in
             (directional_limit(link, point, side, TOL) for side in ("plus", "minus"))]
@@ -127,6 +148,23 @@ def test_limits_agree_with_clean_samples(system):
 def test_limits_with_a_common_kernel_agree_with_clean_samples(system):
     mu, n, halves, points = system
     _assert_limits_agree_with_clean_samples(_link(mu, n, halves), points)
+
+
+# ROADMAP item 2(b)'s system, the smallest such system, and one on which
+# the comparison with clean samples once failed at random
+@example((3, 2, [[18, 24, 24, 32], [9, 12, 12, 16], [-18, -24, -24, -32],
+                 [-9, -12, -12, -16]], Fraction(1, 3),
+          TorusPoint([Fraction(1, 2), Fraction(2, 3)])))
+@example((2, 1, [[1], [-1]], Fraction(1, 3), TorusPoint([Fraction(1, 2)])))
+@example((3, 1, [[0], [0], [1], [-1]], Fraction(1, 3),
+          TorusPoint([Fraction(1, 4), Fraction(1, 2)])))
+@settings(max_examples=80, deadline=None)
+@given(_systems_vanishing_on_a_circle())
+def test_limits_where_the_form_vanishes_on_a_circle(system):
+    mu, n, halves, first, rest = system
+    link = _link(mu, n, halves)
+    assert rest_limit_counts(link, [rest.omega()]).tolist() == [[0, 0, n]]
+    assert signature_nullity(link, rest.prepend(first)) == (0, n)
 
 
 @settings(max_examples=80, deadline=None)

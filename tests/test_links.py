@@ -19,11 +19,11 @@ from sigtorus.errors import (BoundaryPoint, DimensionMismatch, DomainError,
 from sigtorus import cli, links
 from sigtorus.families import (make_torus, make_twist, make_unlink,
                                torus_clasp_sequence)
-from sigtorus.hermitian import inertia
+from sigtorus.hermitian import inertia, integer_inertia
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
-                            boundary_limit_form, form_at, linking_matrix,
-                            parse_link, save_link, sign_key, sign_vectors,
-                            signature_nullity)
+                            boundary_limit_form, form_at, linking_inertia,
+                            linking_matrix, parse_link, save_link, sign_key,
+                            sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
 
 
@@ -151,6 +151,19 @@ def test_linking_matrix_examples():
     assert linking_matrix(make_torus(3), (1, 1)) == [[-3, 3], [3, -3]]
     assert linking_matrix(make_twist(4), (1, 1)) == [[0, 0], [0, 0]]
     assert linking_matrix(make_torus(2), (1, -1)) == [[2, -2], [-2, 2]]
+
+
+def test_linking_inertia_matches_the_dense_matrix():
+    rnd = random.Random(11)
+    for _ in range(200):
+        mu = rnd.randint(1, 3)
+        counts = [rnd.randint(1, 4) for _ in range(mu)]
+        comps = ["%d.%d" % (c + 1, k + 1) for c in range(mu) for k in range(counts[c])]
+        pairs = [rnd.sample(comps, 2) for _ in range(rnd.randint(0, 6) if len(comps) > 1 else 0)]
+        link = ColoredLink(mu, counts, {tuple(sorted(p)): rnd.randint(-2, 2) for p in pairs},
+                           {key: [] for key in map(sign_key, sign_vectors(mu))})
+        signs = [rnd.choice((-1, 1)) for _ in range(mu)]
+        assert linking_inertia(link, signs) == integer_inertia(linking_matrix(link, signs))
 
 
 def test_signature_locally_constant_between_walls():
@@ -534,6 +547,32 @@ def test_huge_component_counts_are_read_from_the_linking_records():
                            capture_output=True, text=True, timeout=60, env=env)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "100000000 2\n(2,) 2\n"
+
+
+_LINKING_CHECKS_IN_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sigtorus.links import ColoredLink, linking_inertia
+from sigtorus.verify import verify_corner_limits, verify_lt
+two = ColoredLink(2, [1, 10 ** 5], {("1.1", "2.1"): 1},
+                  {"++": [], "+-": [], "-+": [], "--": []})
+one = ColoredLink(1, [10 ** 5], {("1.1", "1.2"): 1}, {"+": [], "-": []})
+print(tuple(linking_inertia(two, (1, -1))), tuple(linking_inertia(one, (1,))))
+reports = verify_corner_limits(two) + verify_lt(one)
+print(len(reports), all(rep.passed for rep in reports))
+"""
+
+
+def test_linking_checks_build_no_dense_matrix():
+    """Only the components named in nonzero linking records enter the
+    linking matrix, so the corner and LT checks on 10^5 components fit in
+    a child process under a 1 GiB address-space limit."""
+    src = os.path.dirname(os.path.dirname(links.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", _LINKING_CHECKS_IN_CHILD],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "(1, 0, 100000) (0, 1, 99999)\n16 True\n"
 
 
 @pytest.mark.parametrize("comp", ["3.1", "1.2", "0.1", "1.0", "01.1", "1.01", "+1.1",
