@@ -16,11 +16,12 @@ _TWO_PI = 2.0 * math.pi
 
 
 def normalize_angle(a):
-    """Reduce an angle to the fundamental interval [0, 1); NaN and +-inf raise DomainError."""
+    """Reduce an angle to the fundamental interval [0, 1); NaN and +-inf raise
+    DomainError.  A Fraction already in [0, 1) is returned as it is."""
     if isinstance(a, bool):
         raise TypeError("bool is not an angle")
     if isinstance(a, Fraction):
-        return a % 1
+        return a if 0 <= a.numerator < a.denominator else a % 1
     if isinstance(a, int):
         return Fraction(a) % 1
     if isinstance(a, float):
@@ -71,8 +72,13 @@ def parse_angle(text):
     """Parse "p/q" (exact), an integer, or a decimal (inexact)."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return normalize_angle(Fraction(int(num), int(den)))
+        num, den = map(int, text.split("/", 1))
+        if den == 0:
+            raise ZeroDivisionError("Fraction(%s, 0)" % num)
+        if den < 0:
+            num, den = -num, -den
+        # p/q mod 1 as one Fraction, already in [0, 1)
+        return Fraction(num % den, den)
     if "." in text or "e" in text or "E" in text:
         value = float(text)
         if not math.isfinite(value):
@@ -91,7 +97,7 @@ class TorusPoint:
     __slots__ = ("angles",)
 
     def __init__(self, angles):
-        self.angles = tuple(normalize_angle(a) for a in angles)
+        self.angles = tuple(map(normalize_angle, angles))
 
     @classmethod
     def from_text(cls, text):

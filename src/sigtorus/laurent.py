@@ -14,6 +14,10 @@ from .errors import DenominatorVanishes, NotDivisible, SchemaError, ZeroCoordina
 _DEN_EPS = 1e-12
 
 
+# Values that are all exactly int (so no bool) need no as_integer call.
+_INT_ONLY = frozenset((int,))
+
+
 def as_integer(value, what, *args):
     """An int (not a bool) or integral float as int; else SchemaError naming ``what % args``.
 
@@ -43,7 +47,7 @@ class LaurentPoly:
         self.nvars = nvars
         clean = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(int, exp))
             if len(exp) != nvars:
                 raise ValueError("exponent vector %r has length != %d" % (exp, nvars))
             coeff = int(coeff)
@@ -171,12 +175,17 @@ class LaurentPoly:
     @classmethod
     def from_records(cls, nvars, records):
         """The polynomial of :meth:`to_records` output; every coefficient and
-        exponent must be an integer in the sense of :func:`as_integer`."""
+        exponent must be an integer in the sense of :func:`as_integer`, which
+        reads only the values that are not exactly int."""
         terms = {}
         for rec in records:
-            key = tuple(as_integer(x, "exponent %r", x) for x in rec["exp"])
-            terms[key] = terms.get(key, 0) + as_integer(rec["coeff"], "coefficient %r",
-                                                        rec["coeff"])
+            key = tuple(rec["exp"])
+            if not _INT_ONLY.issuperset(map(type, key)):
+                key = tuple(as_integer(x, "exponent %r", x) for x in key)
+            coeff = rec["coeff"]
+            if type(coeff) is not int:
+                coeff = as_integer(coeff, "coefficient %r", coeff)
+            terms[key] = terms.get(key, 0) + coeff
         return cls(nvars, terms)
 
     def __repr__(self):

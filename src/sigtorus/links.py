@@ -23,7 +23,7 @@ from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
 from .hermitian import (DEFAULT_TOL, HermitianMatrix, inertia_counts, integer_inertia,
                         limit_counts)
-from .laurent import RationalFunction, as_integer as _integer
+from .laurent import _INT_ONLY, RationalFunction, as_integer as _integer
 
 
 def sign_vectors(mu):
@@ -33,10 +33,6 @@ def sign_vectors(mu):
 
 def sign_key(eps):
     return "".join("+" if e > 0 else "-" for e in eps)
-
-
-# A row whose entries are all exactly int (so no bool) needs no per-entry check.
-_INT_ONLY = frozenset((int,))
 
 
 @functools.lru_cache(maxsize=8)

@@ -12,7 +12,7 @@ import math
 
 from .angles import TorusPoint
 from .corrections import wall_indicator
-from .errors import (Indeterminate, MissingConwayData, MissingSublink,
+from .errors import (BoundaryPoint, Indeterminate, MissingConwayData, MissingSublink,
                      NotDivisible, PoleEncountered, RealnessError)
 from .laurent import LaurentPoly, as_rational, divide_exact
 
@@ -49,6 +49,12 @@ class SlopeValue:
         return "SlopeValue(inf)" if self.is_infinite else "SlopeValue(%r)" % self.value
 
 
+def _require_open(point):
+    """Raise BoundaryPoint when a coordinate of the TorusPoint is 1 (angle 0)."""
+    if not point.in_open_torus:
+        raise BoundaryPoint("the fixed coordinates must avoid 1")
+
+
 def _scaled_zero(poly, point):
     value, scale = poly.eval_with_scale(point)
     return value, abs(value) <= _ZERO_EPS * scale
@@ -75,10 +81,10 @@ def _eval_part(rational, point, what, error):
 def slope(nabla_link, nabla_rest, point):
     """The slope value at a point over the remaining colors.
 
-    Raises Indeterminate when numerator and denominator both vanish (the
-    formula does not apply there) and PoleEncountered when a stored
-    denominator vanishes at the evaluation point and does not divide its
-    numerator.
+    Raises BoundaryPoint when a coordinate of the point is 1 (angle 0),
+    Indeterminate when numerator and denominator both vanish (the formula
+    does not apply there) and PoleEncountered when a stored denominator
+    vanishes at the evaluation point and does not divide its numerator.
     """
     if not isinstance(point, TorusPoint):
         point = TorusPoint(point)
@@ -90,6 +96,7 @@ def slope(nabla_link, nabla_rest, point):
     if nabla_rest.nvars != point.mu:
         raise ValueError("sublink Conway data has %d variables, expected %d"
                          % (nabla_rest.nvars, point.mu))
+    _require_open(point)
     roots = point.sqrt_omega()
     numerator, num_zero = _eval_part(nabla_link.derivative(0),
                                      (1.0 + 0.0j,) + roots,
@@ -134,10 +141,11 @@ def torres_generic(link, point):
     without dividing its numerator.  This is the Conway-side test;
     ``verify`` decides the same question from the sublink's nullity at
     omega' instead, and this function is kept as the independent oracle
-    for it.
+    for it.  Raises BoundaryPoint when a coordinate of the point is 1.
     """
     if not isinstance(point, TorusPoint):
         point = TorusPoint(point)
+    _require_open(point)
     if wall_indicator(link.linking_vector(), point) == 1:
         return False
     sub = link.rest_sublink()

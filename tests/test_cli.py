@@ -187,6 +187,23 @@ def test_slope_takes_no_tolerance(tmp_path, capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sublink_conway", [None, [{"coeff": 1, "exp": [0]}]],
+                         ids=["stock", "no-pole-at-1"])
+def test_slope_at_a_boundary_point_exits_2(tmp_path, capsys, sublink_conway):
+    """slope --omega 0 is refused as limit and torres refuse it, whatever
+    the sublink's Conway data reads at 1."""
+    twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
+    if sublink_conway is not None:
+        doc = json.loads(Path(twist).read_text())
+        doc["sublinks"]["2"]["conway"] = sublink_conway
+        Path(twist).write_text(json.dumps(doc))
+    for argv in (["slope", "--omega", "0"], ["torres", "--omega", "0"],
+                 ["limit", "--side", "plus", "--omega-rest", "0"]):
+        code, out, err = run(capsys, *argv, "--link", twist)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: the fixed coordinates must avoid 1\n", argv
+
+
 def test_torres_command(tmp_path, capsys):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
     code, out, _ = run(capsys, "torres", "--link", torus, "--omega", "1/5")
@@ -446,6 +463,52 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 VERIFY_FAMILIES = (("torus", 3), ("torus", -2), ("twist", 2), ("twist", -1),
                    ("twist", 0), ("unlink", 3))
+
+
+def _outcome(capsys, entry, argv):
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _through_the_top_level_parser(argv):
+    """``main`` as it was when every argv went through the top-level parser."""
+    args = sigtorus.cli._build_parser()[0].parse_args(argv)
+    return args.func(args)
+
+
+def test_dispatch_prints_what_the_top_level_parser_prints(tmp_path, capsys, monkeypatch):
+    """An argv that starts with a subcommand goes straight to its parser;
+    every exit code, stdout and stderr is the top-level parser's, in-process
+    and from ``python -m sigtorus.cli`` (``main()`` reading sys.argv)."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
+    calls = [
+        [], ["-h"], ["eval", "-h"], ["bogus"],
+        ["eval", "--link", torus],  # --omega is missing
+        ["eval", "--link", torus, "--omega", "1/3,1/5", "--bogus", "1"],
+        ["eval", "--li", torus, "--om", "1/3,1/5"],
+        ["eval", "--link", torus, "--omega=-1/3,1/5"],
+        ["--link", torus, "eval"],
+        ["limit", "--link", torus, "--side", "up"],
+        ["grid", "--link", torus, "--resolution", "x", "--out", str(tmp_path / "g.csv")],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(sigtorus.__file__).parent.parent))
+    codes = []
+    for argv in calls:
+        expected = _outcome(capsys, _through_the_top_level_parser, argv)
+        assert _outcome(capsys, main, argv) == expected, argv
+        proc = subprocess.run([sys.executable, "-m", "sigtorus.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+        codes.append(expected[0])
+    assert codes == [2, 0, 0, 2, 2, 2, 0, 0, 2, 2, 2]
+    # the top-level parser no longer parses an argv that names a subcommand
+    monkeypatch.setattr(sigtorus.cli._build_parser()[0], "parse_known_args", None)
+    assert run(capsys, "eval", "--link", torus, "--omega", "1/3,1/5")[0] == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 63])

@@ -200,3 +200,43 @@ def test_singular_conjugation_rejected():
 
 def test_scaling_preserves_sign():
     assert conjugate_inertia_check(HermitianMatrix([[16.0]]), [[3.0]]) == Inertia(1, 0, 0)
+
+
+@pytest.mark.parametrize("scale", [13.0, 0.5])
+def test_inertia_counts_at_the_cut(scale):
+    """An eigenvalue at the cut tol * max(1, ||H||_F), with the norm taken by
+    np.linalg.norm, or one ulp either side of it, counts as that cut says."""
+    tol = 1e-9
+    base = [3.0 * scale / 13, -4.0 * scale / 13, 12.0 * scale / 13]
+    edge = tol * max(1.0, scale)
+    probes = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    stack = np.array([np.diag(base + [sign * x]) for sign in (1, -1) for x in probes],
+                     dtype=complex)
+    assert all(sorted(np.linalg.eigvalsh(h)) == sorted(np.diag(h).real) for h in stack)
+    expected = []
+    for h in stack:
+        cut = tol * max(1.0, np.linalg.norm(h))
+        d = np.diag(h).real
+        expected.append([int((d > cut).sum()), int((d < -cut).sum()),
+                         int((abs(d) <= cut).sum())])
+    # the probes straddle the cut: on each side only the outer one is nonzero
+    assert sorted(map(tuple, expected)) == [(2, 1, 1)] * 4 + [(2, 2, 0), (3, 1, 0)]
+    counts = inertia_counts(stack, tol)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected
+    assert [inertia_counts(h[None], tol).tolist()[0] for h in stack] == expected
+
+
+def test_inertia_counts_of_empty_stacks():
+    for shape in ((0, 3, 3), (0, 0, 0), (2, 0, 0)):
+        counts = inertia_counts(np.zeros(shape, dtype=complex))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [[0, 0, 0]] * shape[0]
+
+
+def test_inertia_counts_of_integer_stacks():
+    """Integer entries are read as floats, so squares beyond int64 do not wrap."""
+    for big in (3, 4_000_000_000):
+        stack = np.array([[[big, 0], [0, -1]], [[0, big], [big, 0]]])
+        assert inertia_counts(stack).tolist() == inertia_counts(stack.astype(float)).tolist()
+    assert inertia_counts(np.array([[[4_000_000_000, 0], [0, -1]]])).tolist() == [[1, 0, 1]]

@@ -301,6 +301,53 @@ def test_non_finite_angles_rejected(value):
         parse_angle("-1e400")
 
 
+def test_parse_angle_reduces_like_fraction():
+    for p in [*range(-13, 0), *range(1, 14)]:
+        for q in [*range(-13, 0), *range(1, 14)]:
+            angle = parse_angle("%d/%d" % (p, q))
+            assert angle == Fraction(p, q) % 1
+            assert 0 <= angle.numerator < angle.denominator
+    with pytest.raises(ZeroDivisionError) as fraction_error:
+        Fraction(1, 0)
+    with pytest.raises(ZeroDivisionError) as angle_error:
+        parse_angle("1/0")
+    assert str(angle_error.value) == str(fraction_error.value)
+
+
+def test_reduced_angles_are_kept_as_they_are():
+    for angle in (Fraction(0), Fraction(2, 7), Fraction(12, 13)):
+        assert normalize_angle(angle) is angle
+        assert TorusPoint([angle]).angles[0] is angle
+    assert normalize_angle(Fraction(-1, 3)) == Fraction(2, 3)
+    assert normalize_angle(Fraction(7, 3)) == Fraction(1, 3)
+
+
+def _conway_document(records):
+    doc = make_twist(2).to_document()
+    doc["conway"] = {"num": records, "den": [{"coeff": 1, "exp": [0, 0]}]}
+    return doc
+
+
+def test_conway_records_read_like_seifert_rows():
+    """Integral floats and duplicate exponents read as the int document does."""
+    ints = parse_link(_conway_document([{"coeff": 2, "exp": [1, 0]},
+                                        {"coeff": -1, "exp": [0, 1]}])).conway
+    floats = parse_link(_conway_document([{"coeff": 2.0, "exp": [1.0, 0]},
+                                          {"coeff": -1, "exp": [0, 1.0]}])).conway
+    split = parse_link(_conway_document([{"coeff": 1, "exp": [1, 0]},
+                                         {"coeff": -1, "exp": [0, 1]},
+                                         {"coeff": 1.0, "exp": [1, 0]}])).conway
+    assert floats == ints and split == ints
+    assert ints.num.terms == {(1, 0): 2, (0, 1): -1}
+    assert all(type(v) is int for term in floats.num.terms.items()
+               for v in (*term[0], term[1]))
+    cancelled = parse_link(_conway_document([{"coeff": 1, "exp": [1, 0]},
+                                             {"coeff": -1, "exp": [1, 0]}])).conway
+    assert cancelled.num.is_zero
+    with pytest.raises(SchemaError, match="conway"):
+        parse_link(_conway_document([{"coeff": 1, "exp": [1, 0, 0]}]))
+
+
 def test_empty_point_list_gives_empty_lists():
     link = make_torus(3)
     assert links.signature_nullity_batch(link, []) == ([], [])

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from sigtorus.angles import TorusPoint
-from sigtorus.errors import Indeterminate, NotDivisible, PoleEncountered
-from sigtorus.families import make_torus, make_twist
+from sigtorus.errors import BoundaryPoint, Indeterminate, NotDivisible, PoleEncountered
+from sigtorus.families import make_torus, make_twist, make_unlink
 from sigtorus.laurent import LaurentPoly, RationalFunction
 from sigtorus.slope import (SlopeValue, classify_slope, conway_factor_split,
                             slope, torres_generic)
@@ -81,6 +81,20 @@ def test_torres_generic_predicate():
     assert not torres_generic(torus, TorusPoint([Fraction(1, 3)]))
     # vanishing linking forces the wall indicator to 1
     assert not torres_generic(make_twist(2), TorusPoint([Fraction(1, 5)]))
+
+
+def test_boundary_points_are_refused():
+    """Both formulas live on the open torus: a coordinate at 1 raises
+    BoundaryPoint, also where the Conway data has no pole there."""
+    link = make_twist(2)
+    no_pole = RationalFunction(LaurentPoly.constant(1, 1))
+    for rest in (link.rest_sublink().conway, no_pole):
+        with pytest.raises(BoundaryPoint, match="must avoid 1"):
+            slope(link.conway, rest, TorusPoint([0]))
+    with pytest.raises(BoundaryPoint, match="must avoid 1"):
+        torres_generic(link, TorusPoint([0]))
+    with pytest.raises(BoundaryPoint, match="must avoid 1"):
+        torres_generic(make_unlink(3), TorusPoint([Fraction(1, 3), 0]))
 
 
 def test_removable_zero_by_zero_is_cancelled():
