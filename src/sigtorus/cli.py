@@ -112,7 +112,14 @@ def cmd_grid(args):
     omegas[:, axes[1] - 1] = np.tile(axis_omegas, side)
     for color, angle in fixed.items():
         omegas[:, color - 1] = angle_to_complex(angle)
-    sigmas, etas = signature_nullity_batch(link, omegas, tol)
+    # sigma(conj omega) = sigma(omega), and so for eta.  With every rest
+    # angle at 1/2 (or none), point P - 1 - k is the conjugate of point k:
+    # evaluate the first half and mirror it.
+    total = side * side
+    count = (total + 1) // 2 if all(a == Fraction(1, 2) for a in fixed.values()) else total
+    sigmas, etas = signature_nullity_batch(link, omegas[:count], tol)
+    sigmas += sigmas[:total - count][::-1]
+    etas += etas[:total - count][::-1]
 
     labels = [str(t) for t in thetas]
     try:

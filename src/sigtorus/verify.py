@@ -76,8 +76,9 @@ class _RestPoint:
 
     Rest points built together by :func:`_rest_group` share their group:
     the first read of a one-sided limit (either side) or of the sublink
-    inertia at any member computes it for every member in one stacked call.
-    A point built on its own is a group of one.
+    inertia at any member computes it for every member in one stacked call,
+    and the derivative the slope needs is taken once for the group.  A point
+    built on its own is a group of one.
     """
 
     def __init__(self, link, point, tol=DEFAULT_TOL, group=None):
@@ -146,11 +147,20 @@ class _RestPoint:
         if sub.conway is None:
             raise MissingConwayData("split case needs conway data for the sublink")
         try:
-            slope_value = slope(link.conway, sub.conway, self.point)
+            slope_value = slope(link.conway, sub.conway, self.point, self.link_partial)
         except Indeterminate:
             return None, None, _ZERO_BY_ZERO, 0
         shift, eps = classify_slope(slope_value)
         return sig_rest + shift, eta_rest + eps, slope_value, 0
+
+    @cached_property
+    def link_partial(self):
+        """The first partial derivative of the link's Conway function, taken
+        once for the whole group."""
+        head = self.group[0]
+        if head is not self:
+            return head.link_partial
+        return as_rational(self.link.conway).derivative(0)
 
     def limit(self, side):
         """The limit as the first coordinate tends to 1 from ``side``."""
@@ -432,21 +442,26 @@ def verify_corner_limits(link, tol=DEFAULT_TOL):
     rank = link.rank_alexander
     reports = []
     limits = _corner_limits(link, tol)
-    for signs in sign_vectors(link.mu):
+    lk = [(i, j, link.lk_colors(i + 1, j + 1))
+          for i in range(link.mu) for j in range(i + 1, link.mu)]
+    signs_list = sign_vectors(link.mu)
+    # the linking matrix and the cross term see only products of two signs,
+    # so eps and -eps (indices i and 2^mu - 1 - i) share them
+    half = [(linking_inertia(link, signs), sum(signs[i] * signs[j] * value
+                                               for i, j, value in lk))
+            for signs in signs_list[:len(signs_list) // 2]]
+    for signs, (ine, cross) in zip(signs_list, half + half[::-1]):
         key = sign_key(signs)
         inputs = {"signs": key}
         notes = [_rank_note(link)]
         value = limits[key].value
-        ine = linking_inertia(link, signs)
-        cross = sum(signs[i] * signs[j] * link.lk_colors(i + 1, j + 1)
-                    for i in range(link.mu) for j in range(i + 1, link.mu))
         center = ine.signature + cross
         reports.append(_leq("corners/bound/" + key, inputs, abs(value - center),
                             ine.nullity - 1 - rank, notes))
         if ine.nullity == 1:
             reports.append(_eq("corners/equality/" + key, inputs, value, center, notes))
         if link.mu == 2:
-            ell = link.lk_colors(1, 2)
+            ell = lk[0][2]
             if ell != 0:
                 closed = signs[0] * signs[1] * (ell - _sgn(ell))
                 reports.append(_eq("corners/two-color/" + key, inputs,

@@ -5,15 +5,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import sigtorus
 import sigtorus.cli
+from sigtorus.angles import angle_to_complex
 from sigtorus.cli import main
 from sigtorus.families import make_torus
-from sigtorus.links import save_link
+from sigtorus.links import (ColoredLink, SeifertSystem, save_link, sign_key,
+                            sign_vectors, signature_nullity_batch)
 
 
 def run(capsys, *argv):
@@ -146,6 +152,95 @@ def test_grid_constant_heatmap_is_zero(tmp_path, capsys):
                "--out", str(tmp_path / "g.csv"), "--heatmap", str(pgm))[0] == 0
     body = pgm.read_text().splitlines()[3:]
     assert set(" ".join(body).split()) == {"0"}
+
+
+def _grid_texts(link, n, axes=(1, 2), rest=None):
+    """The grid CSV and PGM texts from one signature_nullity_batch call over
+    every point of the sweep, with no pairing of conjugate points."""
+    thetas = [Fraction(i, n) for i in range(1, n)]
+    rows = []
+    for t1 in thetas:
+        for t2 in thetas:
+            angles = {**(rest or {}), axes[0]: t1, axes[1]: t2}
+            rows.append([angle_to_complex(angles[c]) for c in range(1, link.mu + 1)])
+    sigmas, etas = signature_nullity_batch(link, rows)
+    csv = "theta1,theta2,sigma,eta\n" + "".join(
+        "%s,%s,%d,%d\n" % (t1, t2, sigma, eta)
+        for (t1, t2), sigma, eta in zip([(a, b) for a in thetas for b in thetas],
+                                         sigmas, etas))
+    low, span = min(sigmas), max(sigmas) - min(sigmas)
+    pixels = [str(round((s - low) * 255 / span)) if span else "0" for s in sigmas]
+    side = n - 1
+    pgm = "P2\n%d %d\n255\n" % (side, side) + "".join(
+        " ".join(pixels[r * side:(r + 1) * side]) + "\n" for r in range(side))
+    return csv, pgm
+
+
+def _system_link(mu, n, halves):
+    """The link whose A^eps is halves[k] for the k-th eps with eps_1 = +."""
+    mats = {}
+    for eps, half in zip([eps for eps in sign_vectors(mu) if eps[0] > 0], halves):
+        mat = [half[r * n:(r + 1) * n] for r in range(n)]
+        mats[sign_key(eps)] = mat
+        mats[sign_key(tuple(-e for e in eps))] = [list(col) for col in zip(*mat)]
+    return ColoredLink(mu, [1] * mu, {}, SeifertSystem(mu, mats))
+
+
+@hst.composite
+def _grid_cases(draw):
+    """A random system with mu = 2, or mu = 3 swept with its rest angle at
+    1/2 (exact or decimal) on either axis order, and a resolution."""
+    mu, n = draw(hst.integers(2, 3)), draw(hst.integers(1, 7))
+    entries = hst.lists(hst.integers(-3, 3), min_size=n * n, max_size=n * n)
+    halves = draw(hst.lists(entries, min_size=2 ** (mu - 1), max_size=2 ** (mu - 1)))
+    argv = []
+    if mu == 3:
+        argv = ["--rest", draw(hst.sampled_from(("1/2", "0.5")))]
+        argv += draw(hst.sampled_from(([], ["--axes", "1,2"], ["--axes", "2,1"])))
+    return _system_link(mu, n, halves), draw(hst.integers(2, 13)), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_grid_cases())
+def test_grid_equals_a_sweep_over_every_point(case):
+    link, resolution, argv = case
+    axes = (2, 1) if "2,1" in argv else (1, 2)
+    rest = {3: Fraction(1, 2) if "1/2" in argv else 0.5} if link.mu == 3 else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path, csv, pgm = (os.path.join(tmp, name) for name in ("l.json", "g.csv", "g.pgm"))
+        save_link(link, path)
+        assert main(["grid", "--link", path, "--resolution", str(resolution),
+                     "--out", csv, "--heatmap", pgm] + argv) == 0
+        with open(csv, encoding="utf-8") as fh_csv, open(pgm, encoding="utf-8") as fh_pgm:
+            got = fh_csv.read(), fh_pgm.read()
+    assert got == _grid_texts(link, resolution, axes, rest)
+
+
+@pytest.mark.parametrize("name, param, resolution, argv, evaluated", [
+    ("torus", 3, 2, [], 1),       # one point, its own conjugate
+    ("torus", 3, 7, [], 18),      # 36 points
+    ("torus", -4, 8, [], 25),     # 49 points, the centre (1/2, 1/2) alone
+    ("unlink", 3, 6, ["--rest", "1/2"], 13),
+    ("unlink", 3, 6, ["--rest", "0.5", "--axes", "3,1"], 13),
+    ("unlink", 3, 6, ["--rest", "1/3"], 25),
+    ("unlink", 3, 2, ["--rest", "1/3"], 1),
+])
+def test_grid_evaluates_each_conjugate_pair_once(tmp_path, capsys, monkeypatch,
+                                                 name, param, resolution, argv, evaluated):
+    link = make_file(tmp_path, capsys, name, param, "link.json")
+    counts = []
+    batch = sigtorus.cli.signature_nullity_batch
+
+    def counted(link, omegas, *args):
+        counts.append(len(omegas))
+        return batch(link, omegas, *args)
+
+    monkeypatch.setattr(sigtorus.cli, "signature_nullity_batch", counted)
+    out = tmp_path / "g.csv"
+    assert run(capsys, "grid", "--link", link, "--resolution", str(resolution),
+               "--out", str(out), *argv)[0] == 0
+    assert counts == [evaluated]
+    assert len(out.read_text().splitlines()) == 1 + (resolution - 1) ** 2
 
 
 def test_limit_command(tmp_path, capsys):

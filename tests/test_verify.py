@@ -272,6 +272,67 @@ def test_corner_limits_on_twist_links():
         assert_all_pass(reports)
 
 
+def _corner_reports_per_sign_vector(link, tol=1e-9):
+    """verify_corner_limits with one linking inertia and one cross term per
+    sign vector, each linking number read afresh."""
+    m, rank = link.total_components, link.rank_alexander
+    limits = verify._corner_limits(link, tol)
+    reports = []
+    for signs in sign_vectors(link.mu):
+        key = sign_key(signs)
+        inputs, notes = {"signs": key}, [verify._rank_note(link)]
+        value = limits[key].value
+        ine = links.linking_inertia(link, signs)
+        cross = sum(signs[i] * signs[j] * link.lk_colors(i + 1, j + 1)
+                    for i in range(link.mu) for j in range(i + 1, link.mu))
+        center = ine.signature + cross
+        reports.append(verify._leq("corners/bound/" + key, inputs, abs(value - center),
+                                   ine.nullity - 1 - rank, notes))
+        if ine.nullity == 1:
+            reports.append(verify._eq("corners/equality/" + key, inputs, value, center, notes))
+        if link.mu == 2 and link.lk_colors(1, 2) != 0:
+            ell = link.lk_colors(1, 2)
+            reports.append(verify._eq("corners/two-color/" + key, inputs, value,
+                                      signs[0] * signs[1] * (ell - (1 if ell > 0 else -1)),
+                                      notes))
+        reports.append(verify._leq("corners/magnitude/" + key, inputs, abs(value),
+                                   m - 1 + abs(cross) - rank, notes))
+    return [r.to_json_dict() for r in reports]
+
+
+def _random_linked(seed):
+    """A random mu = 2 or 3 link with one or two components per color, random
+    linking numbers between any two components and a random rank."""
+    rnd = random.Random(seed)
+    mu = rnd.randint(2, 3)
+    counts = [rnd.randint(1, 2) for _ in range(mu)]
+    comps = ["%d.%d" % (c, k) for c, count in enumerate(counts, 1)
+             for k in range(1, count + 1)]
+    linking = {(a, b): rnd.randint(-2, 2) for i, a in enumerate(comps) for b in comps[i + 1:]
+               if rnd.random() < 0.7}
+    return ColoredLink(mu, counts, linking, _random_seifert(rnd, mu, rnd.randint(1, 3)),
+                       rank_alexander=rnd.randint(0, 1))
+
+
+def test_corner_reports_take_one_linking_inertia_per_pair_of_signs(monkeypatch):
+    calls = []
+    integer_inertia = links.integer_inertia
+
+    def counted(matrix):
+        calls.append(matrix)
+        return integer_inertia(matrix)
+
+    monkeypatch.setattr(links, "integer_inertia", counted)
+    built_ins = [make_torus(k) for k in (-3, -1, 1, 2, 4)] + \
+        [make_twist(k) for k in (-2, 0, 3)] + [make_unlink(k) for k in (2, 3, 4)] + \
+        [make_torus(3).underlying_oriented, _random_three_colors(5)]
+    for link in built_ins + [_random_linked(seed) for seed in range(40)]:
+        expected = _corner_reports_per_sign_vector(link)
+        del calls[:]
+        assert [r.to_json_dict() for r in verify_corner_limits(link)] == expected
+        assert len(calls) == 2 ** (link.mu - 1)
+
+
 # -- Torres predictions ----------------------------------------------------------
 
 def test_predict_torres_torus():
@@ -483,9 +544,9 @@ def test_run_suite_shares_one_plan_per_point(monkeypatch):
         batch_calls.append((id(link), [tuple(row) for row in omegas]))
         return batch(link, omegas, *args)
 
-    def counted_slope(nabla_link, nabla_rest, point):
+    def counted_slope(nabla_link, nabla_rest, point, *args):
         slopes.append(point)
-        return slope(nabla_link, nabla_rest, point)
+        return slope(nabla_link, nabla_rest, point, *args)
 
     monkeypatch.setattr(verify, "rest_limit_counts", counted_rest)
     monkeypatch.setattr(verify, "corner_limit_counts", counted_corners)
@@ -545,6 +606,24 @@ def _keeping(fn, results):
         results.append(fn(*args))
         return results[-1]
     return kept
+
+
+@pytest.mark.parametrize("link", [make_torus(3), make_twist(2), make_twist(-1),
+                                  make_twist(0), make_unlink(3)],
+                         ids=["torus3", "twist2", "twist-1", "twist0", "unlink3"])
+def test_run_suite_differentiates_the_conway_function_once(link, monkeypatch):
+    calls = []
+    derivative = RationalFunction.derivative
+
+    def counted(self, var):
+        calls.append(var)
+        return derivative(self, var)
+
+    reference = _reference_suite_all(link, 10, 4)
+    monkeypatch.setattr(RationalFunction, "derivative", counted)
+    assert [r.to_json_dict() for r in run_suite(link, "all", 10, 4)] == reference
+    # only the slope of a split first knot differentiates
+    assert calls == ([] if any(link.linking_vector()) else [0])
 
 
 @pytest.mark.parametrize("link", [make_torus(3), make_torus(-4), make_twist(2),
