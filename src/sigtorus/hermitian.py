@@ -4,9 +4,10 @@ Two backends: a floating-point one for complex Hermitian matrices (LAPACK
 ``eigvalsh``, stacked over points so that one call counts the inertia of
 many matrices) and an exact one for integer symmetric matrices (congruence
 elimination over rationals, no tolerances involved).  One-sided limits of
-the inertia of analytic families descend on their Taylor coefficients.
-One zero rule serves points and limits alike: an eigenvalue of a matrix H
-is zero when |lambda| <= tol * max(1, ||H||), at every level of a descent.
+the inertia of analytic families descend on their Taylor coefficients; a
+point is the family with one coefficient.  So one zero rule serves points
+and limits alike: an eigenvalue of a matrix H is zero when
+|lambda| <= tol * max(1, ||H||), at every level of a descent.
 """
 
 from fractions import Fraction
@@ -92,6 +93,9 @@ def inertia_counts(stack, tol=DEFAULT_TOL):
     return counts
 
 
+_LEVEL = np.array([[1, 1, 0], [-1, -1, 0], [0, 0, 1]])  # inertia -> (sigma, sigma, eta)
+
+
 def limit_counts(coefficients, tol=DEFAULT_TOL):
     """One-sided limits at t = 0 of the inertia of analytic Hermitian families.
 
@@ -112,12 +116,11 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
     the kernel when the coefficients run out is the nullity.
     """
     family = np.asarray(coefficients, dtype=complex)
-    counts = inertia_counts(family[:, 0], tol)
-    minus, kernel = counts[:, 1].copy(), counts[:, 2].copy()
-    counts[:, 0] -= minus
-    counts[:, 1] = counts[:, 0]
+    ine = inertia_counts(family[:, 0], tol)
+    counts = ine @ _LEVEL
     if family.shape[1] == 1:
         return counts
+    minus, kernel = ine[:, 1], ine[:, 2]
     # families with the same kernel dimension descend together
     for size in sorted(set(kernel.tolist()) - {0}):
         rows = np.flatnonzero(kernel == size)

@@ -3,12 +3,12 @@
 A mu-colored link is described by the counts of components per color, the
 pairwise linking numbers of its components, the 2^mu generalized Seifert
 matrices of a C-complex basis, and optional Conway-function and sublink
-data.  The Hermitian form at a torus point, its signature/nullity and its
-one-sided limits toward the boundary are computed here.  Every limit reads
-one path family: along a path sending k coordinates to 1 at angles
-eps_j delta, the form is a real multiple of a matrix polynomial F(t) of
-degree k in t = tan(pi delta), F(-t) is the path of -eps, and k n + 1
-levels of :func:`sigtorus.hermitian.limit_counts` settle it.
+data.  Points and one-sided limits toward the boundary read one path
+family: along a path sending k coordinates to 1 at angles eps_j delta,
+the form is a real multiple of a matrix polynomial F(t) of degree k in
+t = tan(pi delta), F(-t) is the path of -eps, and k n + 1 levels of
+:func:`sigtorus.hermitian.limit_counts` settle it.  A point is the path
+with k = 0, a rest limit has k = 1 and a corner k = mu.
 """
 
 import functools
@@ -21,8 +21,7 @@ import numpy as np
 from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
-from .hermitian import (DEFAULT_TOL, HermitianMatrix, inertia_counts, integer_inertia,
-                        limit_counts)
+from .hermitian import DEFAULT_TOL, HermitianMatrix, integer_inertia, limit_counts
 from .laurent import _INT_ONLY, RationalFunction, as_integer as _integer
 
 
@@ -214,6 +213,11 @@ class ColoredLink:
         if self.rank_alexander < 0:
             raise SchemaError("rank_alexander must be nonnegative")
         self.sublinks = dict(sublinks or {})
+        for key, sub in self.sublinks.items():
+            colors = [str(c) for c in range(1, self.mu + 1) if ",%d," % c in ",%s," % key]
+            if ",".join(colors) != key or sub.mu != len(colors):
+                raise SchemaError("sublinks[%s] has %d colors; its key must list as many colors of"
+                                  " the link, comma-separated and increasing" % (key, sub.mu))
         if underlying_oriented is not None and underlying_oriented.mu != 1:
             raise SchemaError("underlying_oriented must be 1-colored")
         self.underlying_oriented = underlying_oriented
@@ -359,19 +363,10 @@ def _coefficients(omegas):
 
 
 def assemble_forms(link, omegas):
-    """The forms H at P points as a (P, n, n) complex stack.
-
-    ``omegas`` is a (P, mu) array of unit complex numbers.  With M the sum
-    over sign vectors with eps_1 = +, H = M + M^* is Hermitian to the last
-    bit, not merely up to rounding.  Defined for every torus point; at
-    boundary points the matrix simply degenerates.
-    """
-    omegas = np.asarray(omegas, dtype=complex)
-    if omegas.ndim != 2 or omegas.shape[1] != link.mu:
-        raise ValueError("points have %d coordinates, link has %d colors"
-                         % (omegas.shape[-1], link.mu))
-    m = np.einsum("pk,kab->pab", _coefficients(omegas), link.seifert.half_stack)
-    return m + m.conj().transpose(0, 2, 1)
+    """The forms H at P points (a (P, mu) array of unit complex numbers) as a
+    (P, n, n) complex stack: the k = 0 paths of :func:`_path_forms`.  At
+    boundary points the matrix simply degenerates."""
+    return _path_forms(link, np.empty((len(omegas), 0)), omegas)[:, 0]
 
 
 def assemble_form_raw(link, point):
@@ -383,26 +378,15 @@ def form_at(link, point):
     return HermitianMatrix(assemble_form_raw(link, point))
 
 
-def _by_blocks(counts, rows, row_bytes):
-    """``counts`` over blocks of ``rows`` of about ``_STACK_BYTES``, concatenated."""
-    block = max(1, _STACK_BYTES // row_bytes)
-    return np.concatenate([counts(rows[start:start + block])
-                           for start in range(0, max(len(rows), 1), block)])
-
-
 def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL):
     """Signatures and nullities at P interior points, as two int lists.
 
     ``omegas`` is a (P, mu) array of unit complex numbers; no coordinate may
-    equal 1 (not checked here).  Points are assembled and diagonalized in
-    stacked blocks of at most about ``_STACK_BYTES``.
+    equal 1 (not checked here).  Each point is read as the k = 0 path of
+    :func:`_path_limit_counts`, whose one coefficient is H.
     """
-    omegas = np.asarray(omegas, dtype=complex)
-    if omegas.shape == (0,):  # an empty point list
-        omegas = omegas.reshape(0, link.mu)
-    counts = _by_blocks(lambda rows: inertia_counts(assemble_forms(link, rows), tol),
-                        omegas, 16 * max(link.seifert.n, 1) ** 2)
-    return (counts[:, 0] - counts[:, 1]).tolist(), counts[:, 2].tolist()
+    counts = _path_limit_counts(link, np.empty((len(omegas), 0)), omegas, tol)
+    return counts[:, 0].tolist(), counts[:, 2].tolist()
 
 
 def signature_nullity(link, point, tol=DEFAULT_TOL):
@@ -432,31 +416,44 @@ def _path_forms(link, signs, rest):
     H = prod_j (2 eps_j t / (1 + t^2)) F(t) for F = M + M^* and
     M = sum_{eta_1 = +} prod_{j <= k} (i eta_j + eps_j t)
     prod_{j > k} (1 - conj(omega_j)^eta_j) A^eta, a polynomial of degree k.
+    A point is the path with k = 0: F_0 = H, Hermitian to the last bit.
     """
     count, k = signs.shape
-    i_eta = 1j * np.array(sign_vectors(link.mu)[:len(link.seifert.half_stack)])
-    terms = np.zeros((count, k + 1, len(i_eta)), dtype=complex)  # index (p, degree, eta)
-    # omega_j = 0 makes the factors of the path coordinates 1
-    terms[:, 0] = _coefficients(np.concatenate([np.zeros((count, k)), rest], axis=1))
-    for j in range(k):
-        terms[:, 1:] = i_eta[:, j] * terms[:, 1:] + signs[:, j, None, None] * terms[:, :-1]
-        terms[:, 0] *= i_eta[:, j]
+    rest = np.asarray(rest, dtype=complex)
+    if rest.shape == (0,):  # an empty point list
+        rest = rest.reshape(0, link.mu - k)
+    if rest.ndim != 2 or rest.shape[1] != link.mu - k:
+        raise ValueError("points have %d coordinates, expected %d: %d colors, %d sent to 1"
+                         % (rest.shape[-1], link.mu - k, link.mu, k))
+    if k:  # omega_j = 0 makes the factors of the path coordinates 1
+        rest = np.concatenate([np.zeros((count, k)), rest], axis=1)
+    terms = _coefficients(rest)[:, None]  # index (p, degree, eta)
+    if k:
+        i_eta = 1j * np.array(sign_vectors(link.mu)[:len(link.seifert.half_stack)])
+        terms = np.concatenate([terms, np.zeros((count, k, terms.shape[2]))], axis=1)
+        for j in range(k):
+            terms[:, 1:] = i_eta[:, j] * terms[:, 1:] + signs[:, j, None, None] * terms[:, :-1]
+            terms[:, 0] *= i_eta[:, j]
     m = np.einsum("pde,eab->pdab", terms, link.seifert.half_stack)
     return m + m.conj().transpose(0, 1, 3, 2)
 
 
 def _path_limit_counts(link, signs, rest, tol):
-    """:func:`limit_counts` of the families of :func:`_path_forms`, in blocks:
-    an int (P, 3) array of sigma's limit as t -> 0+ and t -> 0-, and eta's."""
-    rest, k, n = np.asarray(rest, dtype=complex), signs.shape[1], link.seifert.n
-    depth = k * max(n, 1) + 1  # det F(t) has degree at most k n
-
-    def counts(rows):
-        family = np.zeros((len(rows), depth, n, n), dtype=complex)
-        family[:, :k + 1] = _path_forms(link, signs[rows], rest[rows])
-        return limit_counts(family, tol)
-
-    return _by_blocks(counts, np.arange(len(signs)), 16 * depth * max(n, 1) ** 2)
+    """:func:`limit_counts` of the families of :func:`_path_forms`, each padded
+    to the k n + 1 coefficients its descent may read, in blocks of about
+    ``_STACK_BYTES``: an int (P, 3) array of sigma's limit as t -> 0+ and
+    t -> 0-, and eta's."""
+    k, n = signs.shape[1], max(link.seifert.n, 1)
+    depth = k * n + 1  # det F(t) has degree at most k n
+    block = max(1, _STACK_BYTES // (16 * depth * n * n))
+    counts = []
+    for start in range(0, max(len(signs), 1), block):
+        family = _path_forms(link, signs[start:start + block], rest[start:start + block])
+        if depth > k + 1:
+            family = np.concatenate([family, np.zeros(
+                (len(family), depth - k - 1) + family.shape[2:], dtype=complex)], axis=1)
+        counts.append(limit_counts(family, tol))
+    return np.concatenate(counts)
 
 
 def rest_limit_counts(link, rest_omegas, tol=DEFAULT_TOL):

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from sigtorus.angles import angle_to_complex
-from sigtorus.links import assemble_forms
+from sigtorus.links import sign_vectors
 
 TOL = 1e-9
 MARGIN = 1e3
@@ -35,12 +35,24 @@ def path_rows(signs, fixed, deltas=DELTAS):
             for d in deltas]
 
 
+def forms(link, rows):
+    """H at each row of unit complex points, built apart from the package's
+    path families: the sum over all 2^mu sign vectors eps of
+    prod_j (1 - conj(omega_j)^eps_j) A^eps, stacked over the rows."""
+    eps = np.array(sign_vectors(link.mu))
+    omegas = np.asarray(rows, dtype=complex)[:, None, :]
+    coeffs = np.prod(np.where(eps > 0, 1 - omegas.conj(), 1 - omegas), axis=2)
+    mats = np.array([link.seifert.matrix(e) for e in eps], dtype=float)
+    form = np.einsum("pe,eab->pab", coeffs, mats)
+    return (form + form.conj().transpose(0, 2, 1)) / 2
+
+
 def sampled_limit(link, signs, fixed=()):
     """(sigma, eta) along the path, or None where the samples cannot be trusted."""
     rows = path_rows(signs, fixed)
     size = sum(float(np.linalg.norm(mat)) for mat in link.seifert.matrices.values())
     readings = []
-    for row, form in zip(rows, assemble_forms(link, rows)):
+    for row, form in zip(rows, forms(link, rows)):
         scale = size * float(np.prod(np.abs(1 - np.asarray(row))))
         eigs = np.linalg.eigvalsh(form / scale) if scale > 0 else np.zeros(len(form))
         mags = np.abs(eigs)

@@ -17,7 +17,7 @@ import sigtorus
 import sigtorus.cli
 from sigtorus.angles import angle_to_complex
 from sigtorus.cli import main
-from sigtorus.families import make_torus
+from sigtorus.families import make_torus, make_twist
 from sigtorus.links import (ColoredLink, SeifertSystem, save_link, sign_key,
                             sign_vectors, signature_nullity_batch)
 
@@ -397,6 +397,10 @@ def _break_sublinks(doc):
     doc["sublinks"] = [1]
 
 
+def _two_color_sublink(doc):
+    doc["sublinks"]["2"] = make_twist(1).to_document()
+
+
 def _set_seifert(value):
     def damage(doc):
         doc["seifert"] = value
@@ -421,6 +425,7 @@ def _seifert_as_list(doc):
     (_set_conway_field("exp", 0.7), "conway"),
     (_break_linking, "linking"),
     (_break_sublinks, "sublinks"),
+    (_two_color_sublink, "sublinks[2]"),
     (_set_seifert(None), "seifert must be an object"),
     (_set_seifert(5), "seifert must be an object"),
     (_set_seifert("++"), "seifert must be an object"),
@@ -428,8 +433,8 @@ def _seifert_as_list(doc):
 ], ids=["malformed-json", "seifert-entry", "seifert-entry-string", "seifert-entry-bool",
         "seifert-entry-beyond-int64", "components-not-list", "conway-no-exp",
         "conway-coeff-fraction", "conway-coeff-bool", "conway-coeff-string",
-        "conway-exp-fraction", "linking-not-list", "sublinks-not-object", "seifert-null",
-        "seifert-number", "seifert-string", "seifert-list"])
+        "conway-exp-fraction", "linking-not-list", "sublinks-not-object", "sublink-colors",
+        "seifert-null", "seifert-number", "seifert-string", "seifert-list"])
 def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
     bad = tmp_path / "bad.json"

@@ -17,7 +17,7 @@ from sigtorus.corrections import signature_jump, wall_indicator
 from sigtorus.errors import (BoundaryPoint, DimensionMismatch, DomainError,
                              SchemaError, SymmetryViolation)
 from sigtorus import cli, links
-from sigtorus.families import (make_torus, make_twist, make_unlink,
+from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus,
                                torus_clasp_sequence)
 from sigtorus.hermitian import inertia, integer_inertia
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
@@ -354,6 +354,44 @@ def test_empty_point_list_gives_empty_lists():
     assert links.signature_nullity_batch(link, np.zeros((0, 2))) == ([], [])
     with pytest.raises(ValueError, match="coordinates"):
         links.signature_nullity_batch(link, np.zeros((3, 0)))
+    # points and rest points meet one width check: a rest point has mu - 1
+    with pytest.raises(ValueError, match="coordinates"):
+        links.rest_limit_counts(link, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("ell", [20, -20])
+def test_deep_descents_match_the_closed_form(ell):
+    # n = 19: a rest family may descend 20 levels and a corner family 39; the
+    # rest points j/60 with 3 | j lie on walls l (theta_1 + theta_2) in Z
+    link, tiny = make_torus(ell), Fraction(1, 2 ** 40)
+    rests = [Fraction(j, 60) for j in range(1, 60)]
+    expected = [[oracle_torus(ell, tiny, r)[0], oracle_torus(ell, 1 - tiny, r)[0],
+                 oracle_torus(ell, tiny, r)[1]] for r in rests]
+    got = links.rest_limit_counts(link, [TorusPoint([r]).omega() for r in rests])
+    assert got.tolist() == expected
+    sgn = 1 if ell > 0 else -1
+    assert links.corner_limit_counts(link).tolist() == \
+        [[s1 * s2 * (ell - sgn), 0] for s1, s2 in sign_vectors(2)]
+
+
+@pytest.mark.parametrize("key, sub", [
+    ("2", make_twist(1)), ("3", make_unlink(1)), ("2,1", make_twist(1)), ("1,1", make_twist(1)),
+    ("02", make_unlink(1)), ("1, 2", make_twist(1)), ("", make_unlink(1))],
+    ids=["too-many-colors", "unknown-color", "decreasing", "repeated", "leading-zero",
+         "space", "empty"])
+def test_sublink_key_must_list_the_sublink_colors(key, sub):
+    doc = make_torus(3).to_document()
+    doc["sublinks"] = {key: sub.to_document()}
+    with pytest.raises(SchemaError) as err:
+        parse_link(doc)
+    assert str(err.value).startswith("sublinks[%s]" % key)
+
+
+def test_sublink_keys_of_increasing_colors_are_read():
+    doc = make_torus(3).to_document()
+    for key, sub in (("1", make_unlink(1)), ("2", make_unlink(1)), ("1,2", make_twist(1))):
+        doc["sublinks"] = {key: sub.to_document()}
+        assert parse_link(doc).sublinks[key].mu == sub.mu
 
 
 # -- the row check of Seifert entries against a per-entry reference ------------

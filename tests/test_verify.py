@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from sampler import path_rows, sampled_limit
+from sampler import forms, path_rows, sampled_limit
 
 from sigtorus import links, verify
 from sigtorus.angles import TorusPoint
@@ -17,8 +17,8 @@ from sigtorus.errors import (BoundaryPoint, DomainError, MissingConwayData,
 from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus,
                                unknot)
 from sigtorus.laurent import LaurentPoly, RationalFunction
-from sigtorus.links import (ColoredLink, SeifertSystem, assemble_forms,
-                            parse_link, sign_key, sign_vectors, signature_nullity)
+from sigtorus.links import (ColoredLink, SeifertSystem, parse_link, sign_key,
+                            sign_vectors, signature_nullity)
 from sigtorus.slope import torres_generic
 from sigtorus.verify import (PLUS_MINUS_ONE, SUITES, VerificationReport,
                              directional_limit, predict_lt_limit_2comp,
@@ -671,7 +671,7 @@ def test_corner_limits_with_a_fourth_order_eigenvalue():
     assert {key: lim.value for key, lim in limits.items()} == expected
     assert all(lim.eta == 0 for lim in limits.values())
     for signs in sign_vectors(2):
-        for form in assemble_forms(link, path_rows(signs, (), [1e-3, 1e-2])):
+        for form in forms(link, path_rows(signs, (), [1e-3, 1e-2])):
             eigs = np.linalg.eigvalsh(form)
             assert np.min(np.abs(eigs)) > 1e-6 * np.max(np.abs(eigs))
             assert np.sum(eigs > 0) - np.sum(eigs < 0) == expected[sign_key(signs)]
