@@ -11,7 +11,7 @@ from .families import (make_family, make_torus, make_twist, make_unlink,
 from .hermitian import (HermitianMatrix, Inertia, conjugate_inertia_check,
                         inertia, integer_inertia)
 from .laurent import LaurentPoly, RationalFunction, divide_exact
-from .links import (ColoredLink, SeifertSystem, boundary_limit_form, form_at,
+from .links import (ColoredLink, SeifertSystem, boundary_limit_form,
                     linking_inertia, linking_matrix, load_link, parse_link,
                     save_link, signature_nullity)
 from .slope import (SlopeValue, classify_slope, conway_factor_split, slope,

@@ -362,20 +362,11 @@ def _coefficients(omegas):
     return coeffs
 
 
-def assemble_forms(link, omegas):
-    """The forms H at P points (a (P, mu) array of unit complex numbers) as a
-    (P, n, n) complex stack: the k = 0 paths of :func:`_path_forms`.  At
-    boundary points the matrix simply degenerates."""
-    return _path_forms(link, np.empty((len(omegas), 0)), omegas)[:, 0]
-
-
 def assemble_form_raw(link, point):
-    """The Hermitian matrix at one torus point, as a raw complex array."""
-    return assemble_forms(link, [point.omega()])[0]
-
-
-def form_at(link, point):
-    return HermitianMatrix(assemble_form_raw(link, point))
+    """The Hermitian matrix at one torus point, as a raw complex array: the
+    k = 0 path of :func:`_path_forms`.  At a boundary point the matrix
+    simply degenerates."""
+    return _path_forms(link, np.empty((1, 0)), [point.omega()])[0, 0]
 
 
 def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL):

@@ -78,14 +78,14 @@ def _eval_part(rational, point, what, error):
     return nval / dval, nzero
 
 
-def slope(nabla_link, nabla_rest, point, link_partial=None):
+def slope(nabla_link, nabla_rest, point, partial=None):
     """The slope value at a point over the remaining colors.
 
     Raises BoundaryPoint when a coordinate of the point is 1 (angle 0),
     Indeterminate when numerator and denominator both vanish (the formula
     does not apply there) and PoleEncountered when a stored denominator
     vanishes at the evaluation point and does not divide its numerator.
-    ``link_partial`` is the first partial derivative of ``nabla_link``, for
+    ``partial`` is the first partial derivative of ``nabla_link``, for
     callers that take the slope of one link at many points; by default it
     is taken here.
     """
@@ -101,10 +101,9 @@ def slope(nabla_link, nabla_rest, point, link_partial=None):
                          % (nabla_rest.nvars, point.mu))
     _require_open(point)
     roots = point.sqrt_omega()
-    if link_partial is None:
-        link_partial = nabla_link.derivative(0)
-    numerator, num_zero = _eval_part(link_partial,
-                                     (1.0 + 0.0j,) + roots,
+    if partial is None:
+        partial = nabla_link.derivative(0)
+    numerator, num_zero = _eval_part(partial, (1.0 + 0.0j,) + roots,
                                      "derivative of the Conway function", PoleEncountered)
     denominator, den_zero = _eval_part(nabla_rest, roots,
                                        "Conway function of the sublink", PoleEncountered)

@@ -1,11 +1,14 @@
 """Directional limits of the signature, and machine checks of every limit
 statement and Torres prediction the library covers.
 
-One-sided limits are exact (:func:`sigtorus.hermitian.limit_counts`), and
-one call gives both sides at every rest point of a suite; all corners take
-one more call, and the sublink inertia of all rest points one call too.
-Each verifier emits one report per elementary relation (inequality or
-equality) so failures carry the audit trail.
+One-sided limits are exact (:func:`sigtorus.hermitian.limit_counts`).  The
+checks at the rest points of a suite read one table per shared quantity,
+each computed for every point on first read: both one-sided limits of all
+rest points take one call, the sublink inertia of all rest points one call,
+and the boundary values one derivative of the Conway function and one slope
+per point; all corners take one more call.  Each verifier emits one report
+per elementary relation (inequality or equality) so failures carry the
+audit trail.
 """
 
 import json
@@ -49,53 +52,38 @@ def directional_limit(link, rest, side="plus", tol=DEFAULT_TOL):
     to 1, with the remaining coordinates held fixed."""
     if side not in _SIDES:
         raise ValueError("side must be 'plus' or 'minus'")
-    return _RestPoint(link, rest, tol).limit(side)
+    return _Rests(link, [rest], tol).limits[0][side]
 
 
-def _corner_limits(link, tol):
-    """The limits with every coordinate tending to 1 from the sides of each
-    sign vector, keyed by sign key ("+-" ...), all computed in one call."""
-    return {sign_key(signs): LimitResult(sign_key(signs), value, eta)
-            for signs, (value, eta) in zip(sign_vectors(link.mu),
-                                           corner_limit_counts(link, tol).tolist())}
-
-
-# -- one rest point ------------------------------------------------------------
+# -- rest points -----------------------------------------------------------------
 
 # The slope of a boundary value where the slope formula reads 0/0.
 _ZERO_BY_ZERO = object()
 
 
-class _RestPoint:
-    """What every check at one rest point omega' shares.
+class _Rests:
+    """What every check at the rest points omega' of one link shares.
 
-    The point is validated once, on construction.  The sublink's signature
-    and nullity at omega', the boundary value at (1, omega'), each one-sided
-    limit and the genericity test are computed on first use and kept, so the
-    checks run at one point compute each of them at most once.
-
-    Rest points built together by :func:`_rest_group` share their group:
-    the first read of a one-sided limit (either side) or of the sublink
-    inertia at any member computes it for every member in one stacked call,
-    and the derivative the slope needs is taken once for the group.  A point
-    built on its own is a group of one.
+    The points are validated on construction.  Each shared quantity is one
+    table with a value per point, in point order, computed for every point
+    on first read: the sublink inertia in one stacked call, both one-sided
+    limits in one more, and the boundary values with one derivative of the
+    link's Conway function.  A table that no check reads is never computed.
     """
 
-    def __init__(self, link, point, tol=DEFAULT_TOL, group=None):
-        if not isinstance(point, TorusPoint):
-            point = TorusPoint(() if point is None else point)
-        if point.mu != link.mu - 1:
-            raise DomainError("the rest point needs %d coordinate(s), got %d"
-                              % (link.mu - 1, point.mu))
-        if not point.in_open_torus:
-            raise BoundaryPoint("the fixed coordinates must avoid 1")
+    def __init__(self, link, points, tol=DEFAULT_TOL):
         self.link = link
-        self.point = point
         self.tol = tol
-        self.group = [] if group is None else group
-        self.group.append(self)
-        self._limits = {}
-        self._sub_inertia = None
+        self.points = []
+        for point in points:
+            if not isinstance(point, TorusPoint):
+                point = TorusPoint(() if point is None else point)
+            if point.mu != link.mu - 1:
+                raise DomainError("the rest point needs %d coordinate(s), got %d"
+                                  % (link.mu - 1, point.mu))
+            if not point.in_open_torus:
+                raise BoundaryPoint("the fixed coordinates must avoid 1")
+            self.points.append(point)
 
     @cached_property
     def sub(self):
@@ -106,19 +94,25 @@ class _RestPoint:
                                  % self.link.rest_key())
         return sub
 
-    @property
+    @cached_property
     def sub_inertia(self):
-        """(sigma, eta) of the sublink at omega'."""
-        if self._sub_inertia is None:
-            sigmas, etas = signature_nullity_batch(
-                self.sub, [rest.point.omega() for rest in self.group], self.tol)
-            for rest, pair in zip(self.group, zip(sigmas, etas)):
-                rest._sub_inertia = pair
-        return self._sub_inertia
+        """(sigma, eta) of the sublink at each omega'."""
+        sigmas, etas = signature_nullity_batch(
+            self.sub, [point.omega() for point in self.points], self.tol)
+        return list(zip(sigmas, etas))
+
+    @cached_property
+    def limits(self):
+        """The limits as the first coordinate tends to 1 at each omega', by side."""
+        counts = rest_limit_counts(self.link, [point.omega() for point in self.points],
+                                   self.tol)
+        return [{"plus": LimitResult("plus", plus, eta),
+                 "minus": LimitResult("minus", minus, eta)}
+                for plus, minus, eta in counts.tolist()]
 
     @cached_property
     def boundary(self):
-        """Torres's (sigma, eta) at (1, omega'), their slope, total linking.
+        """Torres's (sigma, eta) at each (1, omega'), their slope, total linking.
 
         The slope is None when no component of the first color splits off
         (the total linking of the first color with the rest is 0 otherwise),
@@ -127,7 +121,7 @@ class _RestPoint:
         or splits with several, is unsupported.
         """
         link, sub = self.link, self.sub
-        sig_rest, eta_rest = self.sub_inertia
+        sub_inertia = self.sub_inertia
         # (first-color end, |lk|) of each nonzero record joining color 1 to another
         crossing = [(a if link.color_of(a) == 1 else b, abs(value))
                     for (a, b), value in link.linking.items()
@@ -135,7 +129,8 @@ class _RestPoint:
         linked, total = len(dict(crossing)), sum(v for _, v in crossing)
         count = link.components_per_color[0]
         if linked == count:
-            return sig_rest, eta_rest - count + total, None, total
+            return [(sig_rest, eta_rest - count + total, None, total)
+                    for sig_rest, eta_rest in sub_inertia]
         if linked:
             raise UnsupportedCase(
                 "mixed split and non-split components in the first color")
@@ -146,50 +141,30 @@ class _RestPoint:
             raise MissingConwayData("split case needs the link's conway data")
         if sub.conway is None:
             raise MissingConwayData("split case needs conway data for the sublink")
-        try:
-            slope_value = slope(link.conway, sub.conway, self.point, self.link_partial)
-        except Indeterminate:
-            return None, None, _ZERO_BY_ZERO, 0
-        shift, eps = classify_slope(slope_value)
-        return sig_rest + shift, eta_rest + eps, slope_value, 0
-
-    @cached_property
-    def link_partial(self):
-        """The first partial derivative of the link's Conway function, taken
-        once for the whole group."""
-        head = self.group[0]
-        if head is not self:
-            return head.link_partial
-        return as_rational(self.link.conway).derivative(0)
-
-    def limit(self, side):
-        """The limit as the first coordinate tends to 1 from ``side``."""
-        if not self._limits:
-            counts = rest_limit_counts(self.link, [rest.point.omega() for rest in self.group],
-                                       self.tol)
-            for rest, (plus, minus, eta) in zip(self.group, counts.tolist()):
-                rest._limits = {"plus": LimitResult("plus", plus, eta),
-                                "minus": LimitResult("minus", minus, eta)}
-        return self._limits[side]
+        partial = as_rational(link.conway).derivative(0)
+        values = []
+        for point, (sig_rest, eta_rest) in zip(self.points, sub_inertia):
+            try:
+                slope_value = slope(link.conway, sub.conway, point, partial)
+            except Indeterminate:
+                values.append((None, None, _ZERO_BY_ZERO, 0))
+                continue
+            shift, eps = classify_slope(slope_value)
+            values.append((sig_rest + shift, eta_rest + eps, slope_value, 0))
+        return values
 
     @cached_property
     def generic(self):
-        """True when the Alexander polynomial is nonzero at (1, omega').
+        """True at each omega' where the Alexander polynomial is nonzero at
+        (1, omega').
 
         By Torres's formula that is: no wall passes through omega' and the
         sublink's Alexander polynomial is nonzero there, which on the open
         torus holds exactly when the sublink's nullity at omega' is 0.
         """
-        return (wall_indicator(self.link.linking_vector(), self.point) == 0
-                and self.sub_inertia[1] == 0)
-
-
-def _rest_group(link, points, tol):
-    """Rest points at ``points`` that share their limit and sublink evaluations."""
-    group = []
-    for point in points:
-        _RestPoint(link, point, tol, group=group)
-    return group
+        ell = self.link.linking_vector()
+        return [wall_indicator(ell, point) == 0 and self.sub_inertia[i][1] == 0
+                for i, point in enumerate(self.points)]
 
 
 # -- reports ---------------------------------------------------------------
@@ -301,15 +276,15 @@ def verify_3d(link, point, tol=DEFAULT_TOL):
     generic (no wall through omega' and eta(L', omega') = 0), the exact
     equality of the limits with sigma(L') +/- jump is checked as well.
     """
-    return _check_3d(_RestPoint(link, point, tol))
+    return _check_3d(_Rests(link, [point], tol), 0)
 
 
-def _check_3d(rest):
-    link, point = rest.link, rest.point
+def _check_3d(rests, i):
+    link, point = rests.link, rests.points[i]
     inputs = {"omega_rest": point.angle_text()}
     if any(c != 1 for c in link.components_per_color):
         return [_skip("3d/skipped", inputs, "statement needs every color to be a knot")]
-    sig_rest, eta_rest = rest.sub_inertia
+    sig_rest, eta_rest = rests.sub_inertia[i]
     ell = link.linking_vector()
     jump = signature_jump(ell, point)
     wall = wall_indicator(ell, point)
@@ -317,10 +292,11 @@ def _check_3d(rest):
     notes = [_rank_note(link)]
     centers = (sig_rest + jump, sig_rest - jump)
 
-    reports = [_leq("3d/bound/" + side, inputs, abs(rest.limit(side).value - center),
+    limits = rests.limits[i]
+    reports = [_leq("3d/bound/" + side, inputs, abs(limits[side].value - center),
                     rhs, notes) for side, center in zip(_SIDES, centers)]
-    if rest.generic:
-        reports += [_eq("3d/equality/" + side, inputs, rest.limit(side).value, center,
+    if rests.generic[i]:
+        reports += [_eq("3d/equality/" + side, inputs, limits[side].value, center,
                         notes) for side, center in zip(_SIDES, centers)]
     return reports
 
@@ -338,41 +314,42 @@ def verify_4d(link, point, tol=DEFAULT_TOL):
     bounds, and the forced equality when the slope is finite and nonzero;
     where the slope formula reads 0/0 the bound is untestable.
     """
-    return _check_4d(_RestPoint(link, point, tol))
+    return _check_4d(_Rests(link, [point], tol), 0)
 
 
-def _check_4d(rest):
-    link, point = rest.link, rest.point
+def _check_4d(rests, i):
+    link, point = rests.link, rests.points[i]
     inputs = {"omega_rest": point.angle_text()}
     if link.components_per_color[0] != 1:
         return [_skip("4d/skipped", inputs, "the first color must be a knot")]
-    center, eta, slope_value, total = rest.boundary
+    center, eta, slope_value, total = rests.boundary[i]
     if slope_value is _ZERO_BY_ZERO:
         return [_skip("4d/split/slope", inputs,
                       "slope formula reads 0/0; bound untestable here")]
     notes = [_rank_note(link)]
+    sig_rest, eta_rest = rests.sub_inertia[i]
+    limits = rests.limits[i]
 
     equalities = []
     if slope_value is None:
         case = "linked"
-        if total == 1 and rest.sub_inertia[1] == 0:
+        if total == 1 and eta_rest == 0:
             equalities = [_eq("4d/linked/equality/" + side, inputs,
-                              rest.limit(side).value, center, notes)
-                          for side in _SIDES]
+                              limits[side].value, center, notes) for side in _SIDES]
         elif total == 1:
             equalities = [_skip("4d/linked/equality", inputs,
                                 "sublink Alexander value vanishes here")]
     else:
         case = "split"
         inputs = dict(inputs, slope=repr(slope_value))
-        if center != rest.sub_inertia[0]:
+        if center != sig_rest:
             # slope finite and nonzero: numerator and denominator both nonvanish
             equalities = [_eq("4d/split/equality/" + side, inputs,
-                              rest.limit(side).value, center, notes) for side in _SIDES]
+                              limits[side].value, center, notes) for side in _SIDES]
 
     bound = eta - link.rank_alexander
     prefix = "4d/%s/" % case
-    plus, minus = rest.limit("plus").value, rest.limit("minus").value
+    plus, minus = limits["plus"].value, limits["minus"].value
     reports = [_leq(prefix + "bound/" + side, inputs, abs(value - center), bound, notes)
                for side, value in zip(_SIDES, (plus, minus))]
     reports.append(_leq(prefix + "difference", inputs, abs(plus - minus), 2 * bound, notes))
@@ -392,8 +369,8 @@ def verify_lt(link, tol=DEFAULT_TOL):
     notes = [_rank_note(link),
              "derived constraint: rank A(L) <= %d" % (ine.nullity - 1)]
 
-    empty = _RestPoint(link, (), tol)
-    plus, minus = empty.limit("plus").value, empty.limit("minus").value
+    limits = _Rests(link, [()], tol).limits[0]
+    plus, minus = limits["plus"].value, limits["minus"].value
 
     reports = [_eq("lt/side-agreement", inputs, plus, minus, notes)]
     bound = ine.nullity - 1 - rank
@@ -441,7 +418,7 @@ def verify_corner_limits(link, tol=DEFAULT_TOL):
     m = link.total_components
     rank = link.rank_alexander
     reports = []
-    limits = _corner_limits(link, tol)
+    values = corner_limit_counts(link, tol)[:, 0].tolist()
     lk = [(i, j, link.lk_colors(i + 1, j + 1))
           for i in range(link.mu) for j in range(i + 1, link.mu)]
     signs_list = sign_vectors(link.mu)
@@ -450,11 +427,10 @@ def verify_corner_limits(link, tol=DEFAULT_TOL):
     half = [(linking_inertia(link, signs), sum(signs[i] * signs[j] * value
                                                for i, j, value in lk))
             for signs in signs_list[:len(signs_list) // 2]]
-    for signs, (ine, cross) in zip(signs_list, half + half[::-1]):
+    for signs, value, (ine, cross) in zip(signs_list, values, half + half[::-1]):
         key = sign_key(signs)
         inputs = {"signs": key}
         notes = [_rank_note(link)]
-        value = limits[key].value
         center = ine.signature + cross
         reports.append(_leq("corners/bound/" + key, inputs, abs(value - center),
                             ine.nullity - 1 - rank, notes))
@@ -495,19 +471,21 @@ def predict_torres(link, point=None, tol=DEFAULT_TOL):
     unsupported and reported, not guessed.  When the linking numbers with
     the first color are not all zero and the point is generic (no wall
     through omega' and eta(L', omega') = 0), the midpoint of the two
-    directional limits is checked against the sublink signature.
+    directional limits is checked against the sublink signature; the wall
+    test is exact, so at a point with decimal angles that check is skipped
+    with a note.
     """
-    return _predict_torres(_RestPoint(link, () if link.mu == 1 else point, tol))
+    return _predict_torres(_Rests(link, [() if link.mu == 1 else point], tol), 0)
 
 
-def _predict_torres(rest):
-    link = rest.link
+def _predict_torres(rests, i):
+    link, point = rests.link, rests.points[i]
     if link.mu == 1:
         ine = linking_inertia(link, (1,))
         return TorresPrediction(ine.signature, ine.nullity - 1, "skipped",
                                 ["one-colored case: linking-matrix inertia"])
-    sig_rest = rest.sub_inertia[0]
-    sigma, eta, slope_value, _ = rest.boundary
+    sig_rest = rests.sub_inertia[i][0]
+    sigma, eta, slope_value, _ = rests.boundary[i]
     if slope_value is _ZERO_BY_ZERO:
         return TorresPrediction(None, None, "skipped", [
             "slope indeterminate: sigma is sigma(rest) + sgn(slope),"
@@ -517,20 +495,24 @@ def _predict_torres(rest):
 
     midpoint = "skipped"
     midpoint_value = None
-    if any(link.linking_vector()) and rest.generic:
-        midpoint_value = Fraction(rest.limit("plus").value + rest.limit("minus").value, 2)
-        midpoint = "pass" if midpoint_value == sig_rest else "fail"
+    if any(link.linking_vector()):
+        if not point.is_exact:
+            notes.append("midpoint check skipped: the wall test needs exact angles")
+        elif rests.generic[i]:
+            limits = rests.limits[i]
+            midpoint_value = Fraction(limits["plus"].value + limits["minus"].value, 2)
+            midpoint = "pass" if midpoint_value == sig_rest else "fail"
     return TorresPrediction(sigma, eta, midpoint, notes, sig_rest, midpoint_value)
 
 
 def torres_reports(link, point=None, tol=DEFAULT_TOL):
     """Wrap a Torres prediction as verification reports."""
-    return _check_torres(_RestPoint(link, () if link.mu == 1 else point, tol))
+    return _check_torres(_Rests(link, [() if link.mu == 1 else point], tol), 0)
 
 
-def _check_torres(rest):
-    prediction = _predict_torres(rest)
-    inputs = {"omega_rest": rest.point.angle_text(),
+def _check_torres(rests, i):
+    prediction = _predict_torres(rests, i)
+    inputs = {"omega_rest": rests.points[i].angle_text(),
               "sigma_pred": _jsonable(prediction.sigma),
               "eta_pred": _jsonable(prediction.eta)}
     if prediction.midpoint == "skipped":
@@ -582,13 +564,12 @@ def random_rational_point(rnd, count, max_den=64):
 def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
     """Run a verification suite on a link, on deterministic random points.
 
-    The 3d, 4d and Torres checks at one sampled point share one rest-point
-    context, so its sublink inertia, its boundary value (with the slope) and
-    each of its limits are computed once.  The rest points form one group, so
-    the limits on each side and the sublink inertia take one stacked call for
-    all of them.  A specifically requested suite raises when the link lacks
-    the data it needs; under "all", inapplicable suites are skipped with a
-    note.
+    The 3d, 4d and Torres checks at the sampled points share one table per
+    quantity: the sublink inertia, both one-sided limits and the boundary
+    value (with the slope) of every point, each computed for all points on
+    its first read, the first two in one stacked call each.  A specifically
+    requested suite raises when the link lacks the data it needs; under
+    "all", inapplicable suites are skipped with a note.
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
@@ -598,7 +579,7 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
     rnd = random.Random(seed)
     points = [random_rational_point(rnd, max(link.mu - 1, 0))
               for _ in range(samples)]
-    rests = _rest_group(link, points, tol) if link.mu >= 2 else []
+    rests = _Rests(link, points, tol) if link.mu >= 2 else None
     reports = []
 
     def want(name):
@@ -608,8 +589,8 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
         if not want(name):
             continue
         if link.mu >= 2:
-            for rest in rests:
-                reports.extend(check(rest))
+            for i in range(samples):
+                reports.extend(check(rests, i))
         elif not all_mode:
             raise WrongColorCount("%s suite needs at least two colors" % name)
     if want("lt"):
@@ -628,8 +609,8 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
         if link.mu == 1:
             reports.extend(torres_reports(link, None, tol))
         else:
-            for rest in rests:
-                reports.extend(_check_torres(rest))
+            for i in range(samples):
+                reports.extend(_check_torres(rests, i))
     if want("multi-lt"):
         if link.underlying_oriented is not None:
             angles = [pt[0] if pt.mu else Fraction(1, 2) for pt in points]

@@ -19,12 +19,11 @@ from sigtorus.families import (make_torus, make_twist, make_unlink,
                                oracle_torus, oracle_twist, unknot)
 from sigtorus.hermitian import (HermitianMatrix, conjugate_inertia_check,
                                 inertia)
-from sigtorus.links import (ColoredLink, SeifertSystem, sign_key,
-                            signature_nullity)
+from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
+                            sign_vectors, signature_nullity)
 from sigtorus.slope import slope
-from sigtorus.verify import (_corner_limits, directional_limit,
-                             predict_lt_limit_2comp, predict_torres, verify_lt,
-                             verify_multi_lt)
+from sigtorus.verify import (directional_limit, predict_lt_limit_2comp,
+                             predict_torres, verify_lt, verify_multi_lt)
 
 _MODULE_START = time.monotonic()
 
@@ -154,11 +153,11 @@ def test_criterion_5_limits_match_jump():
 def test_criterion_6_corner_limits():
     bad = 0
     for ell in (1, 2, 3):
-        limits = _corner_limits(make_torus(ell), 1e-9)
+        limits = dict(zip(sign_vectors(2), corner_limit_counts(make_torus(ell), 1e-9).tolist()))
         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            res = limits[sign_key(signs)]
+            value, _ = limits[signs]
             expected = signs[0] * signs[1] * (ell - 1)
-            if res.value != expected:
+            if value != expected:
                 bad += 1
     _verdict(6, "corner limits equal sign * (l - sgn l) for all four sign pairs",
              bad == 0)

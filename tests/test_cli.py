@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
@@ -304,6 +305,18 @@ def test_torres_command(tmp_path, capsys):
     code, out, _ = run(capsys, "torres", "--link", torus, "--omega", "1/5")
     assert code == 0
     assert "sigma_pred=0 eta_pred=2 midpoint=pass" in out
+
+
+def test_torres_command_with_decimal_angles(tmp_path, capsys):
+    # the midpoint check needs the exact wall test; the prediction does not
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
+    code, out, err = run(capsys, "torres", "--link", torus, "--omega", "0.3")
+    assert (code, err) == (0, "warning: decimal angles disable exact predicates\n")
+    assert out == ("sigma_pred=0 eta_pred=2 midpoint=skipped\n"
+                   "note: no component of the first color splits off\n"
+                   "note: midpoint check skipped: the wall test needs exact angles\n")
+    exact = run(capsys, "torres", "--link", torus, "--omega", "3/10")[1]
+    assert exact.startswith("sigma_pred=0 eta_pred=2 midpoint=pass\n")
 
 
 def test_verify_command_and_report(tmp_path, capsys):
@@ -630,6 +643,11 @@ def test_bench_tracer_targets_resolve():
         "sigtorus_bench_tracer", DIGESTS.parent / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    for span, module, path in tracer_module.TARGETS:
+        owner = importlib.import_module("sigtorus." + module)
+        for part in path.split("."):
+            assert hasattr(owner, part), "%s: sigtorus.%s has no %s" % (span, module, path)
+            owner = getattr(owner, part)
     tracer = tracer_module.Tracer()
     try:
         tracer.install()

@@ -108,7 +108,8 @@ def _rest_limits(link, point):
 
 
 def _corners(link):
-    return {key: (lim.value, lim.eta) for key, lim in verify._corner_limits(link, TOL).items()}
+    return {sign_key(signs): tuple(limit) for signs, limit
+            in zip(sign_vectors(link.mu), corner_limit_counts(link, TOL).tolist())}
 
 
 @settings(max_examples=80, deadline=None)
@@ -172,12 +173,9 @@ def test_limits_where_the_form_vanishes_on_a_circle(system):
 def test_stacked_group_matches_single_points(system):
     mu, n, halves, points, _ = system
     link = _link(mu, n, halves)
-    group = verify._rest_group(link, points, TOL)
-    # reading one side at the last member fills both sides at every member
-    group[-1].limit("minus")
-    for rest in group:
-        assert [(lim.value, lim.eta) for lim in rest._limits.values()] == \
-            _rest_limits(link, rest.point)
+    rests = verify._Rests(link, points, TOL)
+    for point, limits in zip(points, rests.limits):
+        assert [(lim.value, lim.eta) for lim in limits.values()] == _rest_limits(link, point)
 
 
 def test_corner_limits_of_a_system_singular_along_the_corner_path():

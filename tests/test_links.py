@@ -21,9 +21,9 @@ from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus
                                torus_clasp_sequence)
 from sigtorus.hermitian import inertia, integer_inertia
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
-                            boundary_limit_form, form_at, linking_inertia,
-                            linking_matrix, parse_link, save_link, sign_key,
-                            sign_vectors, signature_nullity)
+                            boundary_limit_form, linking_inertia, linking_matrix,
+                            parse_link, save_link, sign_key, sign_vectors,
+                            signature_nullity)
 from sigtorus.verify import directional_limit
 
 
@@ -73,7 +73,7 @@ def test_twist_form_closed_expression():
         pt = rational_point(rnd, 2)
         w1, w2 = pt.omega()
         expected = 3 * abs(1 - w1) ** 2 * abs(1 - w2) ** 2
-        got = form_at(link, pt).entries
+        got = assemble_form_raw(link, pt)
         assert got.shape == (1, 1)
         assert got[0, 0] == pytest.approx(expected)
 
@@ -99,7 +99,7 @@ def test_torus_form_matches_tridiagonal_display():
     a = -(1 - w1.conjugate()) * (1 - w2.conjugate()) * (1 + w1 * w2)
     b = -(1 - w1) * (1 - w2)
     expected = np.array([[a, b], [b.conjugate(), a]])
-    assert np.allclose(form_at(link, pt).entries, expected, atol=1e-12)
+    assert np.allclose(assemble_form_raw(link, pt), expected, atol=1e-12)
 
 
 def test_signature_nullity_examples():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -276,12 +277,11 @@ def _corner_reports_per_sign_vector(link, tol=1e-9):
     """verify_corner_limits with one linking inertia and one cross term per
     sign vector, each linking number read afresh."""
     m, rank = link.total_components, link.rank_alexander
-    limits = verify._corner_limits(link, tol)
+    values = links.corner_limit_counts(link, tol)[:, 0].tolist()
     reports = []
-    for signs in sign_vectors(link.mu):
+    for signs, value in zip(sign_vectors(link.mu), values):
         key = sign_key(signs)
         inputs, notes = {"signs": key}, [verify._rank_note(link)]
-        value = limits[key].value
         ine = links.linking_inertia(link, signs)
         cross = sum(signs[i] * signs[j] * link.lk_colors(i + 1, j + 1)
                     for i in range(link.mu) for j in range(i + 1, link.mu))
@@ -359,6 +359,18 @@ def test_predict_torres_twist():
     assert (pred.sigma, pred.eta) == (0, 1)
 
 
+def test_predict_torres_at_decimal_angles_skips_only_the_midpoint():
+    link = make_torus(3)
+    exact = predict_torres(link, TorusPoint([Fraction(3, 10)]))
+    pred = predict_torres(link, TorusPoint([0.3]))
+    assert (pred.sigma, pred.eta, pred.sigma_rest) == (exact.sigma, exact.eta, exact.sigma_rest)
+    assert (exact.midpoint, pred.midpoint, pred.midpoint_value) == ("pass", "skipped", None)
+    assert pred.notes == exact.notes + ["midpoint check skipped: the wall test needs exact angles"]
+    (report,) = torres_reports(link, [0.3])
+    assert (report.check, report.passed, report.inputs["omega_rest"]) == \
+        ("torres/midpoint", True, "0.3")
+
+
 def test_predict_torres_single_color():
     pred = predict_torres(make_torus(3).underlying_oriented)
     assert (pred.sigma, pred.eta) == (-1, 0)
@@ -404,8 +416,8 @@ def test_rest_point_genericity_matches_conway_oracle(link):
     sublink's Conway function reads a removable 0/0."""
     angles = _FAREY_12 if link.mu <= 3 else [a for a in _FAREY_12 if a.denominator <= 4]
     points = [TorusPoint(pt) for pt in itertools.product(angles, repeat=link.mu - 1)]
-    group = verify._rest_group(link, points, verify.DEFAULT_TOL)
-    assert [rest.generic for rest in group] == [torres_generic(link, pt) for pt in points]
+    rests = verify._Rests(link, points, verify.DEFAULT_TOL)
+    assert rests.generic == [torres_generic(link, pt) for pt in points]
 
 
 def _two_component_first_color(lk_values):
@@ -578,6 +590,35 @@ def test_run_suite_shares_one_plan_per_point(monkeypatch):
                 (sorted(p.angles for p in points) if split else [])
 
 
+def _first_color_of_two_components():
+    """A link whose first color has two components, with no sublink data."""
+    link = _two_component_first_color((1, 1))
+    return ColoredLink(link.mu, link.components_per_color, link.linking, link.seifert)
+
+
+@pytest.mark.parametrize("make_link, suite, expected", [
+    (_first_color_of_two_components, "3d", {}),
+    (_first_color_of_two_components, "4d", {}),
+    # the first knot splits off, so there is no midpoint check to read limits
+    (lambda: make_twist(2), "torres", {"signature_nullity_batch": 1, "slope": 5}),
+    (lambda: make_torus(3), "corners", {"corner_limit_counts": 1})],
+    ids=["3d-skipped", "4d-skipped", "torres-twist2", "corners-torus3"])
+def test_each_suite_computes_only_what_it_reads(make_link, suite, expected, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("rest_limit_counts", "corner_limit_counts", "signature_nullity_batch",
+                 "slope"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    assert_all_pass(run_suite(make_link(), suite, samples=5, seed=1))
+    assert collections.Counter(calls) == expected
+
+
 def _random_seifert(rnd, mu, n):
     mats = {}
     for eps in sign_vectors(mu):
@@ -633,24 +674,22 @@ def test_run_suite_differentiates_the_conway_function_once(link, monkeypatch):
                               "random3"])
 def test_batched_limits_match_per_point_loop(link, monkeypatch):
     groups, corners = [], []
-    monkeypatch.setattr(verify, "_rest_group", _keeping(verify._rest_group, groups))
-    monkeypatch.setattr(verify, "_corner_limits", _keeping(verify._corner_limits, corners))
+    monkeypatch.setattr(verify, "_Rests", _keeping(verify._Rests, groups))
+    monkeypatch.setattr(verify, "corner_limit_counts",
+                        _keeping(verify.corner_limit_counts, corners))
     samples, seed = 7, 2
     reports = [r.to_json_dict() for r in run_suite(link, "all", samples, seed)]
     rnd = random.Random(seed)
-    (group,) = groups
-    assert [rest.point for rest in group] == \
-        [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
-    for rest in group:
+    (rests,) = [rests for rests in groups if rests.link is link]  # not lt's one-colored link
+    assert rests.points == [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
+    for point, limits, sub_inertia in zip(rests.points, rests.limits, rests.sub_inertia):
         for side in ("plus", "minus"):
-            assert rest._limits[side] == directional_limit(link, rest.point, side)
-        assert rest._sub_inertia == signature_nullity(link.rest_sublink(), rest.point)
+            assert limits[side] == directional_limit(link, point, side)
+        assert sub_inertia == signature_nullity(link.rest_sublink(), point)
     # every corner the sampler reads cleanly agrees with the descent
-    (limits,) = corners
-    for signs in sign_vectors(link.mu):
-        sampled = sampled_limit(link, signs)
-        lim = limits[sign_key(signs)]
-        assert sampled in (None, (lim.value, lim.eta))
+    (counts,) = corners
+    for signs, limit in zip(sign_vectors(link.mu), counts.tolist()):
+        assert sampled_limit(link, signs) in (None, tuple(limit))
     # blocks of three forms split every stacked call into single points and
     # single corners; the report must not move
     monkeypatch.setattr(links, "_STACK_BYTES", 3 * 16 * link.seifert.n ** 2)
@@ -666,10 +705,11 @@ def test_corner_limits_with_a_fourth_order_eigenvalue():
             "-+": [[0, 0, 2], [2, 2, -2], [-1, 2, -1]],
             "--": [[2, 2, -1], [0, 1, 0], [2, 2, -2]]}
     link = ColoredLink(2, [1, 1], {}, SeifertSystem(2, mats))
-    limits = verify._corner_limits(link, 1e-9)
+    counts = links.corner_limit_counts(link, 1e-9).tolist()
     expected = {"++": -1, "+-": 1, "-+": 1, "--": -1}
-    assert {key: lim.value for key, lim in limits.items()} == expected
-    assert all(lim.eta == 0 for lim in limits.values())
+    assert {sign_key(signs): value for signs, (value, _) in zip(sign_vectors(2), counts)} \
+        == expected
+    assert all(eta == 0 for _, eta in counts)
     for signs in sign_vectors(2):
         for form in forms(link, path_rows(signs, (), [1e-3, 1e-2])):
             eigs = np.linalg.eigvalsh(form)
