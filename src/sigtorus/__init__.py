@@ -3,17 +3,14 @@ with slope evaluation, Torres-type boundary predictions, and machine checks
 of the limit statements relating them."""
 
 from .angles import TorusPoint, parse_angle
-from .corrections import (ClaspSequence, chain_matrix, chain_sign, clasp_matrix,
-                          pair_sign, signature_jump, signature_jump_by_walls,
+from .corrections import (chain_sign, pair_sign, signature_jump,
                           torus_signature_profile, wall_indicator)
 from .families import (make_family, make_torus, make_twist, make_unlink,
                        oracle_torus, oracle_twist, unknot)
-from .hermitian import (HermitianMatrix, Inertia, conjugate_inertia_check,
-                        inertia, integer_inertia)
+from .hermitian import Inertia, integer_inertia
 from .laurent import LaurentPoly, RationalFunction, divide_exact
-from .links import (ColoredLink, SeifertSystem, boundary_limit_form,
-                    linking_inertia, linking_matrix, load_link, parse_link,
-                    save_link, signature_nullity)
+from .links import (ColoredLink, SeifertSystem, linking_inertia, load_link,
+                    parse_link, save_link, signature_nullity)
 from .slope import (SlopeValue, classify_slope, conway_factor_split, slope,
                     torres_generic)
 from .verify import (PLUS_MINUS_ONE, LimitResult, TorresPrediction,

@@ -41,10 +41,6 @@ def as_angle(value):
     return normalize_angle(value)
 
 
-def is_zero_angle(a):
-    return a == 0
-
-
 def angle_sum(a, b):
     return normalize_angle(a + b)
 

@@ -4,8 +4,7 @@ The functions here are purely combinatorial in the linking numbers and the
 angles of the remaining coordinates: the sign of a two-point expression on
 the circle, its telescoped extension to chains, the jump of the signature
 across the first coordinate, the wall indicator for its degeneracy locus,
-the step profile of torus-link signatures, and the tridiagonal matrices
-whose inertia realizes all of these.
+and the step profile of torus-link signatures.
 
 Inputs may be angles in turns (fractions preferred) or unit complex
 numbers; exact case splits fire only for rational angles.
@@ -13,12 +12,8 @@ numbers; exact case splits fire only for rational angles.
 
 from fractions import Fraction
 
-import numpy as np
-
-from .angles import (TorusPoint, angle_sum, angle_to_complex, as_angle,
-                     is_zero_angle, scale_angle)
-from .errors import BoundaryPoint, DomainError, InexactAngles, ZeroLinking
-from .hermitian import HermitianMatrix
+from .angles import TorusPoint, angle_sum, angle_to_complex, as_angle, scale_angle
+from .errors import DomainError
 
 _IMAG_SLACK = 1e-10
 
@@ -32,7 +27,7 @@ def pair_sign(z1, z2):
     """
     a = as_angle(z1)
     b = as_angle(z2)
-    if is_zero_angle(a) or is_zero_angle(b) or is_zero_angle(angle_sum(a, b)):
+    if a == 0 or b == 0 or angle_sum(a, b) == 0:
         return 0
     za = angle_to_complex(a)
     zb = angle_to_complex(b)
@@ -96,36 +91,6 @@ def signature_jump(linking, point):
     return chain_sign(blocks)
 
 
-def signature_jump_by_walls(linking, point):
-    """Independent wall-crossing oracle for :func:`signature_jump`.
-
-    After reorienting each coordinate by the sign of its linking number, the
-    combination x = sum |l_j| * angle_j lies in (0, |l|); the value starts at
-    |l| - 1 near the corner, drops by 2 per wall crossed (x an integer), and
-    takes the midpoint value on each wall.  Deliberately shares no code with
-    the chain-sign route.
-    """
-    ell = _linking_tuple(linking)
-    point = _as_point(point)
-    if len(ell) != point.mu:
-        raise ValueError("linking vector and point have different lengths")
-    total = sum(abs(v) for v in ell)
-    if total == 0:
-        raise ZeroLinking("wall-crossing description needs a nonzero linking vector")
-    x = Fraction(0)
-    for lj, angle in zip(ell, point.angles):
-        if lj == 0:
-            continue
-        if not isinstance(angle, Fraction):
-            raise InexactAngles("wall-crossing oracle needs rational angles")
-        sign = 1 if lj > 0 else -1
-        x += abs(lj) * (Fraction(sign) * angle % 1)
-    k = x.numerator // x.denominator
-    if x == k:
-        return total - 2 * k
-    return total - 1 - 2 * k
-
-
 def wall_indicator(linking, point):
     """1 when the linking-weighted angle sum is an integer, else 0.
 
@@ -159,70 +124,3 @@ def torus_signature_profile(n, theta):
     if scaled == k:
         return n - 2 * k
     return n - 2 * k - 1
-
-
-def chain_matrix(points):
-    """The tridiagonal Hermitian matrix of size n-1 attached to a chain.
-
-    Subdiagonal i/(1 - z_k), diagonal i*(z_k*z_{k+1} - 1) over the product
-    of (1 - z_k)(1 - z_{k+1}), superdiagonal conjugate to the subdiagonal.
-    Its signature equals the chain sign and its nullity is 1 exactly when
-    the product of the chain is 1.
-    """
-    angles = [as_angle(z) for z in points]
-    if any(is_zero_angle(a) for a in angles):
-        raise BoundaryPoint("chain points must differ from 1")
-    z = [angle_to_complex(a) for a in angles]
-    m = len(z) - 1
-    mat = np.zeros((max(m, 0), max(m, 0)), dtype=complex)
-    for r in range(m):
-        mat[r, r] = 1j * (z[r] * z[r + 1] - 1.0) / ((1.0 - z[r]) * (1.0 - z[r + 1]))
-    for r in range(1, m):
-        sub = 1j / (1.0 - z[r])
-        mat[r, r - 1] = sub
-        mat[r - 1, r] = sub.conjugate()
-    return HermitianMatrix(mat)
-
-
-class ClaspSequence:
-    """The clasps met along the boundary of the first surface, in order.
-
-    Each entry is a (color, sign) pair with color at least 2; the sequence
-    is never empty (a connected C-complex meets the first surface).
-    """
-
-    __slots__ = ("clasps",)
-
-    def __init__(self, clasps):
-        clasps = [(int(c), int(s)) for c, s in clasps]
-        if not clasps:
-            raise ValueError("a clasp sequence cannot be empty")
-        for c, s in clasps:
-            if c < 2:
-                raise ValueError("clasp colors start at 2")
-            if s not in (-1, 1):
-                raise ValueError("clasp signs are +1 or -1")
-        self.clasps = tuple(clasps)
-
-    def __len__(self):
-        return len(self.clasps)
-
-    def __iter__(self):
-        return iter(self.clasps)
-
-    def __repr__(self):
-        return "ClaspSequence(%r)" % (list(self.clasps),)
-
-
-def clasp_matrix(clasps, point):
-    """The chain matrix of a clasp sequence at a point over colors 2..mu."""
-    if not isinstance(clasps, ClaspSequence):
-        clasps = ClaspSequence(clasps)
-    point = _as_point(point)
-    chain = []
-    for color, sign in clasps:
-        idx = color - 2
-        if idx >= point.mu:
-            raise ValueError("clasp color %d exceeds the point's colors" % color)
-        chain.append(scale_angle(point[idx], sign))
-    return chain_matrix(chain)

@@ -19,12 +19,6 @@ class NotDivisible(SigtorusError):
     """Exact polynomial division is impossible (nonzero remainder)."""
 
 
-# Hermitian inertia layer
-
-class SingularMatrix(SigtorusError):
-    """A conjugating matrix is (numerically) singular."""
-
-
 # Link data layer
 
 class SchemaError(SigtorusError):
@@ -47,10 +41,6 @@ class BoundaryPoint(SigtorusError):
 
 class InexactAngles(SigtorusError):
     """An exact predicate was asked of angles that are not stored exactly."""
-
-
-class ZeroLinking(SigtorusError):
-    """A linking vector is identically zero where that is not allowed."""
 
 
 class DomainError(SigtorusError):

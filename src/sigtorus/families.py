@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corrections import ClaspSequence, torus_signature_profile
+from .corrections import torus_signature_profile
 from .errors import DomainError, ZeroParameter
 from .laurent import LaurentPoly, RationalFunction
 from .links import ColoredLink, SeifertSystem, sign_key, sign_vectors
@@ -142,13 +142,6 @@ def make_family(name, parameter):
     if name == "unlink":
         return make_unlink(parameter)
     raise ValueError("unknown family %r" % name)
-
-
-def torus_clasp_sequence(ell):
-    """The clasps the torus-link C-complex has along its first disk."""
-    if ell == 0:
-        raise ZeroParameter("the unlink has no clasp sequence")
-    return ClaspSequence([(2, _sgn(ell))] * abs(ell))
 
 
 def oracle_twist(k):

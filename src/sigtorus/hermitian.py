@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularMatrix
-
 DEFAULT_TOL = 1e-9
 
 
@@ -33,11 +31,8 @@ class Inertia(NamedTuple):
     def nullity(self):
         return self.n_zero
 
-    @property
-    def dim(self):
-        return self.n_plus + self.n_minus + self.n_zero
 
-
+# Kept for bench/tracer.py, which wraps its constructor; the package builds none.
 class HermitianMatrix:
     """A complex Hermitian matrix; symmetrized on construction.
 
@@ -159,6 +154,7 @@ def _schur_series(family, size, minus):
     return (out + out.conj().transpose(0, 1, 3, 2)) / 2
 
 
+# Kept for bench/tracer.py, which wraps it; the package counts with inertia_counts.
 def inertia(h, tol=DEFAULT_TOL):
     """Counts of positive, negative, and zero eigenvalues of one matrix.
 
@@ -246,20 +242,3 @@ def integer_inertia(matrix):
             for c in active:
                 row[c] -= fb * row_i[c] + fa * row_j[c]
     return Inertia(plus, minus, zero)
-
-
-def conjugate_inertia_check(h, p, tol=DEFAULT_TOL):
-    """Inertia of P* H P for invertible P.
-
-    By Sylvester's law of inertia this must coincide with the inertia of H,
-    which makes the function a convenient independent oracle in tests.
-    """
-    if not isinstance(h, HermitianMatrix):
-        h = HermitianMatrix(h)
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (h.n, h.n):
-        raise ValueError("conjugating matrix has wrong shape")
-    if h.n and abs(np.linalg.det(p)) <= 1e-9:
-        raise SingularMatrix("conjugating matrix is numerically singular")
-    m = p.conj().T @ h.entries @ p
-    return inertia(HermitianMatrix((m + m.conj().T) / 2.0), tol)

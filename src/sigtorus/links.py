@@ -21,7 +21,7 @@ import numpy as np
 from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
-from .hermitian import DEFAULT_TOL, HermitianMatrix, integer_inertia, limit_counts
+from .hermitian import DEFAULT_TOL, integer_inertia, limit_counts
 from .laurent import _INT_ONLY, RationalFunction, as_integer as _integer
 
 
@@ -353,15 +353,19 @@ def _coefficients(omegas):
     ``omegas`` has shape (P, mu); column k of the result belongs to the k-th
     such sign vector in :func:`sign_vectors` order.
     """
-    plus = 1.0 - omegas.conj()
-    minus = 1.0 - omegas
-    coeffs = plus[:, :1]
+    # the factor pairs (1 - conj(omega_j), 1 - omega_j) of every coordinate,
+    # filled in place: np.stack costs more than the products on small stacks
+    pairs = np.empty(omegas.shape + (2,), dtype=complex)
+    np.conjugate(omegas, out=pairs[:, :, 0])
+    pairs[:, :, 1] = omegas
+    pairs = 1.0 - pairs
+    coeffs = pairs[:, 0, :1]
     for j in range(1, omegas.shape[1]):
-        pair = np.stack([plus[:, j], minus[:, j]], axis=1)
-        coeffs = (coeffs[:, :, None] * pair[:, None, :]).reshape(len(omegas), 2 ** j)
+        coeffs = (coeffs[:, :, None] * pairs[:, j, None, :]).reshape(len(omegas), 2 ** j)
     return coeffs
 
 
+# Kept for bench/tracer.py, which wraps it; the package reads H through _path_forms.
 def assemble_form_raw(link, point):
     """The Hermitian matrix at one torus point, as a raw complex array: the
     k = 0 path of :func:`_path_forms`.  At a boundary point the matrix
@@ -471,16 +475,19 @@ def corner_limit_counts(link, tol=DEFAULT_TOL):
     return np.stack([sigmas, np.concatenate([limits[:, 2], limits[::-1, 2]])], axis=1)
 
 
-def _linking_rows(link, color_signs, components):
-    """The linking matrix over ``components`` (ids, in row order) for
-    reoriented colors: off-diagonal entries are the sign-twisted linking
-    numbers, diagonal entries make every row sum to zero.  Every component
-    of a nonzero linking record must be listed."""
+def linking_inertia(link, color_signs):
+    """The exact inertia of the component-level linking matrix for reoriented
+    colors: components inherit the sign of their color, off-diagonal entries
+    are the sign-twisted linking numbers, and diagonal entries make every row
+    sum to zero.  The matrix is built only over the components named in
+    nonzero linking records: every other component's row and column are 0
+    and add exactly 1 to the nullity."""
     color_signs = tuple(int(s) for s in color_signs)
     if len(color_signs) != link.mu or any(s not in (-1, 1) for s in color_signs):
         raise ValueError("need one sign (+1/-1) per color")
-    position = {comp: i for i, comp in enumerate(components)}
-    mat = [[0] * len(components) for _ in components]
+    named = sorted({comp for pair, value in link.linking.items() if value for comp in pair})
+    position = {comp: i for i, comp in enumerate(named)}
+    mat = [[0] * len(named) for _ in named]
     for (a, b), value in link.linking.items():
         if value:
             i, j = position[a], position[b]
@@ -488,38 +495,5 @@ def _linking_rows(link, color_signs, components):
                                      * color_signs[link.color_of(b) - 1] * value)
     for i, row in enumerate(mat):
         row[i] = -sum(row)
-    return mat
-
-
-def linking_matrix(link, color_signs):
-    """The component-level linking matrix for reoriented colors.
-
-    ``color_signs`` has one sign per color; components inherit the sign of
-    their color.  Off-diagonal entries are the sign-twisted linking numbers,
-    diagonal entries make every row sum to zero.
-    """
-    return _linking_rows(link, color_signs, [
-        "%d.%d" % (c, k) for c, count in enumerate(link.components_per_color, 1)
-        for k in range(1, count + 1)])
-
-
-def linking_inertia(link, color_signs):
-    """The exact inertia of :func:`linking_matrix`, built only over the
-    components named in nonzero linking records: every other component's
-    row and column are 0 and add exactly 1 to the nullity."""
-    named = sorted({comp for pair, value in link.linking.items() if value for comp in pair})
-    ine = integer_inertia(_linking_rows(link, color_signs, named))
+    ine = integer_inertia(mat)
     return ine._replace(n_zero=ine.n_zero + link.total_components - len(named))
-
-
-def boundary_limit_form(link, rest_point, side=1):
-    """One-sided limit of H(omega_1, rest) / |1 - omega_1| as omega_1 -> 1.
-
-    This is ``side`` times F_0 of the rest path (:func:`_path_forms`).  Valid
-    when every basis curve of the Seifert system crosses the first surface
-    (true for the built-in families, whose stored sublink has an empty basis).
-    """
-    if rest_point.mu != link.mu - 1:
-        raise ValueError("rest point needs %d coordinates" % (link.mu - 1))
-    form = _path_forms(link, np.ones((1, 1)), [rest_point.omega()])[0, 0]
-    return HermitianMatrix((1.0 if side > 0 else -1.0) * form)

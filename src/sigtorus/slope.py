@@ -136,6 +136,7 @@ def classify_slope(value):
     return (1 if value.value > 0 else -1), 0
 
 
+# Kept for bench/tracer.py, which wraps it; verify decides genericity without it.
 def torres_generic(link, point):
     """True when the full Alexander polynomial is nonzero at (1, omega').
 

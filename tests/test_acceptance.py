@@ -10,15 +10,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from oracles import (chain_matrix, clasp_matrix, conjugate_inertia_check,
+                     signature_jump_by_walls)
 
 from sigtorus.angles import TorusPoint
-from sigtorus.corrections import (chain_matrix, chain_sign, clasp_matrix,
-                                  pair_sign, signature_jump,
-                                  signature_jump_by_walls)
+from sigtorus.corrections import chain_sign, pair_sign, signature_jump
 from sigtorus.families import (make_torus, make_twist, make_unlink,
                                oracle_torus, oracle_twist, unknot)
-from sigtorus.hermitian import (HermitianMatrix, conjugate_inertia_check,
-                                inertia)
+from sigtorus.hermitian import HermitianMatrix, inertia
 from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
                             sign_vectors, signature_nullity)
 from sigtorus.slope import slope

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import (ClaspSequence, ZeroLinking, chain_matrix, clasp_matrix,
+                     signature_jump_by_walls)
 
 from sigtorus.angles import TorusPoint
-from sigtorus.corrections import (ClaspSequence, chain_matrix, chain_sign,
-                                  clasp_matrix, pair_sign, signature_jump,
-                                  signature_jump_by_walls,
+from sigtorus.corrections import (chain_sign, pair_sign, signature_jump,
                                   torus_signature_profile, wall_indicator)
-from sigtorus.errors import (BoundaryPoint, DomainError, InexactAngles,
-                             ZeroLinking)
+from sigtorus.errors import BoundaryPoint, DomainError, InexactAngles
 from sigtorus.hermitian import inertia
 
 

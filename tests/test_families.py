@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import torus_clasp_sequence
 
 from sigtorus.angles import TorusPoint
 from sigtorus.errors import ZeroParameter
 from sigtorus.families import (make_family, make_torus, make_twist,
-                               make_unlink, oracle_torus, oracle_twist,
-                               torus_clasp_sequence, unknot)
+                               make_unlink, oracle_torus, oracle_twist, unknot)
 from sigtorus.links import parse_link, signature_nullity
 
 

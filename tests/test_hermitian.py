@@ -3,10 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import SingularMatrix, conjugate_inertia_check
 
-from sigtorus.errors import SingularMatrix
-from sigtorus.hermitian import (HermitianMatrix, Inertia,
-                                conjugate_inertia_check, inertia,
+from sigtorus.hermitian import (HermitianMatrix, Inertia, inertia,
                                 inertia_counts, integer_inertia, limit_counts)
 
 

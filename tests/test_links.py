@@ -11,19 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from oracles import (boundary_limit_form, clasp_matrix, linking_matrix,
+                     torus_clasp_sequence)
 
 from sigtorus.angles import TorusPoint, normalize_angle, parse_angle
 from sigtorus.corrections import signature_jump, wall_indicator
 from sigtorus.errors import (BoundaryPoint, DimensionMismatch, DomainError,
                              SchemaError, SymmetryViolation)
 from sigtorus import cli, links
-from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus,
-                               torus_clasp_sequence)
+from sigtorus.families import make_torus, make_twist, make_unlink, oracle_torus
 from sigtorus.hermitian import inertia, integer_inertia
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
-                            boundary_limit_form, linking_inertia, linking_matrix,
-                            parse_link, save_link, sign_key, sign_vectors,
-                            signature_nullity)
+                            linking_inertia, parse_link, save_link, sign_key,
+                            sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
 
 
@@ -200,7 +200,6 @@ def test_degeneration_bound_along_schedule():
 
 def test_clasp_route_matches_limit_form():
     rnd = random.Random(6)
-    from sigtorus.corrections import clasp_matrix
     for ell in (1, 2, 3):
         link = make_torus(ell)
         for _ in range(10):
