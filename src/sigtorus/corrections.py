@@ -7,37 +7,30 @@ across the first coordinate, the wall indicator for its degeneracy locus,
 and the step profile of torus-link signatures.
 
 Inputs may be angles in turns (fractions preferred) or unit complex
-numbers; exact case splits fire only for rational angles.
+numbers.  Every sign is a comparison of angle sums, so on rational angles
+:func:`pair_sign`, :func:`chain_sign` and :func:`signature_jump` are exact;
+on float angles they compare the floats.
 """
 
 from fractions import Fraction
 
-from .angles import TorusPoint, angle_sum, angle_to_complex, as_angle, scale_angle
+from .angles import TorusPoint, angle_sum, as_angle, scale_angle
 from .errors import DomainError
-
-_IMAG_SLACK = 1e-10
 
 
 def pair_sign(z1, z2):
     """Sign in {-1, 0, 1} of i*(z1*z2 - 1)*(conj(z1) - 1)*(conj(z2) - 1).
 
-    The expression is real on the circle; its imaginary part is asserted
-    small.  On rational angles the zero cases (either point equal to 1, or
-    the product equal to 1) are decided exactly, never by a float residue.
+    For angles a, b in [0, 1) the expression is 8 sin(pi(a+b)) sin(pi a)
+    sin(pi b), so the sign is 0 when a = 0, b = 0 or a + b = 1, +1 when
+    a + b < 1 and -1 when a + b > 1: a comparison of angles, exact on
+    rational ones.
     """
     a = as_angle(z1)
     b = as_angle(z2)
-    if a == 0 or b == 0 or angle_sum(a, b) == 0:
+    if a == 0 or b == 0 or a + b == 1:
         return 0
-    za = angle_to_complex(a)
-    zb = angle_to_complex(b)
-    value = 1j * (za * zb - 1.0) * (za.conjugate() - 1.0) * (zb.conjugate() - 1.0)
-    assert abs(value.imag) <= _IMAG_SLACK, "expression should be real on the circle"
-    if value.real > 0.0:
-        return 1
-    if value.real < 0.0:
-        return -1
-    return 0
+    return 1 if a + b < 1 else -1
 
 
 def chain_sign(points):

@@ -174,71 +174,40 @@ jacobi_eigenvalues = np.linalg.eigvalsh
 def integer_inertia(matrix):
     """Exact inertia of a symmetric integer matrix.
 
-    Symmetric Gaussian elimination over rationals: any nonzero diagonal
-    entry serves as a pivot; when all active diagonal entries vanish, a
-    nonzero off-diagonal entry gives a hyperbolic 2x2 block contributing
-    (1, 1, 0).  No tolerance is involved.
+    Symmetric Gaussian elimination over rationals, one rule: a nonzero
+    diagonal entry of the active block is the pivot.  When every active
+    diagonal entry is 0 and some s_ij is not, row j is added to row i and
+    column j to column i; that congruence keeps the inertia and makes
+    s_ii = 2 s_ij the pivot.  What stays active at the end is the kernel.
+    No tolerance is involved.
     """
-    rows = [[Fraction(int(x)) for x in row] for row in matrix]
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("matrix is not symmetric")
+    s = [[Fraction(int(x)) for x in row] for row in matrix]
+    n = len(s)
+    if any(len(row) != n for row in s):
+        raise ValueError("matrix is not square")
+    if any(s[i][j] != s[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
 
-    s = rows
     active = list(range(n))
-    plus = minus = zero = 0
+    plus = 0
     while active:
         pivot = next((i for i in active if s[i][i] != 0), None)
-        if pivot is not None:
-            d = s[pivot][pivot]
-            if d > 0:
-                plus += 1
-            else:
-                minus += 1
-            active.remove(pivot)
-            piv_row = s[pivot]
-            coupling = {i: s[i][pivot] for i in active}
-            for i in active:
-                if coupling[i] == 0:
-                    continue
-                f = coupling[i] / d
+        if pivot is None:
+            pair = next(((i, j) for i in active for j in active if s[i][j] != 0), None)
+            if pair is None:
+                break
+            pivot, j = pair
+            for k in active:  # one loop suffices since s_jj = 0
+                s[pivot][k] += s[j][k]
+                s[k][pivot] += s[k][j]
+        d = s[pivot][pivot]
+        plus += d > 0
+        active.remove(pivot)
+        piv_row = s[pivot]
+        for i in active:
+            f = s[i][pivot] / d
+            if f:
                 row = s[i]
                 for j in active:
                     row[j] -= f * piv_row[j]
-            continue
-
-        pair = None
-        for idx, i in enumerate(active):
-            for j in active[idx + 1:]:
-                if s[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            zero += len(active)
-            break
-        i, j = pair
-        b = s[i][j]
-        plus += 1
-        minus += 1
-        active.remove(i)
-        active.remove(j)
-        row_i = list(s[i])
-        row_j = list(s[j])
-        alpha = {r: s[r][i] for r in active}
-        beta = {r: s[r][j] for r in active}
-        for r in active:
-            fb = beta[r] / b
-            fa = alpha[r] / b
-            if fb == 0 and fa == 0:
-                continue
-            row = s[r]
-            for c in active:
-                row[c] -= fb * row_i[c] + fa * row_j[c]
-    return Inertia(plus, minus, zero)
+    return Inertia(plus, n - len(active) - plus, len(active))

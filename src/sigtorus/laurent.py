@@ -9,9 +9,11 @@ import numpy as np
 
 from .errors import DenominatorVanishes, NotDivisible, SchemaError, ZeroCoordinate
 
-# A denominator value this close to zero (relative to the size of its largest
-# monomial at the point) counts as a pole.
+# Relative to the largest monomial magnitude at the point, a denominator value
+# within _DEN_EPS of 0 is a pole and any value within _ZERO_EPS is a zero;
+# Conway data has small integer coefficients, so true zeros are structural.
 _DEN_EPS = 1e-12
+_ZERO_EPS = 1e-10
 
 
 # Values that are all exactly int (so no bool) need no as_integer call.
@@ -296,10 +298,24 @@ class RationalFunction:
         return self.num.is_zero
 
     def eval(self, point):
+        return self.eval_with_zero(point)[0]
+
+    def eval_with_zero(self, point):
+        """The value at a point and whether it is zero; the one pole rule.
+
+        Where the denominator vanishes it is divided into the numerator
+        exactly and the quotient is evaluated (a removable 0/0); where that
+        division fails, DenominatorVanishes is raised.
+        """
         dval, dscale = self.den.eval_with_scale(point)
         if abs(dval) <= _DEN_EPS * max(1.0, dscale):
-            raise DenominatorVanishes("denominator vanishes at %r" % (point,))
-        return self.num.eval(point) / dval
+            try:
+                value, scale = divide_exact(self.num, self.den).eval_with_scale(point)
+            except NotDivisible:
+                raise DenominatorVanishes("denominator vanishes at %r" % (point,)) from None
+            return value, abs(value) <= _ZERO_EPS * scale
+        value, scale = self.num.eval_with_scale(point)
+        return value / dval, abs(value) <= _ZERO_EPS * scale
 
     def derivative(self, var):
         """Formal partial derivative, by the quotient rule."""

@@ -12,15 +12,10 @@ import math
 
 from .angles import TorusPoint
 from .corrections import wall_indicator
-from .errors import (BoundaryPoint, Indeterminate, MissingConwayData, MissingSublink,
-                     NotDivisible, PoleEncountered, RealnessError)
+from .errors import (BoundaryPoint, DenominatorVanishes, Indeterminate, MissingConwayData,
+                     MissingSublink, NotDivisible, PoleEncountered, RealnessError)
 from .laurent import LaurentPoly, as_rational, divide_exact
 
-# A complex value counts as zero when it is at most this fraction of the
-# largest monomial magnitude at the point; Conway data has small integer
-# coefficients, so true zeros are structural.
-_ZERO_EPS = 1e-10
-_POLE_EPS = 1e-12
 _REAL_SLACK = 1e-8
 
 
@@ -55,27 +50,12 @@ def _require_open(point):
         raise BoundaryPoint("the fixed coordinates must avoid 1")
 
 
-def _scaled_zero(poly, point):
-    value, scale = poly.eval_with_scale(point)
-    return value, abs(value) <= _ZERO_EPS * scale
-
-
 def _eval_part(rational, point, what, error):
-    """The value of a rational function at a point, and whether it is zero.
-
-    Where the denominator vanishes and divides the numerator exactly, the
-    quotient is evaluated instead (a removable 0/0); where it vanishes and
-    does not divide, ``error`` is raised.
-    """
-    dval, dscale = rational.den.eval_with_scale(point)
-    if abs(dval) <= _POLE_EPS * max(1.0, dscale):
-        try:
-            quotient = divide_exact(rational.num, rational.den)
-        except NotDivisible:
-            raise error("%s has a pole at the evaluation point" % what) from None
-        return _scaled_zero(quotient, point)
-    nval, nzero = _scaled_zero(rational.num, point)
-    return nval / dval, nzero
+    """RationalFunction.eval_with_zero, raising ``error`` at a pole."""
+    try:
+        return rational.eval_with_zero(point)
+    except DenominatorVanishes:
+        raise error("%s has a pole at the evaluation point" % what) from None
 
 
 def slope(nabla_link, nabla_rest, point, partial=None):

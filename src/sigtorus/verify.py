@@ -453,7 +453,7 @@ def verify_corner_limits(link, tol=DEFAULT_TOL):
 class TorresPrediction:
     """Predicted boundary values, and the midpoint cross-check when testable."""
 
-    sigma: object  # int, or PLUS_MINUS_ONE-style token text when unresolved
+    sigma: object  # int, or None when the slope is 0/0 and sigma is unresolved
     eta: object
     midpoint: str  # "pass" | "fail" | "skipped"
     notes: list = field(default_factory=list)

@@ -27,6 +27,10 @@ def test_pair_sign_zero_cases_exact():
 def test_pair_sign_values():
     assert pair_sign(1j, 1j) == 1
     assert pair_sign(Fraction(2, 5), Fraction(7, 10)) == -1
+    # a + b within 1e-17 of 1: the sign is exact, not read off a float residue
+    tiny = Fraction(1, 10 ** 17)
+    assert pair_sign(Fraction(1, 3), Fraction(2, 3) + tiny) == -1
+    assert pair_sign(Fraction(1, 3), Fraction(2, 3) - tiny) == 1
 
 
 def test_pair_sign_antisymmetric_under_conjugation():
@@ -84,6 +88,12 @@ def test_jump_equals_walls_oracle():
         for _ in range(400):
             pt = TorusPoint([rational_angle(rnd) for _ in ell])
             assert signature_jump(ell, pt) == signature_jump_by_walls(ell, pt)
+    # points within 1e-17 of a wall, on either side
+    tiny = Fraction(1, 10 ** 17)
+    for ell, pt in (((2,), [Fraction(1, 2) + tiny]), ((2,), [Fraction(1, 2) - tiny]),
+                    ((1, 1), [Fraction(1, 3), Fraction(2, 3) + tiny]),
+                    ((1, 1), [Fraction(1, 3), Fraction(2, 3) - tiny])):
+        assert signature_jump(ell, pt) == signature_jump_by_walls(ell, pt)
 
 
 def test_jump_antisymmetric_under_conjugation():

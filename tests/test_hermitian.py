@@ -89,6 +89,19 @@ def test_lapack_counts_match_exact_and_sylvester():
         m = p.conj().T @ h @ p
         counts = inertia_counts(np.stack([h, (m + m.conj().T) / 2]))
         assert counts[0].tolist() == counts[1].tolist()
+    # zero diagonals (where the exact backend pivots after a congruence) and
+    # low rank (sums of +-v v^T).  For n <= 6 and entries in [-3, 3] the
+    # product of the nonzero eigenvalues is a nonzero integer, so each is at
+    # least 18^-5 ~ 5e-7 in size, far above the cut of at most 1.8e-8.
+    for n in range(1, 7):
+        upper = np.triu(rng.integers(-3, 4, size=(40, n, n)), 1)
+        zero_diagonal = upper + upper.transpose(0, 2, 1)
+        v = rng.integers(-1, 2, size=(40, 3, n))
+        signs = rng.choice([-1, 1], size=(40, 3))
+        low_rank = np.einsum("pk,pki,pkj->pij", signs, v, v)
+        for s in (zero_diagonal, low_rank):
+            counts = inertia_counts(s.astype(complex))
+            assert [Inertia(*c) for c in counts.tolist()] == [integer_inertia(x) for x in s]
 
 
 # -- one-sided limits of analytic families -----------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from sigtorus.errors import DenominatorVanishes, NotDivisible, ZeroCoordinate
+from sigtorus.families import make_torus
 from sigtorus.laurent import LaurentPoly, RationalFunction, divide_exact
 
 
@@ -119,6 +120,11 @@ def test_rational_pole_detection():
     with pytest.raises(DenominatorVanishes):
         unknot.eval((1.0,))
     assert unknot.eval((1j,)) == pytest.approx(1 / 2j)
+    # torus(3): (t^3 - t^-3) / (t - t^-1) in t = t1 t2 is a removable 0/0 at
+    # t = -1; the exact quotient is read there
+    conway = make_torus(3).conway
+    assert conway.eval((1j, 1j)) == 3
+    assert conway.eval_with_zero((1j, 1j)) == (3, False)
 
 
 def test_rational_cross_multiplication_equality():
