@@ -41,10 +41,6 @@ def as_angle(value):
     return normalize_angle(value)
 
 
-def angle_sum(a, b):
-    return normalize_angle(a + b)
-
-
 def scale_angle(a, k):
     """The angle of the k-th power of the circle point."""
     return normalize_angle(a * k)

@@ -2,19 +2,21 @@
 
 The functions here are purely combinatorial in the linking numbers and the
 angles of the remaining coordinates: the sign of a two-point expression on
-the circle, its telescoped extension to chains, the jump of the signature
+the circle, its telescoped sum along a chain, the jump of the signature
 across the first coordinate, the wall indicator for its degeneracy locus,
-and the step profile of torus-link signatures.
-
-Inputs may be angles in turns (fractions preferred) or unit complex
-numbers.  Every sign is a comparison of angle sums, so on rational angles
-:func:`pair_sign`, :func:`chain_sign` and :func:`signature_jump` are exact;
-on float angles they compare the floats.
+and the step profile of torus-link signatures.  The chain sign, the jump
+and the profile are one wall count: the chain sign of n angles in [0, 1)
+with sum T, Z of them 0, is n - 1 - 2*floor(T) + [T is an integer] - Z,
+which drops by 2 per wall crossed.  Inputs may be angles in turns
+(fractions preferred) or unit complex numbers; every sign compares angle
+sums, so all is exact on rational angles, and on float angles it compares
+the floats.
 """
 
+import math
 from fractions import Fraction
 
-from .angles import TorusPoint, angle_sum, as_angle, scale_angle
+from .angles import TorusPoint, as_angle, scale_angle
 from .errors import DomainError
 
 
@@ -33,21 +35,21 @@ def pair_sign(z1, z2):
     return 1 if a + b < 1 else -1
 
 
+def _wall_count(count, total, zeros):
+    """Chain sign of ``count`` angles in [0, 1) with sum ``total``, ``zeros`` of them 0."""
+    k = math.floor(total)
+    return count - 1 - 2 * k + (total == k) - zeros
+
+
 def chain_sign(points):
     """Telescoped pair signs of a chain: sum of pair_sign(z_j, z_{j+1}...z_n).
 
+    Read as n - 1 - 2*floor(T) + [T is an integer] - Z for n angles with sum
+    T, Z of them 0; on float angles T is one float sum, compared once.
     Empty and one-element chains give 0.
     """
     angles = [as_angle(z) for z in points]
-    n = len(angles)
-    if n <= 1:
-        return 0
-    total = 0
-    suffix = angles[-1]
-    for j in range(n - 2, -1, -1):
-        total += pair_sign(angles[j], suffix)
-        suffix = angle_sum(angles[j], suffix)
-    return total
+    return _wall_count(len(angles), sum(angles), angles.count(0))
 
 
 def _linking_tuple(linking):
@@ -65,23 +67,19 @@ def _as_point(point):
 def signature_jump(linking, point):
     """The one-sided jump of the signature across the first coordinate.
 
-    Evaluates the chain sign of the block vector that repeats the j-th
-    coordinate (sign-adjusted) |l_j| times; identically zero for vanishing
-    linking.
+    The chain sign of the block vector that repeats a_j = sgn(l_j) theta_j
+    mod 1 |l_j| times, read in O(mu) without building it: N - 1 - 2*floor(T)
+    + [T is an integer] - Z for N = sum |l_j|, T = sum |l_j| a_j and Z the
+    blocks with a_j = 0.  Zero for vanishing linking; on float angles T is
+    one float sum, compared once.
     """
     ell = _linking_tuple(linking)
     point = _as_point(point)
     if len(ell) != point.mu:
         raise ValueError("linking vector and point have different lengths")
-    blocks = []
-    for lj, angle in zip(ell, point.angles):
-        if lj == 0:
-            continue
-        sign = 1 if lj > 0 else -1
-        blocks.extend([scale_angle(angle, sign)] * abs(lj))
-    if not blocks:
-        return 0
-    return chain_sign(blocks)
+    blocks = [(abs(lj), scale_angle(a, 1 if lj > 0 else -1)) for lj, a in zip(ell, point) if lj]
+    return _wall_count(sum(m for m, _ in blocks), sum(m * a for m, a in blocks),
+                       sum(m for m, a in blocks if a == 0))
 
 
 def wall_indicator(linking, point):
@@ -100,7 +98,9 @@ def torus_signature_profile(n, theta):
     """The integer step profile of the 2-strand torus-link signature.
 
     Symmetric about theta = 1 on its domain (0, 2); equals n - 2k - 1 on the
-    open band (k/n, (k+1)/n), n - 2k at the node k/n, and 1 - n at theta = 1.
+    open band (k/n, (k+1)/n), n - 2k at the node k/n, and 1 - n at theta = 1:
+    with t = min(theta, 2 - theta), the wall count of n angles summing to
+    n*t, plus 1 at t = 1.
     """
     n = int(n)
     if n < 1:
@@ -108,12 +108,5 @@ def torus_signature_profile(n, theta):
     theta = Fraction(theta)
     if not 0 < theta < 2:
         raise DomainError("profile argument must lie in (0, 2)")
-    if theta > 1:
-        theta = 2 - theta
-    if theta == 1:
-        return 1 - n
-    scaled = n * theta
-    k = scaled.numerator // scaled.denominator
-    if scaled == k:
-        return n - 2 * k
-    return n - 2 * k - 1
+    t = min(theta, 2 - theta)
+    return _wall_count(n, n * t, 0) + (t == 1)

@@ -12,8 +12,9 @@ import math
 
 from .angles import TorusPoint
 from .corrections import wall_indicator
-from .errors import (BoundaryPoint, DenominatorVanishes, Indeterminate, MissingConwayData,
-                     MissingSublink, NotDivisible, PoleEncountered, RealnessError)
+from .errors import (BoundaryPoint, DenominatorVanishes, DomainError, Indeterminate,
+                     MissingConwayData, MissingSublink, NotDivisible, PoleEncountered,
+                     RealnessError)
 from .laurent import LaurentPoly, as_rational, divide_exact
 
 _REAL_SLACK = 1e-8
@@ -51,11 +52,13 @@ def _require_open(point):
 
 
 def _eval_part(rational, point, what, error):
-    """RationalFunction.eval_with_zero, raising ``error`` at a pole."""
+    """RationalFunction.eval_with_zero; ``error`` at a pole, DomainError past float range."""
     try:
         return rational.eval_with_zero(point)
     except DenominatorVanishes:
         raise error("%s has a pole at the evaluation point" % what) from None
+    except OverflowError:
+        raise DomainError("%s has a coefficient or exponent beyond float range" % what) from None
 
 
 def slope(nabla_link, nabla_rest, point, partial=None):

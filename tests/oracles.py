@@ -1,10 +1,12 @@
 """Independent oracles for the tests, kept out of the package.
 
 Each oracle is built from its definition and shares no code with the route
-it checks: the wall-crossing count for the signature jump, the tridiagonal
-chain and clasp matrices whose inertia realizes the chain sign, Sylvester's
-law of inertia, the boundary form F_0 of the rest path, and the linking
-matrix read from every pair of components.
+it checks: the chain sign telescoped from pair signs (the reference for the
+closed-form wall counts in :mod:`sigtorus.corrections`), the wall-crossing
+count for the signature jump, the tridiagonal chain and clasp matrices
+whose inertia realizes the chain sign, Sylvester's law of inertia, the
+boundary form F_0 of the rest path, and the linking matrix read from every
+pair of components.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from sigtorus.angles import TorusPoint, angle_to_complex, as_angle, scale_angle
+from sigtorus.corrections import pair_sign
 from sigtorus.errors import (BoundaryPoint, InexactAngles, SigtorusError,
                              ZeroParameter)
 from sigtorus.hermitian import DEFAULT_TOL, HermitianMatrix, inertia
@@ -28,6 +31,22 @@ class ZeroLinking(SigtorusError):
 
 def _as_point(point):
     return point if isinstance(point, TorusPoint) else TorusPoint(point)
+
+
+def chain_sign_by_pairs(points):
+    """Definitional oracle for :func:`sigtorus.corrections.chain_sign`.
+
+    The telescoped sum of pair_sign(z_j, z_{j+1}...z_n) over j < n, one
+    pair sign per chain step, with the suffix product kept as an angle in
+    [0, 1).  Empty and one-element chains give 0.
+    """
+    angles = [as_angle(z) for z in points]
+    total = 0
+    suffix = angles[-1] if angles else 0
+    for angle in reversed(angles[:-1]):
+        total += pair_sign(angle, suffix)
+        suffix = (angle + suffix) % 1
+    return total
 
 
 def signature_jump_by_walls(linking, point):
@@ -73,7 +92,8 @@ def chain_matrix(points):
     m = max(len(z) - 1, 0)
     mat = np.zeros((m, m), dtype=complex)
     for r in range(m):
-        mat[r, r] = 1j * (z[r] * z[r + 1] - 1.0) / ((1.0 - z[r]) * (1.0 - z[r + 1]))
+        # real in exact arithmetic; near angle 0 its float residue is not small
+        mat[r, r] = (1j * (z[r] * z[r + 1] - 1.0) / ((1.0 - z[r]) * (1.0 - z[r + 1]))).real
     for r in range(1, m):
         sub = 1j / (1.0 - z[r])
         mat[r, r - 1] = sub

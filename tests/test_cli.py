@@ -18,7 +18,7 @@ import sigtorus
 import sigtorus.cli
 from sigtorus.angles import angle_to_complex
 from sigtorus.cli import main
-from sigtorus.families import make_torus, make_twist
+from sigtorus.families import make_family, make_torus, make_twist, oracle_torus
 from sigtorus.links import (ColoredLink, SeifertSystem, save_link, sign_key,
                             sign_vectors, signature_nullity_batch)
 
@@ -357,6 +357,58 @@ def test_verify_failure_exits_4(tmp_path, capsys):
                        "--samples", "2")
     assert code == 4
     assert "FAIL" in out
+
+
+def test_verify_at_linking_beyond_an_index_exits_4(tmp_path, capsys):
+    """torus(3) data with lk = 10**30: the jump is a wall count, so the
+    checks run and fail on the inconsistent data instead of raising."""
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
+    doc = json.loads(Path(torus).read_text())
+    doc["linking"][0]["lk"] = 10 ** 30
+    Path(torus).write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--link", torus, "--suite", "all",
+                         "--samples", "3")
+    assert (code, err) == (4, "")
+    assert "FAIL 3d/equality/plus" in out
+
+
+_CONWAY_COMMANDS = (("slope", "--omega", "1/5"), ("torres", "--omega", "1/5"),
+                    ("verify", "--suite", "all", "--samples", "3"))
+
+
+@pytest.mark.parametrize("family, param, key, field, commands", [
+    ("twist", 2, "", "coeff", _CONWAY_COMMANDS),
+    ("twist", 2, "2", "coeff", _CONWAY_COMMANDS),
+    ("twist", 2, "", "exp", _CONWAY_COMMANDS),
+    ("torus", 3, "2", "coeff", _CONWAY_COMMANDS[:1]),
+], ids=["twist-link-coeff", "twist-sublink-coeff", "twist-link-exp", "torus-sublink-coeff"])
+def test_conway_beyond_float_range_exits_2(tmp_path, capsys, family, param, key, field,
+                                            commands):
+    """A link ("") or sublink ("2") Conway numerator with a coefficient or an
+    exponent of 10**400 is an input error that names the Conway function."""
+    doc = make_family(family, param).to_document()
+    record = (doc["sublinks"][key] if key else doc)["conway"]["num"][0]
+    record[field] = 10 ** 400 if field == "coeff" else [10 ** 400] + record["exp"][1:]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--link", str(path))
+        assert (code, out) == (2, ""), argv
+        assert "Conway function" in err and "beyond float range" in err, argv
+    # eval reads no Conway data
+    code, out, _ = run(capsys, "eval", "--link", str(path), "--omega", "1/3,1/5")
+    assert code == 0 and out.startswith("sigma=")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the zero cut tol * max(1, ||H||_F) has an absolute floor of 1e-9, "
+                          "and ||H||_F is about |1 - omega_1|, 6e-11 here")
+def test_eval_near_the_boundary_reads_the_closed_form(tmp_path, capsys):
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
+    for theta1 in (Fraction(1, 10 ** 9), Fraction(1, 10 ** 11)):
+        want = "sigma=%d eta=%d dim=2\n" % oracle_torus(3, theta1, Fraction(1, 5))
+        code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "%s,1/5" % theta1)
+        assert (code, out) == (0, want), theta1
 
 
 def test_family_refuses_overwrite(tmp_path, capsys):

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import (ClaspSequence, ZeroLinking, chain_matrix, clasp_matrix,
-                     signature_jump_by_walls)
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from oracles import (ClaspSequence, ZeroLinking, chain_matrix, chain_sign_by_pairs,
+                     clasp_matrix, signature_jump_by_walls)
 
-from sigtorus.angles import TorusPoint
+from sigtorus.angles import TorusPoint, scale_angle
 from sigtorus.corrections import (chain_sign, pair_sign, signature_jump,
                                   torus_signature_profile, wall_indicator)
 from sigtorus.errors import BoundaryPoint, DomainError, InexactAngles
@@ -94,6 +96,48 @@ def test_jump_equals_walls_oracle():
                     ((1, 1), [Fraction(1, 3), Fraction(2, 3) + tiny]),
                     ((1, 1), [Fraction(1, 3), Fraction(2, 3) - tiny])):
         assert signature_jump(ell, pt) == signature_jump_by_walls(ell, pt)
+    # linking beyond an index: the jump is a wall count, with no block vector
+    big = ((10 ** 30,), [Fraction(2, 7)])
+    assert signature_jump(*big) == signature_jump_by_walls(*big) == 428571428571428571428571428571
+
+
+@hst.composite
+def _jump_cases(draw):
+    """Linking numbers |l_j| <= 200 and rational angles with denominators
+    <= 64, zeros included; half the time the last angle is moved onto a
+    wall (sum l_j theta_j an integer) when its linking number is nonzero.
+    Also a profile argument theta in (0, 2)."""
+    mu = draw(hst.integers(1, 4))
+    bound = draw(hst.sampled_from((20, 200)))
+    ell = draw(hst.lists(hst.integers(-bound, bound), min_size=mu, max_size=mu))
+    angles = []
+    for _ in range(mu):
+        q = draw(hst.integers(1, 64))
+        angles.append(Fraction(draw(hst.integers(0, q - 1)), q))
+    if draw(hst.booleans()) and ell[-1]:
+        rest = sum(lj * a for lj, a in zip(ell[:-1], angles[:-1]))
+        angles[-1] = (Fraction(draw(hst.integers(0, abs(ell[-1]) - 1))) - rest) / ell[-1] % 1
+    q = draw(hst.integers(1, 64))
+    return tuple(ell), angles, Fraction(draw(hst.integers(1, 2 * q - 1)), q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jump_cases())
+def test_wall_counts_equal_the_telescoped_definition(case):
+    ell, angles, theta = case
+    blocks = [scale_angle(a, 1 if lj > 0 else -1)
+              for lj, a in zip(ell, angles) for _ in range(abs(lj))]
+    want = chain_sign_by_pairs(blocks)
+    assert signature_jump(ell, angles) == want
+    assert chain_sign(blocks) == want
+    assert chain_sign(angles) == chain_sign_by_pairs(angles)
+    # the profile is the chain sign of n copies of t = min(theta, 2 - theta)
+    n = max(1, abs(ell[0]))
+    t = min(theta, 2 - theta)
+    want = 1 - n if t == 1 else chain_sign_by_pairs([t] * n)
+    assert torus_signature_profile(n, theta) == want
+    if max(map(abs, ell)) <= 20 and blocks and 0 not in blocks:
+        assert inertia(chain_matrix(blocks)).signature == signature_jump(ell, angles)
 
 
 def test_jump_antisymmetric_under_conjugation():
