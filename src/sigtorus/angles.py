@@ -27,7 +27,8 @@ def normalize_angle(a):
     if isinstance(a, float):
         if not math.isfinite(a):
             raise DomainError("not a finite angle: %r" % (a,))
-        return a % 1.0
+        a %= 1.0
+        return 0.0 if a == 1.0 else a  # -1e-20 % 1.0 rounds up to 1.0
     raise TypeError("not an angle: %r" % (a,))
 
 

@@ -67,10 +67,9 @@ def cmd_eval(args):
     try:
         sigma, eta = signature_nullity(link, point, tol)
     except BoundaryPoint:
-        print("error: omega has a coordinate equal to 1; the Seifert form "
-              "degenerates there. Use the `torres` command for boundary "
-              "predictions.", file=sys.stderr)
-        return EXIT_INPUT
+        raise BoundaryPoint("omega has a coordinate equal to 1; the Seifert form "
+                            "degenerates there. Use the `torres` command for "
+                            "boundary predictions.") from None
     print("sigma=%d eta=%d dim=%d" % (sigma, eta, link.seifert.n))
     return EXIT_OK
 
@@ -122,16 +121,12 @@ def cmd_grid(args):
     etas += etas[:total - count][::-1]
 
     labels = [str(t) for t in thetas]
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("theta1,theta2,sigma,eta\n")
-            for k, (sigma, eta) in enumerate(zip(sigmas, etas)):
-                fh.write("%s,%s,%d,%d\n" % (labels[k // side], labels[k % side], sigma, eta))
-        if args.heatmap:
-            _write_heatmap(args.heatmap, sigmas, n)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("theta1,theta2,sigma,eta\n")
+        for k, (sigma, eta) in enumerate(zip(sigmas, etas)):
+            fh.write("%s,%s,%d,%d\n" % (labels[k // side], labels[k % side], sigma, eta))
+    if args.heatmap:
+        _write_heatmap(args.heatmap, sigmas, n)
     return EXIT_OK
 
 
@@ -184,12 +179,8 @@ def cmd_verify(args):
               % ("PASS" if rep.passed else "FAIL", rep.check,
                  rep.lhs, rep.rhs, rep.relation))
     if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report_text(reports))
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_IO
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(report_text(reports))
     failures = sum(not rep.passed for rep in reports)
     print("checks=%d failures=%d" % (len(reports), failures))
     return EXIT_FAIL if failures else EXIT_OK
@@ -201,14 +192,8 @@ def cmd_family(args):
     except DomainError as exc:
         raise SigtorusError("--param: %s" % exc) from None
     if os.path.exists(args.out) and not args.force:
-        print("error: %s exists; pass --force to overwrite" % args.out,
-              file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        save_link(link, args.out)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+        raise SigtorusError("%s exists; pass --force to overwrite" % args.out)
+    save_link(link, args.out)
     print("wrote %s" % args.out)
     return EXIT_OK
 

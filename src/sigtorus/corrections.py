@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .angles import TorusPoint, as_angle, scale_angle
-from .errors import DomainError
+from .errors import DomainError, InexactAngles
 
 
 def pair_sign(z1, z2):
@@ -71,14 +71,18 @@ def signature_jump(linking, point):
     mod 1 |l_j| times, read in O(mu) without building it: N - 1 - 2*floor(T)
     + [T is an integer] - Z for N = sum |l_j|, T = sum |l_j| a_j and Z the
     blocks with a_j = 0.  Zero for vanishing linking; on float angles T is
-    one float sum, compared once.
+    one float sum, compared once, and N of 2**53 or more raises
+    InexactAngles, as that sum no longer holds the integer part of T.
     """
     ell = _linking_tuple(linking)
     point = _as_point(point)
     if len(ell) != point.mu:
         raise ValueError("linking vector and point have different lengths")
     blocks = [(abs(lj), scale_angle(a, 1 if lj > 0 else -1)) for lj, a in zip(ell, point) if lj]
-    return _wall_count(sum(m for m, _ in blocks), sum(m * a for m, a in blocks),
+    count = sum(m for m, _ in blocks)
+    if count >= 2 ** 53 and any(isinstance(a, float) for _, a in blocks):
+        raise InexactAngles("float angles need sum |l_j| below 2**53; pass exact angles")
+    return _wall_count(count, sum(m * a for m, a in blocks),
                        sum(m for m, a in blocks if a == 0))
 
 

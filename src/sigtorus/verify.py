@@ -52,7 +52,8 @@ def directional_limit(link, rest, side="plus", tol=DEFAULT_TOL):
     to 1, with the remaining coordinates held fixed."""
     if side not in _SIDES:
         raise ValueError("side must be 'plus' or 'minus'")
-    return _Rests(link, [rest], tol).limits[0][side]
+    row = _Rests(link, [rest], tol).limits[0]
+    return LimitResult(side, row[_SIDES.index(side)], row[2])
 
 
 # -- rest points -----------------------------------------------------------------
@@ -103,12 +104,10 @@ class _Rests:
 
     @cached_property
     def limits(self):
-        """The limits as the first coordinate tends to 1 at each omega', by side."""
-        counts = rest_limit_counts(self.link, [point.omega() for point in self.points],
-                                   self.tol)
-        return [{"plus": LimitResult("plus", plus, eta),
-                 "minus": LimitResult("minus", minus, eta)}
-                for plus, minus, eta in counts.tolist()]
+        """(plus, minus, eta) at each omega': the limits of sigma from each
+        side and of eta as the first coordinate tends to 1."""
+        return rest_limit_counts(self.link, [point.omega() for point in self.points],
+                                 self.tol).tolist()
 
     @cached_property
     def boundary(self):
@@ -292,12 +291,12 @@ def _check_3d(rests, i):
     notes = [_rank_note(link)]
     centers = (sig_rest + jump, sig_rest - jump)
 
-    limits = rests.limits[i]
-    reports = [_leq("3d/bound/" + side, inputs, abs(limits[side].value - center),
-                    rhs, notes) for side, center in zip(_SIDES, centers)]
+    sides = list(zip(_SIDES, rests.limits[i], centers))
+    reports = [_leq("3d/bound/" + side, inputs, abs(value - center), rhs, notes)
+               for side, value, center in sides]
     if rests.generic[i]:
-        reports += [_eq("3d/equality/" + side, inputs, limits[side].value, center,
-                        notes) for side, center in zip(_SIDES, centers)]
+        reports += [_eq("3d/equality/" + side, inputs, value, center, notes)
+                    for side, value, center in sides]
     return reports
 
 
@@ -328,14 +327,15 @@ def _check_4d(rests, i):
                       "slope formula reads 0/0; bound untestable here")]
     notes = [_rank_note(link)]
     sig_rest, eta_rest = rests.sub_inertia[i]
-    limits = rests.limits[i]
+    plus, minus, _ = rests.limits[i]
+    sides = list(zip(_SIDES, (plus, minus)))
 
     equalities = []
     if slope_value is None:
         case = "linked"
         if total == 1 and eta_rest == 0:
-            equalities = [_eq("4d/linked/equality/" + side, inputs,
-                              limits[side].value, center, notes) for side in _SIDES]
+            equalities = [_eq("4d/linked/equality/" + side, inputs, value, center, notes)
+                          for side, value in sides]
         elif total == 1:
             equalities = [_skip("4d/linked/equality", inputs,
                                 "sublink Alexander value vanishes here")]
@@ -344,14 +344,13 @@ def _check_4d(rests, i):
         inputs = dict(inputs, slope=repr(slope_value))
         if center != sig_rest:
             # slope finite and nonzero: numerator and denominator both nonvanish
-            equalities = [_eq("4d/split/equality/" + side, inputs,
-                              limits[side].value, center, notes) for side in _SIDES]
+            equalities = [_eq("4d/split/equality/" + side, inputs, value, center, notes)
+                          for side, value in sides]
 
     bound = eta - link.rank_alexander
     prefix = "4d/%s/" % case
-    plus, minus = limits["plus"].value, limits["minus"].value
     reports = [_leq(prefix + "bound/" + side, inputs, abs(value - center), bound, notes)
-               for side, value in zip(_SIDES, (plus, minus))]
+               for side, value in sides]
     reports.append(_leq(prefix + "difference", inputs, abs(plus - minus), 2 * bound, notes))
     return reports + equalities
 
@@ -369,8 +368,7 @@ def verify_lt(link, tol=DEFAULT_TOL):
     notes = [_rank_note(link),
              "derived constraint: rank A(L) <= %d" % (ine.nullity - 1)]
 
-    limits = _Rests(link, [()], tol).limits[0]
-    plus, minus = limits["plus"].value, limits["minus"].value
+    plus, minus, _ = _Rests(link, [()], tol).limits[0]
 
     reports = [_eq("lt/side-agreement", inputs, plus, minus, notes)]
     bound = ine.nullity - 1 - rank
@@ -499,8 +497,8 @@ def _predict_torres(rests, i):
         if not point.is_exact:
             notes.append("midpoint check skipped: the wall test needs exact angles")
         elif rests.generic[i]:
-            limits = rests.limits[i]
-            midpoint_value = Fraction(limits["plus"].value + limits["minus"].value, 2)
+            plus, minus, _ = rests.limits[i]
+            midpoint_value = Fraction(plus + minus, 2)
             midpoint = "pass" if midpoint_value == sig_rest else "fail"
     return TorresPrediction(sigma, eta, midpoint, notes, sig_rest, midpoint_value)
 
@@ -567,57 +565,48 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
     The 3d, 4d and Torres checks at the sampled points share one table per
     quantity: the sublink inertia, both one-sided limits and the boundary
     value (with the slope) of every point, each computed for all points on
-    its first read, the first two in one stacked call each.  A specifically
-    requested suite raises when the link lacks the data it needs; under
-    "all", inapplicable suites are skipped with a note.
+    its first read, the first two in one stacked call each.  A suite whose
+    data the link lacks (3d and 4d need two colors; lt a one-colored link or
+    underlying_oriented data; multi-lt underlying_oriented data) raises when
+    requested alone.  Under "all", lt and multi-lt then write one skip
+    record each, and 3d and 4d write nothing.
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
     if samples < 1:
         raise DomainError("samples must be at least 1, got %r" % (samples,))
-    all_mode = suite == "all"
     rnd = random.Random(seed)
-    points = [random_rational_point(rnd, max(link.mu - 1, 0))
-              for _ in range(samples)]
-    rests = _Rests(link, points, tol) if link.mu >= 2 else None
+    rests = _Rests(link, [random_rational_point(rnd, link.mu - 1)
+                          for _ in range(samples)], tol)
+    each = range(samples if link.mu > 1 else 1)  # one Torres record for one color
+    oriented = link if link.mu == 1 else link.underlying_oriented
+    # suite, whether the link carries its data, its reports, the error when it
+    # is asked for alone, and the record "all" writes in its place (or None)
+    rows = (
+        ("3d", link.mu > 1, lambda: [r for i in each for r in _check_3d(rests, i)],
+         WrongColorCount("3d suite needs at least two colors"), None),
+        ("4d", link.mu > 1, lambda: [r for i in each for r in _check_4d(rests, i)],
+         WrongColorCount("4d suite needs at least two colors"), None),
+        ("lt", oriented is not None, lambda: verify_lt(oriented, tol),
+         MissingUnderlying("lt suite needs a 1-colored link or underlying_oriented data"),
+         _skip("lt/skipped", {}, "no 1-colored data available")),
+        ("corners", True, lambda: verify_corner_limits(link, tol), None, None),
+        ("torres", True, lambda: [r for i in each for r in _check_torres(rests, i)],
+         None, None),
+        ("multi-lt", link.underlying_oriented is not None,
+         lambda: _diagonal_reports(link, [pt[0] if pt.mu else Fraction(1, 2)
+                                          for pt in rests.points], tol),
+         MissingUnderlying("multi-lt suite needs underlying_oriented data"),
+         _skip("multi-lt/skipped", {}, "no underlying_oriented data")),
+    )
     reports = []
-
-    def want(name):
-        return all_mode or suite == name
-
-    for name, check in (("3d", _check_3d), ("4d", _check_4d)):
-        if not want(name):
+    for name, applies, checks, error, skipped in rows:
+        if suite not in (name, "all"):
             continue
-        if link.mu >= 2:
-            for i in range(samples):
-                reports.extend(check(rests, i))
-        elif not all_mode:
-            raise WrongColorCount("%s suite needs at least two colors" % name)
-    if want("lt"):
-        if link.mu == 1:
-            reports.extend(verify_lt(link, tol))
-        elif link.underlying_oriented is not None:
-            reports.extend(verify_lt(link.underlying_oriented, tol))
-        elif not all_mode:
-            raise MissingUnderlying("lt suite needs a 1-colored link or "
-                                    "underlying_oriented data")
-        else:
-            reports.append(_skip("lt/skipped", {}, "no 1-colored data available"))
-    if want("corners"):
-        reports.extend(verify_corner_limits(link, tol))
-    if want("torres"):
-        if link.mu == 1:
-            reports.extend(torres_reports(link, None, tol))
-        else:
-            for i in range(samples):
-                reports.extend(_check_torres(rests, i))
-    if want("multi-lt"):
-        if link.underlying_oriented is not None:
-            angles = [pt[0] if pt.mu else Fraction(1, 2) for pt in points]
-            reports.extend(_diagonal_reports(link, angles, tol))
-        elif not all_mode:
-            raise MissingUnderlying("multi-lt suite needs underlying_oriented data")
-        else:
-            reports.append(_skip("multi-lt/skipped", {},
-                                 "no underlying_oriented data"))
+        if applies:
+            reports += checks()
+        elif suite != "all":
+            raise error
+        elif skipped is not None:
+            reports.append(skipped)
     return reports

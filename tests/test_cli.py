@@ -337,7 +337,7 @@ def test_verify_command_and_report(tmp_path, capsys):
 
 def test_verify_missing_data_exits_2(tmp_path, capsys):
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
-    doc = json.loads(open(twist).read())
+    doc = json.loads(Path(twist).read_text())
     del doc["conway"]
     stripped = tmp_path / "stripped.json"
     stripped.write_text(json.dumps(doc))
@@ -349,7 +349,7 @@ def test_verify_missing_data_exits_2(tmp_path, capsys):
 
 def test_verify_failure_exits_4(tmp_path, capsys):
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
-    doc = json.loads(open(twist).read())
+    doc = json.loads(Path(twist).read_text())
     doc["rank_alexander"] = 5  # deliberately wrong input data
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -506,7 +506,7 @@ def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
     if damage is None:
         bad.write_text('{"mu": 2,')
     else:
-        doc = json.loads(open(twist).read())
+        doc = json.loads(Path(twist).read_text())
         damage(doc)
         bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "eval", "--link", str(bad), "--omega", "1/3,1/5")
@@ -566,10 +566,12 @@ def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     (("torus", 3), ["limit", "--side", "plus", "--omega-rest", "1e400"], "--omega-rest"),
     (("unlink", 3), ["grid", "--resolution", "3", "--rest", "1e400"], "--rest"),
     (("unlink", 1), ["torres", "--omega", "1/3"], "--omega"),
+    (("torus", 3), ["grid", "--resolution", "1"], "--resolution"),
+    (("unlink", 3), ["grid", "--resolution", "3", "--rest", "0"], "--rest"),
 ], ids=["zero-denominator", "not-a-number", "too-few", "too-many", "axes-not-int",
         "rest-zero-denominator", "limit-count", "slope-count", "torres-missing",
         "samples-negative", "samples-zero", "omega-not-finite", "omega-rest-not-finite",
-        "rest-not-finite", "torres-one-color-count"])
+        "rest-not-finite", "torres-one-color-count", "resolution-1", "rest-zero"])
 def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
     if argv[0] == "grid":
@@ -578,6 +580,56 @@ def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+def _without_conway(doc):
+    del doc["conway"]
+
+
+def _without_sublink_conway(doc):
+    del doc["sublinks"]["2"]["conway"]
+
+
+@pytest.mark.parametrize("family, damage, argv, message", [
+    (("unlink", 1), None, ["grid", "--resolution", "3"], "at least two colors"),
+    (("twist", 2), _without_conway, ["slope", "--omega", "1/4"], "carries no conway data"),
+    (("twist", 2), _without_sublink_conway, ["slope", "--omega", "1/4"],
+     "carries no sublink conway data"),
+], ids=["grid-one-color", "slope-no-conway", "slope-no-sublink-conway"])
+def test_unusable_requests_exit_2(tmp_path, capsys, family, damage, argv, message):
+    link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
+    if damage is not None:
+        doc = json.loads(Path(link).read_text())
+        damage(doc)
+        Path(link).write_text(json.dumps(doc))
+    if argv[0] == "grid":
+        argv = argv + ["--out", str(tmp_path / "g.csv")]
+    code, out, err = run(capsys, argv[0], "--link", link, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["grid", "--link", "{torus}", "--resolution", "3", "--out", "{missing}"], "{missing}"),
+    (["grid", "--link", "{torus}", "--resolution", "3", "--out", "{tmp}/g.csv",
+      "--heatmap", "{missing}"], "{missing}"),
+    (["verify", "--link", "{torus}", "--suite", "3d", "--samples", "2",
+      "--report", "{missing}"], "{missing}"),
+    (["family", "--name", "torus", "--param", "3", "--out", "{missing}"], "{missing}"),
+    (["eval", "--link", "{tmp}/missing.json", "--omega", "1/3,1/5"], "{tmp}/missing.json"),
+], ids=["grid-out", "grid-heatmap", "verify-report", "family-out", "eval-link"])
+def test_io_errors_exit_3_with_one_line(tmp_path, capsys, argv, target):
+    names = {"torus": make_file(tmp_path, capsys, "torus", 3, "torus3.json"),
+             "missing": str(tmp_path / "no-such-dir" / "file"), "tmp": str(tmp_path)}
+    code, out, err = run(capsys, *[arg.format(**names) for arg in argv])
+    assert code == 3
+    assert err == "error: [Errno 2] No such file or directory: %r\n" % target.format(**names)
+    # verify prints its checks before writing the report, and no summary after
+    if argv[0] == "verify":
+        assert out and all(line.startswith("PASS ") for line in out.splitlines())
+    else:
+        assert out == ""
+    assert not (tmp_path / "no-such-dir").exists()
 
 
 def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):

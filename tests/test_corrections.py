@@ -101,6 +101,18 @@ def test_jump_equals_walls_oracle():
     assert signature_jump(*big) == signature_jump_by_walls(*big) == 428571428571428571428571428571
 
 
+def test_jump_refuses_float_angles_beyond_float_precision():
+    # a float sum of 2**53 or more blocks drops the integer part of T
+    for ell in ((10 ** 30,), (10 ** 400,), (2 ** 52, -(2 ** 52))):
+        with pytest.raises(InexactAngles, match=r"2\*\*53"):
+            signature_jump(ell, [0.3] * len(ell))
+    below = (2 ** 53 - 1,)
+    assert signature_jump(below, [0.5]) == signature_jump_by_walls(below, [Fraction(1, 2)])
+    assert signature_jump((3,), [0.3]) == signature_jump((3,), [Fraction(3, 10)]) == 2
+    # exact angles stay exact at any linking
+    assert signature_jump((10 ** 30, 0), [Fraction(3, 10), 0.3]) == 4 * 10 ** 29
+
+
 @hst.composite
 def _jump_cases(draw):
     """Linking numbers |l_j| <= 200 and rational angles with denominators

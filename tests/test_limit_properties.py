@@ -174,8 +174,8 @@ def test_stacked_group_matches_single_points(system):
     mu, n, halves, points, _ = system
     link = _link(mu, n, halves)
     rests = verify._Rests(link, points, TOL)
-    for point, limits in zip(points, rests.limits):
-        assert [(lim.value, lim.eta) for lim in limits.values()] == _rest_limits(link, point)
+    for point, (plus, minus, eta) in zip(points, rests.limits):
+        assert [(plus, eta), (minus, eta)] == _rest_limits(link, point)
 
 
 def test_corner_limits_of_a_system_singular_along_the_corner_path():

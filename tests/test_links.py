@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 from oracles import (boundary_limit_form, clasp_matrix, linking_matrix,
                      torus_clasp_sequence)
 
-from sigtorus.angles import TorusPoint, normalize_angle, parse_angle
+from sigtorus.angles import TorusPoint, normalize_angle, parse_angle, scale_angle
 from sigtorus.corrections import signature_jump, wall_indicator
 from sigtorus.errors import (BoundaryPoint, DimensionMismatch, DomainError,
                              SchemaError, SymmetryViolation)
@@ -319,6 +319,14 @@ def test_reduced_angles_are_kept_as_they_are():
         assert TorusPoint([angle]).angles[0] is angle
     assert normalize_angle(Fraction(-1, 3)) == Fraction(2, 3)
     assert normalize_angle(Fraction(7, 3)) == Fraction(1, 3)
+
+
+def test_tiny_negative_float_angles_reduce_to_zero():
+    # -1e-20 % 1.0 rounds to 1.0, outside [0, 1): the angle is 0, the boundary
+    assert normalize_angle(-1e-20) == scale_angle(1e-20, -1) == 0.0
+    assert not TorusPoint([-1e-20, 0.2]).in_open_torus
+    with pytest.raises(BoundaryPoint):
+        signature_nullity(make_torus(3), [-1e-20, 0.2])
 
 
 def _conway_document(records):

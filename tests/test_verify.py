@@ -21,7 +21,7 @@ from sigtorus.laurent import LaurentPoly, RationalFunction
 from sigtorus.links import (ColoredLink, SeifertSystem, parse_link, sign_key,
                             sign_vectors, signature_nullity)
 from sigtorus.slope import torres_generic
-from sigtorus.verify import (PLUS_MINUS_ONE, SUITES, VerificationReport,
+from sigtorus.verify import (PLUS_MINUS_ONE, SUITES, LimitResult, VerificationReport,
                              directional_limit, predict_lt_limit_2comp,
                              predict_torres, random_rational_point,
                              report_text, run_suite,
@@ -683,8 +683,8 @@ def test_batched_limits_match_per_point_loop(link, monkeypatch):
     (rests,) = [rests for rests in groups if rests.link is link]  # not lt's one-colored link
     assert rests.points == [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
     for point, limits, sub_inertia in zip(rests.points, rests.limits, rests.sub_inertia):
-        for side in ("plus", "minus"):
-            assert limits[side] == directional_limit(link, point, side)
+        for side, value in zip(("plus", "minus"), limits):
+            assert directional_limit(link, point, side) == LimitResult(side, value, limits[2])
         assert sub_inertia == signature_nullity(link.rest_sublink(), point)
     # every corner the sampler reads cleanly agrees with the descent
     (counts,) = corners
