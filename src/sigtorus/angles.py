@@ -2,15 +2,15 @@
 
 Angles are measured in turns: the value ``a`` stands for ``exp(2*pi*i*a)``.
 Rational angles (stored as :class:`fractions.Fraction`) admit exact
-predicates; float angles are accepted everywhere but any exact predicate
-refuses to guess on them.
+predicates; float angles are accepted everywhere, but the exact wall test
+:func:`sigtorus.corrections.wall_indicator` refuses to guess on them.
 """
 
 import cmath
 import math
 from fractions import Fraction
 
-from .errors import DomainError, InexactAngles
+from .errors import DomainError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -138,27 +138,6 @@ class TorusPoint:
 
     def conjugate(self):
         return TorusPoint(conj_angle(a) for a in self.angles)
-
-    def prepend(self, angle):
-        return TorusPoint((normalize_angle(angle),) + self.angles)
-
-    def power_is_integer(self, coefficients):
-        """Exact predicate: is the integer combination of angles an integer?
-
-        Coordinates with zero coefficient may be inexact; any other inexact
-        coordinate raises InexactAngles.
-        """
-        coefficients = tuple(int(c) for c in coefficients)
-        if len(coefficients) != len(self.angles):
-            raise ValueError("coefficient count does not match point")
-        total = Fraction(0)
-        for c, a in zip(coefficients, self.angles):
-            if c == 0:
-                continue
-            if not isinstance(a, Fraction):
-                raise InexactAngles("exact predicate asked of a float angle")
-            total += c * a
-        return total.denominator == 1
 
     def angle_text(self):
         return ",".join(format_angle(a) for a in self.angles)

@@ -7,16 +7,17 @@ across the first coordinate, the wall indicator for its degeneracy locus,
 and the step profile of torus-link signatures.  The chain sign, the jump
 and the profile are one wall count: the chain sign of n angles in [0, 1)
 with sum T, Z of them 0, is n - 1 - 2*floor(T) + [T is an integer] - Z,
-which drops by 2 per wall crossed.  Inputs may be angles in turns
-(fractions preferred) or unit complex numbers; every sign compares angle
-sums, so all is exact on rational angles, and on float angles it compares
-the floats.
+which drops by 2 per wall crossed; the wall indicator is the [T is an
+integer] term of the jump, read off the same blocks.  Chain inputs may be
+angles in turns (fractions preferred) or unit complex numbers; every sign
+compares angle sums, so all is exact on rational angles, and on float
+angles it compares the floats.  The wall indicator refuses floats.
 """
 
 import math
 from fractions import Fraction
 
-from .angles import TorusPoint, as_angle, scale_angle
+from .angles import TorusPoint, as_angle, conj_angle, normalize_angle
 from .errors import DomainError, InexactAngles
 
 
@@ -52,16 +53,13 @@ def chain_sign(points):
     return _wall_count(len(angles), sum(angles), angles.count(0))
 
 
-def _linking_tuple(linking):
-    if isinstance(linking, int):
-        return (linking,)
-    return tuple(int(v) for v in linking)
-
-
-def _as_point(point):
-    if isinstance(point, TorusPoint):
-        return point
-    return TorusPoint(point)
+def _blocks(linking, point):
+    """The blocks (|l_j|, sgn(l_j) theta_j mod 1) of the l_j != 0 (``linking`` may be one int)."""
+    ell = (linking,) if isinstance(linking, int) else tuple(map(int, linking))
+    angles = point.angles if isinstance(point, TorusPoint) else tuple(map(normalize_angle, point))
+    if len(ell) != len(angles):
+        raise ValueError("linking vector and point have different lengths")
+    return [(lj, a) if lj > 0 else (-lj, conj_angle(a)) for lj, a in zip(ell, angles) if lj]
 
 
 def signature_jump(linking, point):
@@ -74,11 +72,7 @@ def signature_jump(linking, point):
     one float sum, compared once, and N of 2**53 or more raises
     InexactAngles, as that sum no longer holds the integer part of T.
     """
-    ell = _linking_tuple(linking)
-    point = _as_point(point)
-    if len(ell) != point.mu:
-        raise ValueError("linking vector and point have different lengths")
-    blocks = [(abs(lj), scale_angle(a, 1 if lj > 0 else -1)) for lj, a in zip(ell, point) if lj]
+    blocks = _blocks(linking, point)
     count = sum(m for m, _ in blocks)
     if count >= 2 ** 53 and any(isinstance(a, float) for _, a in blocks):
         raise InexactAngles("float angles need sum |l_j| below 2**53; pass exact angles")
@@ -87,15 +81,17 @@ def signature_jump(linking, point):
 
 
 def wall_indicator(linking, point):
-    """1 when the linking-weighted angle sum is an integer, else 0.
+    """[T is an integer] for the block sum T of :func:`signature_jump`: 1
+    when sum l_j theta_j is an integer, else 0, and 1 for all-zero linking.
 
-    Decided exactly; float angles (with nonzero coefficient) raise
-    InexactAngles rather than guessing.  An all-zero linking vector gives 1
-    (empty product).
+    Decided exactly: a float angle with l_j != 0 raises InexactAngles.
     """
-    ell = _linking_tuple(linking)
-    point = _as_point(point)
-    return 1 if point.power_is_integer(ell) else 0
+    total = 0
+    for m, a in _blocks(linking, point):
+        if isinstance(a, float):
+            raise InexactAngles("exact predicate asked of a float angle")
+        total += m * a
+    return int(total == math.floor(total))
 
 
 def torus_signature_profile(n, theta):

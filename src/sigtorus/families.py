@@ -17,6 +17,17 @@ from .laurent import LaurentPoly, RationalFunction
 from .links import ColoredLink, SeifertSystem, sign_key, sign_vectors
 
 
+# The most entries a builder's largest Seifert system, 2^mu matrices of n x n,
+# may hold (128 MiB of int64); larger ones are refused before any allocation.
+_MAX_ENTRIES = 2 ** 24
+
+
+def _check_size(name, parameter, mu, n):
+    if n * n > _MAX_ENTRIES >> mu:
+        raise DomainError("%s(%d) is too large: its largest Seifert system, 2^%d matrices "
+                          "of %d rows, exceeds 2**24 entries" % (name, parameter, mu, n))
+
+
 def _sgn(value):
     return (value > 0) - (value < 0)
 
@@ -55,6 +66,8 @@ def make_twist(k):
     Whitehead links.
     """
     k = int(k)
+    if not -2 ** 63 <= k < 2 ** 63:
+        raise DomainError("twist(%d): the Seifert entry k must fit in 64 bits" % k)
     mat = [[k]]
     seifert = SeifertSystem(2, {"++": mat, "+-": mat, "-+": mat, "--": mat})
     conway = RationalFunction(_t_minus_inverse(2, 0) * _t_minus_inverse(2, 1) * k)
@@ -92,6 +105,7 @@ def make_torus(ell):
     """
     ell = int(ell)
     size = abs(ell) - 1
+    _check_size("torus", ell, 1, 2 * abs(ell) - 1)  # the underlying link's system
     plus = (-_sgn(ell)) * _lower_bidiagonal_ones(size)
     zero = np.zeros((max(size, 0), max(size, 0)), dtype=np.int64)
     seifert = SeifertSystem(2, {"++": plus, "--": plus.T, "+-": zero, "-+": zero})
@@ -120,6 +134,7 @@ def make_unlink(mu):
     mu = int(mu)
     if mu < 1:
         raise DomainError("an unlink needs at least one component, got %d" % mu)
+    _check_size("unlink", mu, mu, mu - 1)
     if mu == 1:
         return unknot()
     size = mu - 1

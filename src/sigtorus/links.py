@@ -282,7 +282,8 @@ def parse_link(document):
     [{"a": id, "b": id, "lk": int}], "seifert": {"<+/- string>": [[int]]},
     "conway": rational function, "rank_alexander": int, "sublinks":
     {"<colors>": link}, "underlying_oriented": link}; component ids are
-    "color.index" strings and all 2^mu sign-vector keys are required.
+    "color.index" strings and all 2^mu sign-vector keys are required.  An
+    error in a nested link names its key, as "sublinks[2]: ...".
     """
     if not isinstance(document, dict):
         raise SchemaError("link document must be an object")
@@ -309,10 +310,10 @@ def parse_link(document):
             conway = RationalFunction.from_document(mu, conway)
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError("conway: missing key or bad value: %s" % exc) from None
-    sublinks = {key: parse_link(sub) for key, sub in sublinks.items()}
+    sublinks = {key: _parse_nested("sublinks[%s]" % key, sub) for key, sub in sublinks.items()}
     underlying = document.get("underlying_oriented")
     if underlying is not None:
-        underlying = parse_link(underlying)
+        underlying = _parse_nested("underlying_oriented", underlying)
     return ColoredLink(
         mu=mu,
         components_per_color=document["components_per_color"],
@@ -323,6 +324,14 @@ def parse_link(document):
         sublinks=sublinks,
         underlying_oriented=underlying,
     )
+
+
+def _parse_nested(where, document):
+    """parse_link of a nested document, its SchemaError prefixed with ``where``."""
+    try:
+        return parse_link(document)
+    except SchemaError as exc:
+        raise type(exc)("%s: %s" % (where, exc)) from None
 
 
 def load_link(path):

@@ -423,10 +423,14 @@ def test_family_refuses_overwrite(tmp_path, capsys):
                "--out", str(path), "--force")[0] == 0
 
 
-@pytest.mark.parametrize("param", ["0", "-1"])
-def test_family_bad_param_exits_2(tmp_path, capsys, param):
+@pytest.mark.parametrize("name, param", [
+    ("unlink", "0"), ("unlink", "-1"), ("twist", str(10 ** 30)), ("twist", str(-10 ** 30)),
+    ("torus", str(10 ** 30)), ("torus", str(-10 ** 30)), ("unlink", str(10 ** 30)),
+], ids=["0", "-1", "twist-1e30", "twist-minus-1e30", "torus-1e30", "torus-minus-1e30",
+        "unlink-1e30"])
+def test_family_bad_param_exits_2(tmp_path, capsys, name, param):
     path = tmp_path / "unlink.json"
-    code, out, err = run(capsys, "family", "--name", "unlink", "--param", param,
+    code, out, err = run(capsys, "family", "--name", name, "--param", param,
                          "--out", str(path))
     assert code == 2
     assert out == ""
@@ -476,8 +480,30 @@ def _seifert_as_list(doc):
     doc["seifert"] = list(doc["seifert"].values())
 
 
+def _put(value, *path):
+    """Set the entry at ``path``, a key sequence from the top, to ``value``."""
+    def damage(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return damage
+
+
+def _drop(*path):
+    def damage(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return damage
+
+
+_SELF_LINKED = [{"a": "1.1", "b": "1.1", "lk": 1}]
+_CONFLICTING = [{"a": "1.1", "b": "2.1", "lk": 0}, {"a": "2.1", "b": "1.1", "lk": 1}]
+_TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [], "-": []}}
+
+
 @pytest.mark.parametrize("damage, key", [
-    (None, "JSON"),
+    ('{"mu": 2,', "JSON"),
     (_set_seifert_entry("a"), "seifert"),
     (_set_seifert_entry("3"), "seifert"),
     (_set_seifert_entry(True), "seifert"),
@@ -495,16 +521,36 @@ def _seifert_as_list(doc):
     (_set_seifert(5), "seifert must be an object"),
     (_set_seifert("++"), "seifert must be an object"),
     (_seifert_as_list, "seifert must be an object"),
+    ("[1, 2]", "link document must be an object"),
+    (_drop("mu"), "link document is missing 'mu'"),
+    (_put(True, "mu"), "mu must be a positive integer"),
+    (_put(0, "mu"), "mu must be a positive integer"),
+    (_put(_SELF_LINKED, "linking"), "linking number of a component with itself"),
+    (_put(_CONFLICTING, "linking"), "conflicting linking numbers"),
+    (_put([5], "linking"), "bad linking record 5"),
+    (_put(-1, "rank_alexander"), "rank_alexander must be nonnegative"),
+    (_put(make_twist(1).to_document(), "underlying_oriented"),
+     "underlying_oriented must be 1-colored"),
+    (_put({"+": [[1]], "-": [[2]]}, "sublinks", "2", "seifert"),
+     "sublinks[2]: seifert[-] is not the transpose of seifert[+]"),
+    (_drop("sublinks", "2", "seifert"), "sublinks[2]: link document is missing 'seifert'"),
+    (_put(5, "underlying_oriented"), "underlying_oriented: link document must be an object"),
+    (_put(_TWO_COLOR_KEYS, "underlying_oriented"),
+     "underlying_oriented: seifert: missing matrix for sign vector '++'"),
 ], ids=["malformed-json", "seifert-entry", "seifert-entry-string", "seifert-entry-bool",
         "seifert-entry-beyond-int64", "components-not-list", "conway-no-exp",
         "conway-coeff-fraction", "conway-coeff-bool", "conway-coeff-string",
         "conway-exp-fraction", "linking-not-list", "sublinks-not-object", "sublink-colors",
-        "seifert-null", "seifert-number", "seifert-string", "seifert-list"])
+        "seifert-null", "seifert-number", "seifert-string", "seifert-list",
+        "document-not-object", "mu-missing", "mu-bool", "mu-zero", "linking-self",
+        "linking-conflict", "linking-record-not-object", "rank-negative",
+        "underlying-two-colors", "sublink-transpose", "sublink-no-seifert",
+        "underlying-not-object", "underlying-two-color-keys"])
 def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
     bad = tmp_path / "bad.json"
-    if damage is None:
-        bad.write_text('{"mu": 2,')
+    if isinstance(damage, str):  # the whole text of the file
+        bad.write_text(damage)
     else:
         doc = json.loads(Path(twist).read_text())
         damage(doc)
@@ -595,7 +641,12 @@ def _without_sublink_conway(doc):
     (("twist", 2), _without_conway, ["slope", "--omega", "1/4"], "carries no conway data"),
     (("twist", 2), _without_sublink_conway, ["slope", "--omega", "1/4"],
      "carries no sublink conway data"),
-], ids=["grid-one-color", "slope-no-conway", "slope-no-sublink-conway"])
+    (("twist", 2), _without_sublink_conway, ["verify", "--suite", "4d"],
+     "split case needs conway data for the sublink"),
+    (("torus", 3), _put([{"coeff": 1, "exp": [1, 0]}], "conway"), ["slope", "--omega", "1/3"],
+     "has a large imaginary part"),
+], ids=["grid-one-color", "slope-no-conway", "slope-no-sublink-conway", "verify-4d-split",
+        "slope-not-real"])
 def test_unusable_requests_exit_2(tmp_path, capsys, family, damage, argv, message):
     link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
     if damage is not None:

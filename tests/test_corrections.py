@@ -150,6 +150,17 @@ def test_wall_counts_equal_the_telescoped_definition(case):
     assert torus_signature_profile(n, theta) == want
     if max(map(abs, ell)) <= 20 and blocks and 0 not in blocks:
         assert inertia(chain_matrix(blocks)).signature == signature_jump(ell, angles)
+    # the wall indicator is [sum l_j theta_j is an integer]; a float angle is
+    # refused exactly where its linking number is nonzero
+    wall = int(sum(lj * a for lj, a in zip(ell, angles)).denominator == 1)
+    assert wall_indicator(ell, angles) == wall
+    for j, lj in enumerate(ell):
+        inexact = angles[:j] + [float(angles[j])] + angles[j + 1:]
+        if lj:
+            with pytest.raises(InexactAngles):
+                wall_indicator(ell, inexact)
+        else:
+            assert wall_indicator(ell, inexact) == wall
 
 
 def test_jump_antisymmetric_under_conjugation():

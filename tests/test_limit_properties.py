@@ -165,7 +165,7 @@ def test_limits_where_the_form_vanishes_on_a_circle(system):
     mu, n, halves, first, rest = system
     link = _link(mu, n, halves)
     assert rest_limit_counts(link, [rest.omega()]).tolist() == [[0, 0, n]]
-    assert signature_nullity(link, rest.prepend(first)) == (0, n)
+    assert signature_nullity(link, TorusPoint((first,) + rest.angles)) == (0, n)
 
 
 @settings(max_examples=80, deadline=None)

@@ -279,8 +279,8 @@ def test_stacked_limits_match_per_point_loop(link, rest):
     for _ in range(3):
         pt = TorusPoint((rational_point(rnd, 1)[0],) + rest)
         for side in ("plus", "minus"):
-            expected = {_loop_sigma_eta(link, pt.prepend(d if side == "plus" else 1 - d),
-                                        relative=True)
+            expected = {_loop_sigma_eta(link, TorusPoint((d if side == "plus" else 1 - d,)
+                                                         + pt.angles), relative=True)
                         for d in (Fraction(1, 2 ** 20), Fraction(1, 2 ** 22))}
             res = directional_limit(link, pt, side)
             assert {(res.value, res.eta)} == expected
@@ -392,6 +392,24 @@ def test_sublink_key_must_list_the_sublink_colors(key, sub):
     with pytest.raises(SchemaError) as err:
         parse_link(doc)
     assert str(err.value).startswith("sublinks[%s]" % key)
+
+
+def test_nested_errors_name_their_key_and_keep_their_class():
+    doc = make_torus(3).to_document()
+    doc["sublinks"]["2"]["seifert"] = {"+": [[1]], "-": [[2]]}
+    with pytest.raises(SymmetryViolation, match=r"^sublinks\[2\]: seifert\[-\] is not"):
+        parse_link(doc)
+    doc = make_torus(3).to_document()
+    doc["underlying_oriented"]["seifert"]["-"] = [[0]]
+    with pytest.raises(DimensionMismatch, match=r"^underlying_oriented: seifert\[-\] is 1x1"):
+        parse_link(doc)
+    doc = make_unlink(3).to_document()
+    doc["sublinks"]["2,3"]["sublinks"]["2"]["seifert"] = 5
+    with pytest.raises(SchemaError) as info:
+        parse_link(doc)
+    assert type(info.value) is SchemaError
+    assert str(info.value) == ("sublinks[2,3]: sublinks[2]: "
+                               "seifert must be an object keyed by sign vectors")
 
 
 def test_sublink_keys_of_increasing_colors_are_read():

@@ -117,8 +117,12 @@ def test_side_symmetry_for_single_color():
     (lambda link: verify_3d(link, TorusPoint([0])), BoundaryPoint, "avoid 1"),
     (lambda link: directional_limit(link, [Fraction(1)], "minus"), BoundaryPoint,
      "avoid 1"),
+    (lambda link: directional_limit(link, [Fraction(1, 3)], side="up"), ValueError,
+     "side must be 'plus' or 'minus'"),
+    (lambda link: run_suite(link, "bogus"), ValueError, "unknown suite 'bogus'"),
+    (lambda link: verify_multi_lt(link, 0), BoundaryPoint, "omega different from 1"),
 ], ids=["torres-none", "torres-reports-none", "3d-none", "4d-two", "limit-empty",
-        "3d-boundary", "limit-boundary"])
+        "3d-boundary", "limit-boundary", "limit-side", "suite-unknown", "multi-lt-boundary"])
 def test_bad_rest_point_rejected(call, error, text):
     with pytest.raises(error, match=text):
         call(make_torus(3))
