@@ -42,11 +42,6 @@ def as_angle(value):
     return normalize_angle(value)
 
 
-def scale_angle(a, k):
-    """The angle of the k-th power of the circle point."""
-    return normalize_angle(a * k)
-
-
 def conj_angle(a):
     return normalize_angle(-a)
 

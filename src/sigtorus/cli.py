@@ -18,13 +18,13 @@ import numpy as np
 
 from .angles import TorusPoint, angle_to_complex
 from .errors import BoundaryPoint, SigtorusError
-from .families import make_family
+from .families import _MAX_ENTRIES, FAMILIES, make_family
 from .hermitian import DEFAULT_TOL
 from .links import (load_link, save_link, signature_nullity,
                     signature_nullity_batch)
 from .slope import classify_slope, slope
-from .verify import (SUITES, directional_limit, predict_torres, report_text,
-                     run_suite)
+from .verify import (SIDES, SUITES, directional_limit, predict_torres,
+                     report_text, run_suite)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -99,6 +99,10 @@ def cmd_grid(args):
         raise SigtorusError("--resolution must be at least 2")
     if link.mu < 2:
         raise SigtorusError("grid sweeps need at least two colors")
+    # refused before the axis angles or the point array are built
+    if (n - 1) ** 2 * link.mu > _MAX_ENTRIES:
+        raise SigtorusError("--resolution %d is too large: %d points of %d angles exceed "
+                            "2**24 entries" % (n, (n - 1) ** 2, link.mu))
     axes, fixed = _grid_axes(args, link)
     tol = _tolerance(args)
 
@@ -248,7 +252,7 @@ def _build_parser():
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("limit", parents=[link_tol], help="one-sided limit of the signature")
-    p.add_argument("--side", choices=("plus", "minus"), required=True)
+    p.add_argument("--side", choices=SIDES, required=True)
     p.add_argument("--omega-rest", dest="omega_rest", default="",
                    help="fixed angles for colors 2..mu (empty for one color; "
                         "--omega-rest=-1/3 for a negative one)")
@@ -268,7 +272,7 @@ def _build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="emit a built-in family link file")
-    p.add_argument("--name", choices=("twist", "torus", "unlink"), required=True)
+    p.add_argument("--name", choices=FAMILIES, required=True)
     p.add_argument("--param", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")

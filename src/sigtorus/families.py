@@ -149,14 +149,13 @@ def make_unlink(mu):
     )
 
 
+FAMILIES = {"twist": make_twist, "torus": make_torus, "unlink": make_unlink}
+
+
 def make_family(name, parameter):
-    if name == "twist":
-        return make_twist(parameter)
-    if name == "torus":
-        return make_torus(parameter)
-    if name == "unlink":
-        return make_unlink(parameter)
-    raise ValueError("unknown family %r" % name)
+    if name not in FAMILIES:
+        raise ValueError("unknown family %r" % name)
+    return FAMILIES[name](parameter)
 
 
 def oracle_twist(k):

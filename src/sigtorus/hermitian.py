@@ -56,9 +56,6 @@ class HermitianMatrix:
     def n(self):
         return self.entries.shape[0]
 
-    def __repr__(self):
-        return "HermitianMatrix(n=%d)" % self.n
-
 
 def inertia_counts(stack, tol=DEFAULT_TOL):
     """Per-matrix counts (n_plus, n_minus, n_zero) of a (P, n, n) stack.

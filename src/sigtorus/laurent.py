@@ -190,32 +190,6 @@ class LaurentPoly:
             terms[key] = terms.get(key, 0) + coeff
         return cls(nvars, terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps, coeff in sorted(self.terms.items(), reverse=True):
-            factors = []
-            for j, e in enumerate(exps):
-                if e == 1:
-                    factors.append("t%d" % (j + 1))
-                elif e != 0:
-                    factors.append("t%d^%d" % (j + 1, e))
-            body = "*".join(factors)
-            if body:
-                if coeff == 1:
-                    bits.append(body)
-                elif coeff == -1:
-                    bits.append("-" + body)
-                else:
-                    bits.append("%d*%s" % (coeff, body))
-            else:
-                bits.append(str(coeff))
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
-
 
 def divide_exact(p, q):
     """Return ``r`` with ``p == q * r``, or raise :class:`NotDivisible`.
@@ -339,11 +313,6 @@ class RationalFunction:
             return cls(LaurentPoly.from_records(nvars, doc))
         return cls(LaurentPoly.from_records(nvars, doc["num"]),
                    LaurentPoly.from_records(nvars, doc["den"]))
-
-    def __repr__(self):
-        if self.den == 1:
-            return repr(self.num)
-        return "(%r) / (%r)" % (self.num, self.den)
 
 
 def as_rational(value):

@@ -35,7 +35,7 @@ def _sgn(value):
 
 # -- directional limits ----------------------------------------------------
 
-_SIDES = ("plus", "minus")
+SIDES = ("plus", "minus")
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,13 @@ class LimitResult:
 def directional_limit(link, rest, side="plus", tol=DEFAULT_TOL):
     """The one-sided limit of the signature as the first coordinate tends
     to 1, with the remaining coordinates held fixed."""
-    if side not in _SIDES:
+    if side not in SIDES:
         raise ValueError("side must be 'plus' or 'minus'")
     row = _Rests(link, [rest], tol).limits[0]
-    return LimitResult(side, row[_SIDES.index(side)], row[2])
+    return LimitResult(side, row[SIDES.index(side)], row[2])
 
 
 # -- rest points -----------------------------------------------------------------
-
-# The slope of a boundary value where the slope formula reads 0/0.
-_ZERO_BY_ZERO = object()
-
 
 class _Rests:
     """What every check at the rest points omega' of one link shares.
@@ -68,8 +64,9 @@ class _Rests:
     The points are validated on construction.  Each shared quantity is one
     table with a value per point, in point order, computed for every point
     on first read: the sublink inertia in one stacked call, both one-sided
-    limits in one more, and the boundary values with one derivative of the
-    link's Conway function.  A table that no check reads is never computed.
+    limits in one more, the walls from one linking vector, and the boundary
+    values with one derivative of the link's Conway function.  A table
+    that no check reads is never computed.
     """
 
     def __init__(self, link, points, tol=DEFAULT_TOL):
@@ -96,6 +93,10 @@ class _Rests:
         return sub
 
     @cached_property
+    def linking_vector(self):
+        return self.link.linking_vector()
+
+    @cached_property
     def sub_inertia(self):
         """(sigma, eta) of the sublink at each omega'."""
         sigmas, etas = signature_nullity_batch(
@@ -115,9 +116,9 @@ class _Rests:
 
         The slope is None when no component of the first color splits off
         (the total linking of the first color with the rest is 0 otherwise),
-        and _ZERO_BY_ZERO, with sigma and eta None, where the slope formula
-        reads 0/0.  A first color that mixes split and non-split components,
-        or splits with several, is unsupported.
+        and where the slope formula reads 0/0, with sigma and eta None there.
+        A first color that mixes split and non-split components, or splits
+        with several, is unsupported.
         """
         link, sub = self.link, self.sub
         sub_inertia = self.sub_inertia
@@ -146,11 +147,16 @@ class _Rests:
             try:
                 slope_value = slope(link.conway, sub.conway, point, partial)
             except Indeterminate:
-                values.append((None, None, _ZERO_BY_ZERO, 0))
+                values.append((None, None, None, 0))
                 continue
             shift, eps = classify_slope(slope_value)
             values.append((sig_rest + shift, eta_rest + eps, slope_value, 0))
         return values
+
+    @cached_property
+    def walls(self):
+        """wall_indicator at each omega'; a decimal angle raises InexactAngles."""
+        return [wall_indicator(self.linking_vector, point) for point in self.points]
 
     @cached_property
     def generic(self):
@@ -161,9 +167,8 @@ class _Rests:
         sublink's Alexander polynomial is nonzero there, which on the open
         torus holds exactly when the sublink's nullity at omega' is 0.
         """
-        ell = self.link.linking_vector()
-        return [wall_indicator(ell, point) == 0 and self.sub_inertia[i][1] == 0
-                for i, point in enumerate(self.points)]
+        return [wall == 0 and eta == 0
+                for wall, (_, eta) in zip(self.walls, self.sub_inertia)]
 
 
 # -- reports ---------------------------------------------------------------
@@ -284,14 +289,12 @@ def _check_3d(rests, i):
     if any(c != 1 for c in link.components_per_color):
         return [_skip("3d/skipped", inputs, "statement needs every color to be a knot")]
     sig_rest, eta_rest = rests.sub_inertia[i]
-    ell = link.linking_vector()
-    jump = signature_jump(ell, point)
-    wall = wall_indicator(ell, point)
-    rhs = eta_rest + wall - link.rank_alexander
+    jump = signature_jump(rests.linking_vector, point)
+    rhs = eta_rest + rests.walls[i] - link.rank_alexander
     notes = [_rank_note(link)]
     centers = (sig_rest + jump, sig_rest - jump)
 
-    sides = list(zip(_SIDES, rests.limits[i], centers))
+    sides = list(zip(SIDES, rests.limits[i], centers))
     reports = [_leq("3d/bound/" + side, inputs, abs(value - center), rhs, notes)
                for side, value, center in sides]
     if rests.generic[i]:
@@ -322,13 +325,13 @@ def _check_4d(rests, i):
     if link.components_per_color[0] != 1:
         return [_skip("4d/skipped", inputs, "the first color must be a knot")]
     center, eta, slope_value, total = rests.boundary[i]
-    if slope_value is _ZERO_BY_ZERO:
+    if center is None:
         return [_skip("4d/split/slope", inputs,
                       "slope formula reads 0/0; bound untestable here")]
     notes = [_rank_note(link)]
     sig_rest, eta_rest = rests.sub_inertia[i]
     plus, minus, _ = rests.limits[i]
-    sides = list(zip(_SIDES, (plus, minus)))
+    sides = list(zip(SIDES, (plus, minus)))
 
     equalities = []
     if slope_value is None:
@@ -484,7 +487,7 @@ def _predict_torres(rests, i):
                                 ["one-colored case: linking-matrix inertia"])
     sig_rest = rests.sub_inertia[i][0]
     sigma, eta, slope_value, _ = rests.boundary[i]
-    if slope_value is _ZERO_BY_ZERO:
+    if sigma is None:
         return TorresPrediction(None, None, "skipped", [
             "slope indeterminate: sigma is sigma(rest) + sgn(slope),"
             " eta is eta(rest) + {+1, 0, -1}, with unresolved slope"], sig_rest)
@@ -493,7 +496,7 @@ def _predict_torres(rests, i):
 
     midpoint = "skipped"
     midpoint_value = None
-    if any(link.linking_vector()):
+    if any(rests.linking_vector):
         if not point.is_exact:
             notes.append("midpoint check skipped: the wall test needs exact angles")
         elif rests.generic[i]:
@@ -549,11 +552,11 @@ def _diagonal_reports(link, angles, tol):
 SUITES = ("3d", "4d", "lt", "corners", "torres", "multi-lt", "all")
 
 
-def random_rational_point(rnd, count, max_den=64):
-    """A deterministic random point with rational angles in (0, 1)."""
+def random_rational_point(rnd, count):
+    """A deterministic random point with rational angles p/q in (0, 1), q <= 64."""
     angles = []
     for _ in range(count):
-        q = rnd.randint(2, max_den)
+        q = rnd.randint(2, 64)
         p = rnd.randint(1, q - 1)
         angles.append(Fraction(p, q))
     return TorusPoint(angles)

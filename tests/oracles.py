@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sigtorus.angles import TorusPoint, angle_to_complex, as_angle, scale_angle
+from sigtorus.angles import TorusPoint, angle_to_complex, as_angle, normalize_angle
 from sigtorus.corrections import pair_sign
 from sigtorus.errors import (BoundaryPoint, InexactAngles, SigtorusError,
                              ZeroParameter)
@@ -132,7 +132,7 @@ def clasp_matrix(clasps, point):
     for color, sign in ClaspSequence(clasps):
         if color - 2 >= point.mu:
             raise ValueError("clasp color %d exceeds the point's colors" % color)
-        chain.append(scale_angle(point[color - 2], sign))
+        chain.append(normalize_angle(point[color - 2] * sign))
     return chain_matrix(chain)
 
 

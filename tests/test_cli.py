@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -529,6 +530,9 @@ _TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [],
     (_put(_CONFLICTING, "linking"), "conflicting linking numbers"),
     (_put([5], "linking"), "bad linking record 5"),
     (_put(-1, "rank_alexander"), "rank_alexander must be nonnegative"),
+    (_put({"+": 5, "-": 5}, "sublinks", "2", "seifert"), "seifert[+] must be a list of rows"),
+    (_put({"+": [5], "-": [5]}, "sublinks", "2", "seifert"),
+     "seifert[+] must be a list of rows"),
     (_put(make_twist(1).to_document(), "underlying_oriented"),
      "underlying_oriented must be 1-colored"),
     (_put({"+": [[1]], "-": [[2]]}, "sublinks", "2", "seifert"),
@@ -544,6 +548,7 @@ _TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [],
         "seifert-null", "seifert-number", "seifert-string", "seifert-list",
         "document-not-object", "mu-missing", "mu-bool", "mu-zero", "linking-self",
         "linking-conflict", "linking-record-not-object", "rank-negative",
+        "seifert-matrix-number", "seifert-rows-numbers",
         "underlying-two-colors", "sublink-transpose", "sublink-no-seifert",
         "underlying-not-object", "underlying-two-color-keys"])
 def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
@@ -613,11 +618,13 @@ def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     (("unlink", 3), ["grid", "--resolution", "3", "--rest", "1e400"], "--rest"),
     (("unlink", 1), ["torres", "--omega", "1/3"], "--omega"),
     (("torus", 3), ["grid", "--resolution", "1"], "--resolution"),
+    (("torus", 3), ["grid", "--resolution", "1000000000"], "--resolution"),
     (("unlink", 3), ["grid", "--resolution", "3", "--rest", "0"], "--rest"),
 ], ids=["zero-denominator", "not-a-number", "too-few", "too-many", "axes-not-int",
         "rest-zero-denominator", "limit-count", "slope-count", "torres-missing",
         "samples-negative", "samples-zero", "omega-not-finite", "omega-rest-not-finite",
-        "rest-not-finite", "torres-one-color-count", "resolution-1", "rest-zero"])
+        "rest-not-finite", "torres-one-color-count", "resolution-1", "resolution-1e9",
+        "rest-zero"])
 def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
     if argv[0] == "grid":
@@ -790,6 +797,58 @@ def test_verify_reports_match_recorded_digests(tmp_path, capsys, seed):
                            "--samples", "10", "--seed", str(seed), "--report", str(report))
         assert code == 0 and out.endswith(" failures=0\n")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == recorded[stem], stem
+
+
+@pytest.mark.parametrize("name, param", VERIFY_FAMILIES + (("unlink", 4),),
+                         ids=str)
+def test_verify_report_is_json_dump_at_the_default_sample_count(tmp_path, capsys,
+                                                                name, param):
+    """verify --report writes exactly json.dump(indent=2, sort_keys=True) plus a
+    newline at the CLI default of 50 samples; the digests check only 10."""
+    link = make_file(tmp_path, capsys, name, param, "link.json")
+    report = tmp_path / "report.json"
+    assert run(capsys, "verify", "--link", link, "--suite", "all", "--samples", "50",
+               "--report", str(report))[0] == 0
+    text = report.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_report_bytes_do_not_depend_on_asserts(tmp_path, capsys):
+    """python -O strips asserts: torus(3)'s report is the same bytes under it."""
+    link = make_file(tmp_path, capsys, "torus", 3, "torus3.json")
+    argv = ["verify", "--link", link, "--suite", "all", "--samples", "50", "--report"]
+    report, stripped = tmp_path / "report.json", tmp_path / "report-O.json"
+    assert run(capsys, *argv, str(report))[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(sigtorus.__file__).parent.parent))
+    subprocess.run([sys.executable, "-O", "-m", "sigtorus.cli", *argv, str(stripped)],
+                   capture_output=True, env=env, check=True)
+    assert stripped.read_bytes() == report.read_bytes()
+
+
+@pytest.mark.parametrize("ell", [20, -20])
+def test_grid_at_resolution_60_matches_the_closed_form(tmp_path, capsys, ell):
+    """grid evaluates one point of each conjugate pair and mirrors it; every one
+    of the 3481 points of a resolution-60 sweep matches families.oracle_torus,
+    where the benchmark sweeps stop at resolution 8."""
+    link = make_file(tmp_path, capsys, "torus", ell, "torus.json")
+    out = tmp_path / "grid.csv"
+    assert run(capsys, "grid", "--link", link, "--resolution", "60", "--out", str(out))[0] == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 3482
+    assert [row for row in rows[1:] if tuple(map(int, row.split(",")[2:]))
+            != oracle_torus(ell, *map(Fraction, row.split(",")[:2]))] == []
+
+
+@pytest.mark.parametrize("ell", [20, -20, 13])
+def test_verify_3d_at_large_linking(tmp_path, capsys, ell):
+    """Every 3d check centres on sigma(L') +/- J, with the jump J read as a
+    closed-form wall count; this checks it against the Seifert-form limits at
+    |lk| up to 20 (torus(20) alone makes 338 equality checks at generic
+    points), where the other tests stop at small linking."""
+    link = make_file(tmp_path, capsys, "torus", ell, "torus.json")
+    code, out, _ = run(capsys, "verify", "--link", link, "--suite", "3d", "--samples", "200")
+    assert code == 0
+    assert re.fullmatch(r"checks=[0-9]+ failures=0", out.splitlines()[-1])
 
 
 def test_bench_tracer_targets_resolve():

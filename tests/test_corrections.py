@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 from oracles import (ClaspSequence, ZeroLinking, chain_matrix, chain_sign_by_pairs,
                      clasp_matrix, signature_jump_by_walls)
 
-from sigtorus.angles import TorusPoint, scale_angle
+from sigtorus.angles import TorusPoint, normalize_angle
 from sigtorus.corrections import (chain_sign, pair_sign, signature_jump,
                                   torus_signature_profile, wall_indicator)
 from sigtorus.errors import BoundaryPoint, DomainError, InexactAngles
@@ -137,7 +137,7 @@ def _jump_cases(draw):
 @given(_jump_cases())
 def test_wall_counts_equal_the_telescoped_definition(case):
     ell, angles, theta = case
-    blocks = [scale_angle(a, 1 if lj > 0 else -1)
+    blocks = [normalize_angle(a * (1 if lj > 0 else -1))
               for lj, a in zip(ell, angles) for _ in range(abs(lj))]
     want = chain_sign_by_pairs(blocks)
     assert signature_jump(ell, angles) == want

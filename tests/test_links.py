@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 from oracles import (boundary_limit_form, clasp_matrix, linking_matrix,
                      torus_clasp_sequence)
 
-from sigtorus.angles import TorusPoint, normalize_angle, parse_angle, scale_angle
+from sigtorus.angles import TorusPoint, normalize_angle, parse_angle
 from sigtorus.corrections import signature_jump, wall_indicator
 from sigtorus.errors import (BoundaryPoint, DimensionMismatch, DomainError,
                              SchemaError, SymmetryViolation)
@@ -22,8 +22,8 @@ from sigtorus import cli, links
 from sigtorus.families import make_torus, make_twist, make_unlink, oracle_torus
 from sigtorus.hermitian import inertia, integer_inertia
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
-                            linking_inertia, parse_link, save_link, sign_key,
-                            sign_vectors, signature_nullity)
+                            linking_inertia, load_link, parse_link, save_link,
+                            sign_key, sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
 
 
@@ -39,6 +39,18 @@ def test_parse_round_trip_twist():
         assert link.seifert.matrices[key].tolist() == [[2]]
     assert link.rest_sublink() is not None
     assert link.conway is not None
+
+
+def test_nonzero_rank_survives_save_and_load(tmp_path):
+    twist = make_twist(2)
+    link = ColoredLink(twist.mu, twist.components_per_color, twist.linking, twist.seifert,
+                       twist.conway, rank_alexander=1, sublinks=twist.sublinks)
+    path = str(tmp_path / "link.json")
+    save_link(link, path)
+    assert json.loads((tmp_path / "link.json").read_text())["rank_alexander"] == 1
+    loaded = load_link(path)
+    assert loaded.rank_alexander == 1
+    assert loaded.to_document() == link.to_document()
 
 
 def test_missing_sign_key_rejected():
@@ -323,7 +335,7 @@ def test_reduced_angles_are_kept_as_they_are():
 
 def test_tiny_negative_float_angles_reduce_to_zero():
     # -1e-20 % 1.0 rounds to 1.0, outside [0, 1): the angle is 0, the boundary
-    assert normalize_angle(-1e-20) == scale_angle(1e-20, -1) == 0.0
+    assert normalize_angle(-1e-20) == normalize_angle(1e-20 * -1) == 0.0
     assert not TorusPoint([-1e-20, 0.2]).in_open_torus
     with pytest.raises(BoundaryPoint):
         signature_nullity(make_torus(3), [-1e-20, 0.2])

@@ -191,6 +191,22 @@ def test_verify_4d_unit_linking_equality():
     assert len(eq) == 2 and all(r.rhs == 0 for r in eq)
 
 
+def test_verify_4d_linked_equality_skips_where_the_sublink_nullity_is_positive():
+    """Total linking 1, but eta(L', omega') = 1 for L' = torus(2) at (1/4, 1/4):
+    the bounds run and the forced equality is one skip record."""
+    zero = {sign_key(eps): [[0]] for eps in sign_vectors(3)}
+    link = ColoredLink(mu=3, components_per_color=[1, 1, 1], linking={("1.1", "2.1"): 1},
+                       seifert=SeifertSystem(3, zero), sublinks={"2,3": make_torus(2)})
+    reports = verify_4d(link, TorusPoint([Fraction(1, 4), Fraction(1, 4)]))
+    assert_all_pass(reports)
+    assert [r.check for r in reports] == ["4d/linked/bound/plus", "4d/linked/bound/minus",
+                                          "4d/linked/difference", "4d/linked/equality"]
+    assert reports[-1].to_json_dict() == {
+        "check": "4d/linked/equality", "inputs": {"omega_rest": "1/4,1/4"}, "lhs": None,
+        "rhs": None, "relation": "==", "pass": True,
+        "notes": ["sublink Alexander value vanishes here"]}
+
+
 def test_equalities_run_without_sublink_conway_data():
     # genericity comes from eta(L', omega') and the wall indicator, so the
     # Hopf link's equalities need no Conway data on its sublink
@@ -542,11 +558,13 @@ def test_run_suite_all_matches_per_checker_loop(link):
 
 
 def test_run_suite_shares_one_plan_per_point(monkeypatch):
-    rest_calls, corner_calls, batch_calls, slopes = [], [], [], []
+    rest_calls, corner_calls, batch_calls, slopes, walls, scans = [], [], [], [], [], []
     rest_limit_counts = verify.rest_limit_counts
     corner_limit_counts = verify.corner_limit_counts
     batch = verify.signature_nullity_batch
     slope = verify.slope
+    wall_indicator = verify.wall_indicator
+    linking_vector = ColoredLink.linking_vector
 
     def counted_rest(link, rows, *args):
         rest_calls.append((id(link), [tuple(row) for row in rows]))
@@ -564,10 +582,20 @@ def test_run_suite_shares_one_plan_per_point(monkeypatch):
         slopes.append(point)
         return slope(nabla_link, nabla_rest, point, *args)
 
+    def counted_wall(ell, point):
+        walls.append(point)
+        return wall_indicator(ell, point)
+
+    def counted_scan(link):
+        scans.append(id(link))
+        return linking_vector(link)
+
     monkeypatch.setattr(verify, "rest_limit_counts", counted_rest)
     monkeypatch.setattr(verify, "corner_limit_counts", counted_corners)
     monkeypatch.setattr(verify, "signature_nullity_batch", counted_batch)
     monkeypatch.setattr(verify, "slope", counted_slope)
+    monkeypatch.setattr(verify, "wall_indicator", counted_wall)
+    monkeypatch.setattr(ColoredLink, "linking_vector", counted_scan)
     seed = 3
     for link in (make_torus(3), make_twist(2), make_twist(0), make_unlink(3)):
         sub = link.rest_sublink()
@@ -575,8 +603,12 @@ def test_run_suite_shares_one_plan_per_point(monkeypatch):
             rnd = random.Random(seed)
             points = [random_rational_point(rnd, link.mu - 1) for _ in range(samples)]
             assert len(set(points)) == samples
-            del rest_calls[:], corner_calls[:], batch_calls[:], slopes[:]
+            del rest_calls[:], corner_calls[:], batch_calls[:], slopes[:], walls[:], scans[:]
             assert_all_pass(run_suite(link, "all", samples=samples, seed=seed))
+            # the 3d bound and the genericity share one wall read per point,
+            # and all checks share at most one linking-vector scan
+            assert walls == points
+            assert len(scans) <= 1
             # both sides at every rest point in one stacked call, all corners
             # in one more; the link's own forms are evaluated only on the
             # diagonal of the multi-lt identity
