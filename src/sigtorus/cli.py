@@ -23,7 +23,7 @@ from .hermitian import DEFAULT_TOL
 from .links import (load_link, save_link, signature_nullity,
                     signature_nullity_batch)
 from .slope import classify_slope, slope
-from .verify import (SIDES, SUITES, directional_limit, predict_torres,
+from .verify import (SAMPLES, SIDES, SUITES, directional_limit, predict_torres,
                      report_text, run_suite)
 
 EXIT_OK = 0
@@ -174,8 +174,9 @@ def cmd_slope(args):
 
 def cmd_verify(args):
     link = load_link(args.link)
-    if args.samples < 1:
-        raise SigtorusError("--samples must be at least 1, got %d" % args.samples)
+    if args.samples not in SAMPLES:
+        raise SigtorusError("--samples must be in %d..%d, got %d"
+                            % (SAMPLES[0], SAMPLES[-1], args.samples))
     reports = run_suite(link, args.suite, samples=args.samples, seed=args.seed,
                         tol=_tolerance(args))
     for rep in reports:

@@ -95,7 +95,7 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
     F_{D-1} of F(t) = sum_k t^k F_k.  Returns an int (P, 3) array: sigma(F(t))
     as t -> 0+ and as t -> 0-, and the nullity of F(t) for small t != 0.  On
     a path family of :mod:`sigtorus.links` (F of degree k in t = tan(pi delta))
-    t -> 0- reads the path with the opposite signs.
+    t -> 0- reads the path with the opposite signs, and links applies H's sign.
 
     Level k counts the inertia of the current F_0 with :func:`inertia_counts`,
     whose cut |lambda| <= tol * max(1, ||F_0||) is the only zero rule here:

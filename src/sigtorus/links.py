@@ -4,11 +4,12 @@ A mu-colored link is described by the counts of components per color, the
 pairwise linking numbers of its components, the 2^mu generalized Seifert
 matrices of a C-complex basis, and optional Conway-function and sublink
 data.  Points and one-sided limits toward the boundary read one path
-family: along a path sending k coordinates to 1 at angles eps_j delta,
-the form is a real multiple of a matrix polynomial F(t) of degree k in
-t = tan(pi delta), F(-t) is the path of -eps, and k n + 1 levels of
-:func:`sigtorus.hermitian.limit_counts` settle it.  A point is the path
-with k = 0, a rest limit has k = 1 and a corner k = mu.
+family: along a path sending coordinates 1..k to 1 at angles eps_j delta,
+the form is H = prod_j (2 eps_j t / (1 + t^2)) F(t) for a matrix
+polynomial F(t) of degree k in t = tan(pi delta), F(-t) is the path of
+-eps, and k n + 1 levels of :func:`sigtorus.hermitian.limit_counts`
+settle it.  A point is the path with k = 0, a rest limit has k = 1 and a
+corner k = mu.
 """
 
 import functools
@@ -38,11 +39,16 @@ def sign_key(eps):
 def _layout(mu):
     """The sign keys of ``mu`` colors in :func:`sign_vectors` order, as a
     tuple, as a frozenset and as a getter of a document's values in that
-    order.  Index 2^mu - 1 - i holds the negation of sign vector i, and the
-    first half holds the sign vectors with eps_1 = +.
+    order, then the first half of the sign vectors, those with eps_1 = +,
+    as a read-only int array and the read-only table of its entries < 0.
+    Index 2^mu - 1 - i holds the negation of sign vector i.
     """
-    keys = tuple(sign_key(eps) for eps in sign_vectors(mu))
-    return keys, frozenset(keys), operator.itemgetter(*keys)
+    vectors = sign_vectors(mu)
+    keys = tuple(map(sign_key, vectors))
+    half = np.array(vectors[:len(vectors) // 2])
+    negative = half < 0
+    half.flags.writeable = negative.flags.writeable = False
+    return keys, frozenset(keys), operator.itemgetter(*keys), half, negative
 
 
 def _integer_rows(data, context):
@@ -96,7 +102,7 @@ def _seifert_stack(mu, matrices):
     if len(matrices).bit_length() < mu:
         raise SchemaError("seifert has %d matrices, mu = %d needs 2^%d"
                           % (len(matrices), mu, mu))
-    keys, key_set, values = _layout(mu)
+    keys, key_set, values = _layout(mu)[:3]
     if matrices.keys() != key_set:
         for key in keys:
             if key not in matrices:
@@ -189,7 +195,10 @@ class ColoredLink:
             raise SchemaError("components_per_color must list a positive count per color")
         self.components_per_color = tuple(comps)
         canon = {}
-        for (a, b), value in dict(linking or {}).items():
+        # a mapping or a list of ((a, b), lk) records: a file's list keeps each
+        # record, so that two values for one pair are refused in either order
+        records = linking.items() if isinstance(linking, dict) else linking or ()
+        for (a, b), value in records:
             if not (_is_component(a, comps) and _is_component(b, comps)):
                 raise SchemaError("linking refers to unknown component %r" % ((a, b),))
             if a == b:
@@ -298,10 +307,10 @@ def parse_link(document):
         raise SchemaError("linking must be a list of records")
     if not isinstance(sublinks, dict):
         raise SchemaError("sublinks must be an object keyed by colors")
-    linking = {}
+    linking = []
     for rec in records:
         try:
-            linking[(rec["a"], rec["b"])] = rec["lk"]
+            linking.append(((rec["a"], rec["b"]), rec["lk"]))
         except (TypeError, KeyError) as exc:
             raise SchemaError("bad linking record %r" % (rec,)) from exc
     conway = document.get("conway")
@@ -356,24 +365,6 @@ def save_link(link, path):
 _STACK_BYTES = 16 << 20
 
 
-def _coefficients(omegas):
-    """Rows prod_j (1 - conj(omega_j)^eps_j) over sign vectors with eps_1 = +.
-
-    ``omegas`` has shape (P, mu); column k of the result belongs to the k-th
-    such sign vector in :func:`sign_vectors` order.
-    """
-    # the factor pairs (1 - conj(omega_j), 1 - omega_j) of every coordinate,
-    # filled in place: np.stack costs more than the products on small stacks
-    pairs = np.empty(omegas.shape + (2,), dtype=complex)
-    np.conjugate(omegas, out=pairs[:, :, 0])
-    pairs[:, :, 1] = omegas
-    pairs = 1.0 - pairs
-    coeffs = pairs[:, 0, :1]
-    for j in range(1, omegas.shape[1]):
-        coeffs = (coeffs[:, :, None] * pairs[:, j, None, :]).reshape(len(omegas), 2 ** j)
-    return coeffs
-
-
 # Kept for bench/tracer.py, which wraps it; the package reads H through _path_forms.
 def assemble_form_raw(link, point):
     """The Hermitian matrix at one torus point, as a raw complex array: the
@@ -418,8 +409,8 @@ def _path_forms(link, signs, rest):
     Path p sends coordinates 1..k to 1 at angles signs[p, j] delta and holds
     the others at rest[p] (a (P, mu - k) array).  With t = tan(pi delta),
     H = prod_j (2 eps_j t / (1 + t^2)) F(t) for F = M + M^* and
-    M = sum_{eta_1 = +} prod_{j <= k} (i eta_j + eps_j t)
-    prod_{j > k} (1 - conj(omega_j)^eta_j) A^eta, a polynomial of degree k.
+    M = sum_{eta_1 = +} prod_{j > k} (1 - conj(omega_j)^eta_j)
+    prod_{j <= k} (i eta_j + eps_j t) A^eta, a polynomial of degree k.
     A point is the path with k = 0: F_0 = H, Hermitian to the last bit.
     """
     count, k = signs.shape
@@ -429,24 +420,27 @@ def _path_forms(link, signs, rest):
     if rest.ndim != 2 or rest.shape[1] != link.mu - k:
         raise ValueError("points have %d coordinates, expected %d: %d colors, %d sent to 1"
                          % (rest.shape[-1], link.mu - k, link.mu, k))
-    if k:  # omega_j = 0 makes the factors of the path coordinates 1
-        rest = np.concatenate([np.zeros((count, k)), rest], axis=1)
-    terms = _coefficients(rest)[:, None]  # index (p, degree, eta)
-    if k:
-        i_eta = 1j * np.array(sign_vectors(link.mu)[:len(link.seifert.half_stack)])
-        terms = np.concatenate([terms, np.zeros((count, k, terms.shape[2]))], axis=1)
-        for j in range(k):
-            terms[:, 1:] = i_eta[:, j] * terms[:, 1:] + signs[:, j, None, None] * terms[:, :-1]
-            terms[:, 0] *= i_eta[:, j]
+    eta, negative = _layout(link.mu)[3:]
+    # the factors 1 - conj(omega_j)^eta_j of the held coordinates, index (p, eta, j)
+    held = 1.0 - np.where(negative[:, k:], rest[:, None], rest.conj()[:, None])
+    terms = np.zeros((count, k + 1, len(eta)), dtype=complex)  # index (p, degree, eta)
+    terms[:, 0] = 1.0
+    # held factors first, then path factors: the order of the products fixes H's last bits
+    for j in range(link.mu - k):
+        terms[:, 0] *= held[:, :, j]
+    for j in range(k):  # a path coordinate multiplies in i eta_j + eps_j t
+        i_eta = 1j * eta[:, j]
+        terms[:, 1:] = i_eta * terms[:, 1:] + signs[:, j, None, None] * terms[:, :-1]
+        terms[:, 0] *= i_eta
     m = np.einsum("pde,eab->pdab", terms, link.seifert.half_stack)
     return m + m.conj().transpose(0, 1, 3, 2)
 
 
 def _path_limit_counts(link, signs, rest, tol):
-    """:func:`limit_counts` of the families of :func:`_path_forms`, each padded
-    to the k n + 1 coefficients its descent may read, in blocks of about
-    ``_STACK_BYTES``: an int (P, 3) array of sigma's limit as t -> 0+ and
-    t -> 0-, and eta's."""
+    """The limits of sigma(H) along the paths of :func:`_path_forms`, read by
+    :func:`limit_counts` from F padded to the k n + 1 coefficients its descent
+    may read, in blocks of about ``_STACK_BYTES``: an int (P, 3) array of
+    sigma's limit as t -> 0+ and t -> 0-, and eta's."""
     k, n = signs.shape[1], max(link.seifert.n, 1)
     depth = k * n + 1  # det F(t) has degree at most k n
     block = max(1, _STACK_BYTES // (16 * depth * n * n))
@@ -457,31 +451,30 @@ def _path_limit_counts(link, signs, rest, tol):
             family = np.concatenate([family, np.zeros(
                 (len(family), depth - k - 1) + family.shape[2:], dtype=complex)], axis=1)
         counts.append(limit_counts(family, tol))
-    return np.concatenate(counts)
+    counts = np.concatenate(counts)
+    if k:  # sigma(H) is sigma(F) times the sign of prod_j 2 eps_j t / (1 + t^2):
+        # prod_j eps_j for t > 0 and (-1)^k prod_j eps_j for t < 0
+        counts[:, :2] *= np.prod(signs, axis=1).astype(np.int64)[:, None] * [1, (-1) ** k]
+    return counts
 
 
 def rest_limit_counts(link, rest_omegas, tol=DEFAULT_TOL):
     """The limits as omega_1 -> 1 at rest points omega' (a (P, mu - 1) array):
     an int (P, 3) array of sigma's limit through angles 0+ ("plus") and 1-
-    ("minus"), and eta's.  Both sides read one path family (k = 1): plus is
-    lim sigma(F(t)) as t -> 0+, and minus is -lim sigma(F(t)) as t -> 0-."""
-    limits = _path_limit_counts(link, np.ones((len(rest_omegas), 1)), rest_omegas, tol)
-    limits[:, 1] *= -1
-    return limits
+    ("minus"), and eta's.  Both sides read one path family (k = 1, eps_1 = +):
+    plus is its limit as t -> 0+, and minus its limit as t -> 0-."""
+    return _path_limit_counts(link, np.ones((len(rest_omegas), 1)), rest_omegas, tol)
 
 
 def corner_limit_counts(link, tol=DEFAULT_TOL):
     """The limits with coordinate j at angle eps_j delta, delta -> 0+, per sign
     vector eps in :func:`sign_vectors` order: an int (2^mu, 2) array of
     sigma's limit and eta's.  One path family (k = mu) per eps with eps_1 = +
-    gives the limit at eps as t -> 0+, times prod_j eps_j, and the one at
-    -eps as t -> 0-, times (-1)^mu prod_j eps_j."""
-    half = np.array(sign_vectors(link.mu)[:len(link.seifert.half_stack)])
+    gives the limit at eps as t -> 0+ and the one at -eps as t -> 0-."""
+    half = _layout(link.mu)[3]
     limits = _path_limit_counts(link, half, np.zeros((len(half), 0)), tol)
-    sign = np.prod(half, axis=1)
     # sign vector 2^mu - 1 - i is the negation of sign vector i
-    sigmas = np.concatenate([sign * limits[:, 0], ((-1) ** link.mu * sign * limits[:, 1])[::-1]])
-    return np.stack([sigmas, np.concatenate([limits[:, 2], limits[::-1, 2]])], axis=1)
+    return np.concatenate([limits[:, [0, 2]], limits[::-1, [1, 2]]])
 
 
 def linking_inertia(link, color_signs):

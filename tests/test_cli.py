@@ -500,6 +500,7 @@ def _drop(*path):
 
 _SELF_LINKED = [{"a": "1.1", "b": "1.1", "lk": 1}]
 _CONFLICTING = [{"a": "1.1", "b": "2.1", "lk": 0}, {"a": "2.1", "b": "1.1", "lk": 1}]
+_CONFLICTING_SAME_ORDER = [{"a": "1.1", "b": "2.1", "lk": 3}, {"a": "1.1", "b": "2.1", "lk": 5}]
 _TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [], "-": []}}
 
 
@@ -528,6 +529,7 @@ _TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [],
     (_put(0, "mu"), "mu must be a positive integer"),
     (_put(_SELF_LINKED, "linking"), "linking number of a component with itself"),
     (_put(_CONFLICTING, "linking"), "conflicting linking numbers"),
+    (_put(_CONFLICTING_SAME_ORDER, "linking"), "conflicting linking numbers"),
     (_put([5], "linking"), "bad linking record 5"),
     (_put(-1, "rank_alexander"), "rank_alexander must be nonnegative"),
     (_put({"+": 5, "-": 5}, "sublinks", "2", "seifert"), "seifert[+] must be a list of rows"),
@@ -547,7 +549,8 @@ _TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [],
         "conway-exp-fraction", "linking-not-list", "sublinks-not-object", "sublink-colors",
         "seifert-null", "seifert-number", "seifert-string", "seifert-list",
         "document-not-object", "mu-missing", "mu-bool", "mu-zero", "linking-self",
-        "linking-conflict", "linking-record-not-object", "rank-negative",
+        "linking-conflict", "linking-conflict-same-order", "linking-record-not-object",
+        "rank-negative",
         "seifert-matrix-number", "seifert-rows-numbers",
         "underlying-two-colors", "sublink-transpose", "sublink-no-seifert",
         "underlying-not-object", "underlying-two-color-keys"])
@@ -613,6 +616,7 @@ def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     (("torus", 3), ["torres"], "--omega"),
     (("torus", 3), ["verify", "--suite", "all", "--samples", "-1"], "--samples"),
     (("torus", 3), ["verify", "--suite", "3d", "--samples", "0"], "--samples"),
+    (("torus", 3), ["verify", "--suite", "all", "--samples", "1000000000"], "--samples"),
     (("torus", 3), ["eval", "--omega", "1/3,1e400"], "--omega"),
     (("torus", 3), ["limit", "--side", "plus", "--omega-rest", "1e400"], "--omega-rest"),
     (("unlink", 3), ["grid", "--resolution", "3", "--rest", "1e400"], "--rest"),
@@ -622,9 +626,9 @@ def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     (("unlink", 3), ["grid", "--resolution", "3", "--rest", "0"], "--rest"),
 ], ids=["zero-denominator", "not-a-number", "too-few", "too-many", "axes-not-int",
         "rest-zero-denominator", "limit-count", "slope-count", "torres-missing",
-        "samples-negative", "samples-zero", "omega-not-finite", "omega-rest-not-finite",
-        "rest-not-finite", "torres-one-color-count", "resolution-1", "resolution-1e9",
-        "rest-zero"])
+        "samples-negative", "samples-zero", "samples-1e9", "omega-not-finite",
+        "omega-rest-not-finite", "rest-not-finite", "torres-one-color-count", "resolution-1",
+        "resolution-1e9", "rest-zero"])
 def test_bad_input_names_the_flag(tmp_path, capsys, family, argv, flag):
     link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
     if argv[0] == "grid":

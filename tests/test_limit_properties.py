@@ -4,17 +4,20 @@ Three oracles that share no code with the descent's stacking or its
 coordinates: a unimodular change of the Seifert basis, the sampled limits
 of ``sampler.py`` wherever they read cleanly, and single-point calls.  On
 systems whose form vanishes on a whole circle the answer is known exactly.
+The path families the limits descend on are checked against the forms
+that ``sampler.py`` builds on their paths.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
-from sampler import sampled_limit
+from sampler import forms, path_rows, sampled_limit
 
-from sigtorus import verify
-from sigtorus.angles import TorusPoint
+from sigtorus import links, verify
+from sigtorus.angles import TorusPoint, angle_to_complex
 from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
                             rest_limit_counts, sign_key, sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
@@ -100,6 +103,42 @@ def _systems_vanishing_on_a_circle(draw):
     angles = draw(hst.lists(_angle, min_size=mu, max_size=mu))
     angles[j - 1] = Fraction(1, 2)
     return mu, n, halves, angles[0], TorusPoint(angles[1:])
+
+
+@hst.composite
+def _paths(draw):
+    """A system with mu = 1..4 and n = 0..4, a path that sends coordinates
+    1..k to 1 with drawn signs and holds the others at drawn angles, and an
+    offset delta on it."""
+    mu, n = draw(hst.integers(1, 4)), draw(hst.integers(0, 4))
+    entries = hst.lists(hst.integers(-2, 2), min_size=n * n, max_size=n * n)
+    halves = draw(hst.lists(entries, min_size=2 ** (mu - 1), max_size=2 ** (mu - 1)))
+    k = draw(hst.integers(0, mu))
+    signs = draw(hst.lists(hst.sampled_from((1, -1)), min_size=k, max_size=k))
+    held = draw(hst.lists(_angle, min_size=mu - k, max_size=mu - k))
+    delta = draw(hst.sampled_from((Fraction(1, 7), Fraction(1, 40), Fraction(3, 10))))
+    return mu, n, halves, signs, held, delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(_paths())
+def test_path_family_is_the_form_on_its_path(path):
+    """prod_j (2 eps_j t / (1 + t^2)) sum_d t^d F_d, for the coefficients F_d
+    of links._path_forms and t = tan(pi delta), is the form H at the path's
+    point: every coefficient, and the prefactor whose sign the limits apply.
+    The error is taken relative to prod_j |1 - omega_j| sum_eps ||A^eps||,
+    which bounds the size of H's terms."""
+    mu, n, halves, signs, held, delta = path
+    link = _link(mu, n, halves)
+    held = tuple(angle_to_complex(a) for a in held)
+    family = links._path_forms(link, np.array(signs, dtype=float).reshape(1, -1), [held])[0]
+    t = math.tan(math.pi * delta)
+    got = math.prod(2 * e * t / (1 + t * t) for e in signs) * sum(
+        t ** d * coefficient for d, coefficient in enumerate(family))
+    row = path_rows(signs, held, [delta])
+    scale = float(np.prod(np.abs(1 - np.asarray(row[0])))) * sum(
+        float(np.linalg.norm(mat)) for mat in link.seifert.matrices.values())
+    assert np.linalg.norm(got - forms(link, row)[0]) <= 1e-12 * scale
 
 
 def _rest_limits(link, point):

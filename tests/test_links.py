@@ -697,6 +697,13 @@ def test_linking_checks_build_no_dense_matrix():
     assert child.stdout == "(1, 0, 100000) (0, 1, 99999)\n16 True\n"
 
 
+def test_equal_linking_records_are_accepted_in_either_order():
+    doc = make_torus(3).to_document()
+    record = doc["linking"][0]
+    doc["linking"] = [record, dict(record), dict(record, a=record["b"], b=record["a"])]
+    assert parse_link(doc).to_document() == make_torus(3).to_document()
+
+
 @pytest.mark.parametrize("comp", ["3.1", "1.2", "0.1", "1.0", "01.1", "1.01", "+1.1",
                                   "1", "1.1.1", "", 1, None])
 def test_linking_with_an_unknown_component_is_refused(comp):

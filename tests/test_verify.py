@@ -759,6 +759,14 @@ def test_run_suite_rejects_non_positive_samples(samples):
         run_suite(make_torus(3), "all", samples=samples)
 
 
+def test_run_suite_refuses_samples_beyond_the_bound_before_drawing_any(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a point was drawn")
+    monkeypatch.setattr(verify, "random_rational_point", drawn)
+    with pytest.raises(DomainError, match="samples must be in 1..65536, got 1000000000"):
+        run_suite(make_torus(3), "all", samples=10 ** 9)
+
+
 # -- the report writer against json.dump -----------------------------------------
 
 def _json_dump_text(reports):
