@@ -3,8 +3,8 @@ with slope evaluation, Torres-type boundary predictions, and machine checks
 of the limit statements relating them."""
 
 from .angles import TorusPoint, parse_angle
-from .corrections import (chain_sign, pair_sign, signature_jump,
-                          torus_signature_profile, wall_indicator)
+from .corrections import (signature_jump, torus_signature_profile,
+                          wall_indicator)
 from .families import (make_family, make_torus, make_twist, make_unlink,
                        oracle_torus, oracle_twist, unknot)
 from .hermitian import Inertia, integer_inertia

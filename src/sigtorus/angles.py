@@ -32,16 +32,6 @@ def normalize_angle(a):
     raise TypeError("not an angle: %r" % (a,))
 
 
-def as_angle(value):
-    """Coerce an angle or a unit complex number to an angle in [0, 1).
-
-    Complex input is projected to the circle and loses exactness.
-    """
-    if isinstance(value, complex):
-        return (cmath.phase(value) / _TWO_PI) % 1.0
-    return normalize_angle(value)
-
-
 def conj_angle(a):
     return normalize_angle(-a)
 

@@ -1,39 +1,22 @@
 """Correction terms governing one-sided limits of link signatures.
 
 The functions here are purely combinatorial in the linking numbers and the
-angles of the remaining coordinates: the sign of a two-point expression on
-the circle, its telescoped sum along a chain, the jump of the signature
-across the first coordinate, the wall indicator for its degeneracy locus,
-and the step profile of torus-link signatures.  The chain sign, the jump
-and the profile are one wall count: the chain sign of n angles in [0, 1)
-with sum T, Z of them 0, is n - 1 - 2*floor(T) + [T is an integer] - Z,
-which drops by 2 per wall crossed; the wall indicator is the [T is an
-integer] term of the jump, read off the same blocks.  Chain inputs may be
-angles in turns (fractions preferred) or unit complex numbers; every sign
-compares angle sums, so all is exact on rational angles, and on float
-angles it compares the floats.  The wall indicator refuses floats.
+angles of the remaining coordinates: the jump of the signature across the
+first coordinate, the wall indicator for its degeneracy locus, and the step
+profile of torus-link signatures.  The jump and the profile are one wall
+count: the chain sign of n angles in [0, 1) with sum T, Z of them 0, is
+n - 1 - 2*floor(T) + [T is an integer] - Z, which drops by 2 per wall
+crossed; the wall indicator is the [T is an integer] term of the jump, read
+off the same blocks.  Every count compares angle sums, so all is exact on
+rational angles, and on float angles it compares the floats.  The wall
+indicator refuses floats.
 """
 
 import math
 from fractions import Fraction
 
-from .angles import TorusPoint, as_angle, conj_angle, normalize_angle
+from .angles import TorusPoint, conj_angle, normalize_angle
 from .errors import DomainError, InexactAngles
-
-
-def pair_sign(z1, z2):
-    """Sign in {-1, 0, 1} of i*(z1*z2 - 1)*(conj(z1) - 1)*(conj(z2) - 1).
-
-    For angles a, b in [0, 1) the expression is 8 sin(pi(a+b)) sin(pi a)
-    sin(pi b), so the sign is 0 when a = 0, b = 0 or a + b = 1, +1 when
-    a + b < 1 and -1 when a + b > 1: a comparison of angles, exact on
-    rational ones.
-    """
-    a = as_angle(z1)
-    b = as_angle(z2)
-    if a == 0 or b == 0 or a + b == 1:
-        return 0
-    return 1 if a + b < 1 else -1
 
 
 def _wall_count(count, total, zeros):
@@ -42,20 +25,9 @@ def _wall_count(count, total, zeros):
     return count - 1 - 2 * k + (total == k) - zeros
 
 
-def chain_sign(points):
-    """Telescoped pair signs of a chain: sum of pair_sign(z_j, z_{j+1}...z_n).
-
-    Read as n - 1 - 2*floor(T) + [T is an integer] - Z for n angles with sum
-    T, Z of them 0; on float angles T is one float sum, compared once.
-    Empty and one-element chains give 0.
-    """
-    angles = [as_angle(z) for z in points]
-    return _wall_count(len(angles), sum(angles), angles.count(0))
-
-
 def _blocks(linking, point):
-    """The blocks (|l_j|, sgn(l_j) theta_j mod 1) of the l_j != 0 (``linking`` may be one int)."""
-    ell = (linking,) if isinstance(linking, int) else tuple(map(int, linking))
+    """The blocks (|l_j|, sgn(l_j) theta_j mod 1) of the l_j != 0."""
+    ell = tuple(map(int, linking))
     angles = point.angles if isinstance(point, TorusPoint) else tuple(map(normalize_angle, point))
     if len(ell) != len(angles):
         raise ValueError("linking vector and point have different lengths")

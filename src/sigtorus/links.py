@@ -344,12 +344,15 @@ def _parse_nested(where, document):
 
 
 def load_link(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise SchemaError("%s is not a JSON document: %s" % (path, exc)) from None
-    return parse_link(document)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                document = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise SchemaError("%s is not a JSON document: %s" % (path, exc)) from None
+        return parse_link(document)
+    except RecursionError:
+        raise SchemaError("%s nests too deeply to read" % path) from None
 
 
 def save_link(link, path):

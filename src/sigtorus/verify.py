@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .angles import TorusPoint, angle_to_complex, normalize_angle
 from .corrections import signature_jump, wall_indicator
@@ -567,40 +567,42 @@ def random_rational_point(rnd, count):
 def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
     """Run a verification suite on a link, on deterministic random points.
 
-    The 3d, 4d and Torres checks at the sampled points share one table per
-    quantity: the sublink inertia, both one-sided limits and the boundary
-    value (with the slope) of every point, each computed for all points on
-    its first read, the first two in one stacked call each.  A suite whose
-    data the link lacks (3d and 4d need two colors; lt a one-colored link or
-    underlying_oriented data; multi-lt underlying_oriented data) raises when
-    requested alone.  Under "all", lt and multi-lt then write one skip
-    record each, and 3d and 4d write nothing.
+    The points are drawn on the first read by a suite that checks them (3d,
+    4d, torres, multi-lt).  The 3d, 4d and Torres checks at those points
+    share one table per quantity: the sublink inertia, both one-sided
+    limits and the boundary value (with the slope) of every point, each
+    computed for all points on its first read, the first two in one stacked
+    call each.  A suite whose data the link lacks (3d and 4d need two
+    colors; lt a one-colored link or underlying_oriented data; multi-lt
+    underlying_oriented data) raises when requested alone.  Under "all", lt
+    and multi-lt then write one skip record each, and 3d and 4d write
+    nothing.
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
     if samples not in SAMPLES:
         raise DomainError("samples must be in %d..%d, got %r" % (SAMPLES[0], SAMPLES[-1], samples))
     rnd = random.Random(seed)
-    rests = _Rests(link, [random_rational_point(rnd, link.mu - 1)
-                          for _ in range(samples)], tol)
+    rests = cache(lambda: _Rests(link, [random_rational_point(rnd, link.mu - 1)
+                                        for _ in range(samples)], tol))
     each = range(samples if link.mu > 1 else 1)  # one Torres record for one color
     oriented = link if link.mu == 1 else link.underlying_oriented
     # suite, whether the link carries its data, its reports, the error when it
     # is asked for alone, and the record "all" writes in its place (or None)
     rows = (
-        ("3d", link.mu > 1, lambda: [r for i in each for r in _check_3d(rests, i)],
+        ("3d", link.mu > 1, lambda: [r for i in each for r in _check_3d(rests(), i)],
          WrongColorCount("3d suite needs at least two colors"), None),
-        ("4d", link.mu > 1, lambda: [r for i in each for r in _check_4d(rests, i)],
+        ("4d", link.mu > 1, lambda: [r for i in each for r in _check_4d(rests(), i)],
          WrongColorCount("4d suite needs at least two colors"), None),
         ("lt", oriented is not None, lambda: verify_lt(oriented, tol),
          MissingUnderlying("lt suite needs a 1-colored link or underlying_oriented data"),
          _skip("lt/skipped", {}, "no 1-colored data available")),
         ("corners", True, lambda: verify_corner_limits(link, tol), None, None),
-        ("torres", True, lambda: [r for i in each for r in _check_torres(rests, i)],
+        ("torres", True, lambda: [r for i in each for r in _check_torres(rests(), i)],
          None, None),
         ("multi-lt", link.underlying_oriented is not None,
          lambda: _diagonal_reports(link, [pt[0] if pt.mu else Fraction(1, 2)
-                                          for pt in rests.points], tol),
+                                          for pt in rests().points], tol),
          MissingUnderlying("multi-lt suite needs underlying_oriented data"),
          _skip("multi-lt/skipped", {}, "no underlying_oriented data")),
     )

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sigtorus.angles import TorusPoint, angle_to_complex, as_angle, normalize_angle
-from sigtorus.corrections import pair_sign
+from sigtorus.angles import TorusPoint, angle_to_complex, normalize_angle
 from sigtorus.errors import (BoundaryPoint, InexactAngles, SigtorusError,
                              ZeroParameter)
 from sigtorus.hermitian import DEFAULT_TOL, HermitianMatrix, inertia
@@ -33,14 +32,27 @@ def _as_point(point):
     return point if isinstance(point, TorusPoint) else TorusPoint(point)
 
 
+def pair_sign(a, b):
+    """Sign in {-1, 0, 1} of i*(z1*z2 - 1)*(conj(z1) - 1)*(conj(z2) - 1) at
+    z1 = exp(2 pi i a), z2 = exp(2 pi i b) for angles a, b in [0, 1).
+
+    The expression is 8 sin(pi(a+b)) sin(pi a) sin(pi b): 0 when a = 0,
+    b = 0 or a + b = 1, +1 when a + b < 1 and -1 when a + b > 1.
+    """
+    if a == 0 or b == 0 or a + b == 1:
+        return 0
+    return 1 if a + b < 1 else -1
+
+
 def chain_sign_by_pairs(points):
-    """Definitional oracle for :func:`sigtorus.corrections.chain_sign`.
+    """Definitional oracle for the chain sign that
+    :func:`sigtorus.corrections.signature_jump` counts.
 
     The telescoped sum of pair_sign(z_j, z_{j+1}...z_n) over j < n, one
     pair sign per chain step, with the suffix product kept as an angle in
     [0, 1).  Empty and one-element chains give 0.
     """
-    angles = [as_angle(z) for z in points]
+    angles = [normalize_angle(z) for z in points]
     total = 0
     suffix = angles[-1] if angles else 0
     for angle in reversed(angles[:-1]):
@@ -85,7 +97,7 @@ def chain_matrix(points):
     Its signature equals the chain sign and its nullity is 1 exactly when
     the product of the chain is 1.
     """
-    angles = [as_angle(z) for z in points]
+    angles = [normalize_angle(z) for z in points]
     if any(a == 0 for a in angles):
         raise BoundaryPoint("chain points must differ from 1")
     z = [angle_to_complex(a) for a in angles]

@@ -14,7 +14,7 @@ from oracles import (chain_matrix, clasp_matrix, conjugate_inertia_check,
                      signature_jump_by_walls)
 
 from sigtorus.angles import TorusPoint
-from sigtorus.corrections import chain_sign, pair_sign, signature_jump
+from sigtorus.corrections import signature_jump
 from sigtorus.families import (make_torus, make_twist, make_unlink,
                                oracle_torus, oracle_twist, unknot)
 from sigtorus.hermitian import HermitianMatrix, inertia
@@ -78,7 +78,7 @@ def test_criterion_3_chain_matrix_brute_force():
             angles = [_rational(rnd, 48) for _ in range(n)]
             ine = inertia(chain_matrix(angles))
             want_nullity = 1 if (sum(angles) % 1) == 0 else 0
-            if ine.signature != chain_sign(angles) or ine.nullity != want_nullity:
+            if ine.signature != signature_jump((1,) * n, angles) or ine.nullity != want_nullity:
                 bad += 1
     _verdict(3, "chain matrices realize the chain sign and product rule "
                 "for n <= 6 on 1000 random tuples each", bad == 0)
@@ -264,7 +264,7 @@ def test_criterion_10_property_suites():
     # antisymmetry of the pair sign under conjugation, 10^3 points
     for _ in range(1000):
         a, b = _rational(rnd), _rational(rnd)
-        ok = ok and pair_sign(-a, -b) == -pair_sign(a, b)
+        ok = ok and signature_jump((1, 1), (-a, -b)) == -signature_jump((1, 1), (a, b))
 
     # side symmetry of one-variable directional limits
     for link in (unknot(), make_torus(3).underlying_oriented,

@@ -19,7 +19,7 @@ import sigtorus
 import sigtorus.cli
 from sigtorus.angles import angle_to_complex
 from sigtorus.cli import main
-from sigtorus.families import make_family, make_torus, make_twist, oracle_torus
+from sigtorus.families import make_family, make_torus, make_twist, oracle_torus, unknot
 from sigtorus.links import (ColoredLink, SeifertSystem, save_link, sign_key,
                             sign_vectors, signature_nullity_batch)
 
@@ -567,6 +567,24 @@ def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
     assert code == 2
     assert out == ""
     assert key in err
+
+
+def _underlying_chain(depth):
+    """A torus(3) document whose underlying_oriented documents nest ``depth`` deep."""
+    doc = unknot().to_document()
+    for _ in range(depth):
+        doc = dict(unknot().to_document(), underlying_oriented=doc)
+    return json.dumps(dict(make_torus(3).to_document(), underlying_oriented=doc))
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, _underlying_chain(600)],
+                         ids=["json-arrays", "underlying-chain"])
+def test_deeply_nested_link_file_exits_2(tmp_path, capsys, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    code, out, err = run(capsys, "eval", "--link", str(deep), "--omega", "1/3,1/5")
+    assert (code, out) == (2, "")
+    assert err == "error: %s nests too deeply to read\n" % deep
 
 
 def test_family_then_eval_matches_library(tmp_path, capsys):

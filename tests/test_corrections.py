@@ -9,8 +9,7 @@ from oracles import (ClaspSequence, ZeroLinking, chain_matrix, chain_sign_by_pai
                      clasp_matrix, signature_jump_by_walls)
 
 from sigtorus.angles import TorusPoint, normalize_angle
-from sigtorus.corrections import (chain_sign, pair_sign, signature_jump,
-                                  torus_signature_profile, wall_indicator)
+from sigtorus.corrections import signature_jump, torus_signature_profile, wall_indicator
 from sigtorus.errors import BoundaryPoint, DomainError, InexactAngles
 from sigtorus.hermitian import inertia
 
@@ -21,37 +20,37 @@ def rational_angle(rnd, max_den=48):
 
 
 def test_pair_sign_zero_cases_exact():
-    assert pair_sign(Fraction(1, 3), Fraction(2, 3)) == 0  # product is 1
-    assert pair_sign(Fraction(0), Fraction(1, 5)) == 0
-    assert pair_sign(Fraction(1, 5), Fraction(0)) == 0
+    assert signature_jump((1, 1), (Fraction(1, 3), Fraction(2, 3))) == 0  # product is 1
+    assert signature_jump((1, 1), (Fraction(0), Fraction(1, 5))) == 0
+    assert signature_jump((1, 1), (Fraction(1, 5), Fraction(0))) == 0
 
 
 def test_pair_sign_values():
-    assert pair_sign(1j, 1j) == 1
-    assert pair_sign(Fraction(2, 5), Fraction(7, 10)) == -1
+    assert signature_jump((1, 1), (Fraction(1, 4), Fraction(1, 4))) == 1
+    assert signature_jump((1, 1), (Fraction(2, 5), Fraction(7, 10))) == -1
     # a + b within 1e-17 of 1: the sign is exact, not read off a float residue
     tiny = Fraction(1, 10 ** 17)
-    assert pair_sign(Fraction(1, 3), Fraction(2, 3) + tiny) == -1
-    assert pair_sign(Fraction(1, 3), Fraction(2, 3) - tiny) == 1
+    assert signature_jump((1, 1), (Fraction(1, 3), Fraction(2, 3) + tiny)) == -1
+    assert signature_jump((1, 1), (Fraction(1, 3), Fraction(2, 3) - tiny)) == 1
 
 
 def test_pair_sign_antisymmetric_under_conjugation():
     rnd = random.Random(0)
     for _ in range(300):
         a, b = rational_angle(rnd), rational_angle(rnd)
-        assert pair_sign(-a, -b) == -pair_sign(a, b)
+        assert signature_jump((1, 1), (-a, -b)) == -signature_jump((1, 1), (a, b))
 
 
 def test_chain_sign_degenerate_lengths():
-    assert chain_sign([]) == 0
-    assert chain_sign([Fraction(1, 3)]) == 0
+    assert signature_jump((), []) == 0
+    assert signature_jump((1,), [Fraction(1, 3)]) == 0
 
 
 def test_chain_sign_small_cases():
-    assert chain_sign([1j, 1j]) == 1
+    assert signature_jump((1, 1), [Fraction(1, 4)] * 2) == 1
     # five copies of a point just above 1 telescope to the maximum value
     tiny = Fraction(1, 1000)
-    assert chain_sign([tiny] * 5) == 4
+    assert signature_jump((1,) * 5, [tiny] * 5) == 4
 
 
 def test_jump_closed_form_two_colors():
@@ -141,8 +140,8 @@ def test_wall_counts_equal_the_telescoped_definition(case):
               for lj, a in zip(ell, angles) for _ in range(abs(lj))]
     want = chain_sign_by_pairs(blocks)
     assert signature_jump(ell, angles) == want
-    assert chain_sign(blocks) == want
-    assert chain_sign(angles) == chain_sign_by_pairs(angles)
+    assert signature_jump((1,) * len(blocks), blocks) == want
+    assert signature_jump((1,) * len(angles), angles) == chain_sign_by_pairs(angles)
     # the profile is the chain sign of n copies of t = min(theta, 2 - theta)
     n = max(1, abs(ell[0]))
     t = min(theta, 2 - theta)
@@ -210,7 +209,7 @@ def test_profile_values_and_symmetry():
 
 def test_chain_matrix_small_cases():
     assert chain_matrix([Fraction(1, 3)]).n == 0
-    got = chain_matrix([1j, 1j]).entries
+    got = chain_matrix([Fraction(1, 4)] * 2).entries
     assert np.allclose(got, [[1.0]])
     conj_pair = chain_matrix([Fraction(1, 5), Fraction(4, 5)])
     assert inertia(conj_pair).nullity == 1
@@ -224,7 +223,7 @@ def test_chain_matrix_realizes_sign_and_product_rule():
         n = rnd.randint(1, 4)
         angles = [rational_angle(rnd, 24) for _ in range(n)]
         ine = inertia(chain_matrix(angles))
-        assert ine.signature == chain_sign(angles)
+        assert ine.signature == signature_jump((1,) * n, angles)
         product_integral = (sum(angles) % 1) == 0
         assert ine.nullity == (1 if product_integral else 0)
 

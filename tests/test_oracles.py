@@ -2,8 +2,11 @@
 test-side oracle modules read only public package names."""
 
 import ast
+import cmath
 import importlib
 import pkgutil
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import oracles
@@ -60,3 +63,25 @@ def test_moved_names_left_the_package():
         assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
     # kept in sigtorus.hermitian for the benchmark tracer, but not exported
     assert not {"HermitianMatrix", "inertia"} & set(sigtorus.__all__)
+
+
+def test_pair_sign_is_the_sign_of_its_defining_expression():
+    """pair_sign(a, b) against the sign of i(z1 z2 - 1)(conj z1 - 1)(conj z2 - 1)
+    in floats, on rational pairs at least 1e-6 from a = 0, b = 0 and a + b = 1
+    (half of them within 1e-5 of a + b = 1), where that sign is far above the
+    rounding."""
+    rnd = random.Random(27)
+    checked = 0
+    while checked < 1000:
+        q = rnd.randint(2, 10 ** 7)
+        a = Fraction(rnd.randrange(q), q)
+        if checked % 2:
+            b = Fraction(rnd.randrange(q), q)
+        else:
+            b = (1 - a + Fraction(rnd.randint(-10 ** 4, 10 ** 4), 10 ** 9)) % 1
+        if min(a, 1 - a, b, 1 - b, abs(a + b - 1)) < Fraction(1, 10 ** 6):
+            continue
+        z1, z2 = (cmath.exp(2j * cmath.pi * float(t)) for t in (a, b))
+        value = 1j * (z1 * z2 - 1) * (z1.conjugate() - 1) * (z2.conjugate() - 1)
+        assert oracles.pair_sign(a, b) == (1 if value.real > 0 else -1), (a, b)
+        checked += 1

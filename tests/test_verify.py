@@ -767,6 +767,16 @@ def test_run_suite_refuses_samples_beyond_the_bound_before_drawing_any(monkeypat
         run_suite(make_torus(3), "all", samples=10 ** 9)
 
 
+@pytest.mark.parametrize("suite", ["corners", "lt"])
+def test_suites_that_read_no_point_draw_none(monkeypatch, suite):
+    want = run_suite(make_torus(3), suite, samples=1)
+    def drawn(*args):
+        raise AssertionError("a point was drawn")
+    monkeypatch.setattr(verify, "random_rational_point", drawn)
+    got = run_suite(make_torus(3), suite, samples=65536)
+    assert got and [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
+
+
 # -- the report writer against json.dump -----------------------------------------
 
 def _json_dump_text(reports):
