@@ -52,12 +52,15 @@ def _layout(mu):
 
 
 def _integer_rows(data, context):
-    """One Seifert matrix as square lists of ints.  Rows that are not all
-    exactly int are read entry by entry; errors name ``context`` and the
-    failing row or entry."""
+    """One Seifert matrix as square lists of ints; the matrix and each row
+    are lists, tuples or numpy arrays.  Rows not all exactly int are read
+    entry by entry; errors name ``context`` and the failing row or entry."""
+    arrays = (list, tuple, np.ndarray)
     try:
+        if not isinstance(data, arrays) or not all(isinstance(row, arrays) for row in data):
+            raise TypeError  # an object or a string iterates too
         rows = [list(row) for row in data]
-    except TypeError:
+    except TypeError:  # also a numpy scalar
         raise SchemaError("%s must be a list of rows" % context) from None
     for i, row in enumerate(rows):
         if len(row) != len(rows):
@@ -69,31 +72,14 @@ def _integer_rows(data, context):
     return rows
 
 
-def _shape_defect(keys, mats):
-    """The error naming the first matrix, in key order, that keeps
-    ``mats`` from being one (2^mu, n, n) int64 stack."""
-    n = None
-    for key, mat in zip(keys, mats):
-        context = "seifert[%s]" % key
-        rows = _integer_rows(mat, context)
-        try:
-            np.array(rows, dtype=np.int64)
-        except OverflowError:
-            return SchemaError("%s has an entry beyond 64 bits" % context)
-        if n is None:
-            n = len(rows)
-        elif len(rows) != n:
-            return DimensionMismatch("%s is %dx%d, expected %dx%d"
-                                     % (context, len(rows), len(rows), n, n))
-    raise AssertionError("no defect in a system that did not stack")
-
-
 def _seifert_stack(mu, matrices):
     """A ``seifert`` object as the int64 (2^mu, n, n) stack in
-    :func:`sign_vectors` order, checked in bulk: the key count and key set,
-    one type scan over every entry, one ``np.array`` and one transpose
-    comparison.  Only rows that fail the type scan are read entry by entry;
-    a defect is named only after a bulk step has failed.
+    :func:`sign_vectors` order.  After the key count and the key set, the
+    fast path is one type scan over every entry, one ``np.array`` and its
+    reshape to n x n, n the first matrix's row count.  Where any of them
+    fails, the same matrices go to the reader that names defects: matrix by
+    matrix in key order, :func:`_integer_rows`, the size the first matrix
+    sets, then the 64-bit bound.  One transpose comparison closes both.
     """
     if not isinstance(matrices, dict):
         raise SchemaError("seifert must be an object keyed by sign vectors")
@@ -108,22 +94,27 @@ def _seifert_stack(mu, matrices):
             if key not in matrices:
                 raise SchemaError("seifert: missing matrix for sign vector %r" % key)
         raise SchemaError("seifert: unexpected keys %r" % sorted(set(matrices) - key_set))
-    mats = values(matrices)
+    mats, stack = values(matrices), None
     try:
-        exact = _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(
-            itertools.chain.from_iterable(mats))))
-    except TypeError:  # a matrix or a row that is not a list
-        exact = False
-    if not exact:
-        mats = [_integer_rows(mat, "seifert[%s]" % key) for key, mat in zip(keys, mats)]
-    try:
-        stack = np.array(mats, dtype=np.int64)
-    except (ValueError, OverflowError):  # ragged, or beyond 64 bits
-        raise _shape_defect(keys, mats) from None
-    if stack.shape == (len(keys), 0):  # every matrix is []
-        stack = stack.reshape(len(keys), 0, 0)
-    elif stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise _shape_defect(keys, mats)
+        if _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(
+                itertools.chain.from_iterable(mats)))):
+            n = len(mats[0])
+            stack = np.array(mats, dtype=np.int64).reshape(len(keys), n, n)
+    except (TypeError, ValueError, OverflowError):  # not arrays, ragged, not square, 64 bits
+        pass
+    if stack is None:
+        for k, (key, mat) in enumerate(zip(keys, mats)):
+            context = "seifert[%s]" % key
+            rows = _integer_rows(mat, context)
+            if k == 0:
+                stack = np.empty((len(keys), len(rows), len(rows)), dtype=np.int64)
+            elif len(rows) != stack.shape[1]:
+                raise DimensionMismatch("%s is %dx%d, expected %dx%d" % (
+                    context, len(rows), len(rows), stack.shape[1], stack.shape[1]))
+            try:
+                stack[k] = rows
+            except OverflowError:
+                raise SchemaError("%s has an entry beyond 64 bits" % context) from None
     # stack[::-1] holds the matrix at -eps where stack holds eps's, so pair
     # k fails exactly when pair 2^mu - 1 - k does, and the first failing
     # index has eps_1 = +.

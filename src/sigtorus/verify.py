@@ -576,7 +576,9 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
     colors; lt a one-colored link or underlying_oriented data; multi-lt
     underlying_oriented data) raises when requested alone.  Under "all", lt
     and multi-lt then write one skip record each, and 3d and 4d write
-    nothing.
+    nothing.  A suite whose checks raise MissingSublink, MissingConwayData
+    or UnsupportedCase likewise raises when requested alone, and under
+    "all" writes one "<suite>/skipped" record with the error's text.
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
@@ -611,7 +613,12 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
         if suite not in (name, "all"):
             continue
         if applies:
-            reports += checks()
+            try:
+                reports += checks()
+            except (MissingSublink, MissingConwayData, UnsupportedCase) as exc:
+                if suite != "all":
+                    raise
+                reports.append(_skip(name + "/skipped", {}, str(exc)))
         elif suite != "all":
             raise error
         elif skipped is not None:

@@ -5,8 +5,8 @@ it checks: the chain sign telescoped from pair signs (the reference for the
 closed-form wall counts in :mod:`sigtorus.corrections`), the wall-crossing
 count for the signature jump, the tridiagonal chain and clasp matrices
 whose inertia realizes the chain sign, Sylvester's law of inertia, the
-boundary form F_0 of the rest path, and the linking matrix read from every
-pair of components.
+boundary form F_0 of the rest path, the linking matrix read from every
+pair of components, and the handle move that leaves every value unchanged.
 """
 
 from fractions import Fraction
@@ -17,7 +17,7 @@ from sigtorus.angles import TorusPoint, angle_to_complex, normalize_angle
 from sigtorus.errors import (BoundaryPoint, InexactAngles, SigtorusError,
                              ZeroParameter)
 from sigtorus.hermitian import DEFAULT_TOL, HermitianMatrix, inertia
-from sigtorus.links import sign_vectors
+from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
 
 
 class SingularMatrix(SigtorusError):
@@ -204,3 +204,35 @@ def linking_matrix(link, color_signs):
     for i, row in enumerate(mat):
         row[i] = -sum(row)
     return mat
+
+
+def enlarge(link, color, xi):
+    """``link`` with one handle (a, b) added to the surface of ``color``: an
+    elementary enlargement of its Seifert system.
+
+    Rows a = n and b = n + 1 join every A^eps, with lk(a^eps, b) =
+    [eps_color = +], lk(b^eps, a) = [eps_color = -], the integer vector
+    ``xi`` (one entry per old row) in row and column b, and every other new
+    entry 0.  In H(omega) = sum_eps prod_j (1 - conj(omega_j)^eps_j) A^eps,
+    row a then has one nonzero entry, h = (1 - conj(omega_color))
+    prod_{j != color} |1 - omega_j|^2 at column b, and a congruence through
+    row a clears xi from row b: the new H is congruent to the direct sum of
+    the old one and the block [[0, h], [conj(h), *]], whose determinant
+    -|h|^2 is negative on the open torus.  So sigma and eta are unchanged at every interior
+    point, and so is every limit.  This is the algebra of S-equivalence:
+    H. F. Trotter, Ann. of Math. 76 (1962), and for C-complexes D. Cimasoni
+    and V. Florens, Trans. AMS 360 (2008).
+    """
+    n = link.seifert.n
+    if len(xi) != n:
+        raise ValueError("xi needs %d entries, one per row, got %d" % (n, len(xi)))
+    mats = {}
+    for eps in sign_vectors(link.mu):
+        mat = np.zeros((n + 2, n + 2), dtype=np.int64)
+        mat[:n, :n] = link.seifert.matrix(eps)
+        mat[n + 1, :n] = mat[:n, n + 1] = xi
+        mat[n, n + 1], mat[n + 1, n] = eps[color - 1] > 0, eps[color - 1] < 0
+        mats[sign_key(eps)] = mat
+    return ColoredLink(link.mu, link.components_per_color, link.linking,
+                       SeifertSystem(link.mu, mats), link.conway, link.rank_alexander,
+                       link.sublinks, link.underlying_oriented)

@@ -22,6 +22,7 @@ from sigtorus.cli import main
 from sigtorus.families import make_family, make_torus, make_twist, oracle_torus, unknot
 from sigtorus.links import (ColoredLink, SeifertSystem, save_link, sign_key,
                             sign_vectors, signature_nullity_batch)
+from sigtorus.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -535,6 +536,14 @@ _TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [],
     (_put({"+": 5, "-": 5}, "sublinks", "2", "seifert"), "seifert[+] must be a list of rows"),
     (_put({"+": [5], "-": [5]}, "sublinks", "2", "seifert"),
      "seifert[+] must be a list of rows"),
+    (_put({"+": {}, "-": []}, "sublinks", "2", "seifert"),
+     "sublinks[2]: seifert[+] must be a list of rows"),
+    (_put({"+": {}, "-": {}}, "sublinks", "2", "seifert"),
+     "sublinks[2]: seifert[+] must be a list of rows"),
+    (_put({"+": "", "-": ""}, "sublinks", "2", "seifert"),
+     "sublinks[2]: seifert[+] must be a list of rows"),
+    (_put({"+": "12", "-": "12"}, "sublinks", "2", "seifert"),
+     "sublinks[2]: seifert[+] must be a list of rows"),
     (_put(make_twist(1).to_document(), "underlying_oriented"),
      "underlying_oriented must be 1-colored"),
     (_put({"+": [[1]], "-": [[2]]}, "sublinks", "2", "seifert"),
@@ -551,7 +560,8 @@ _TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [],
         "document-not-object", "mu-missing", "mu-bool", "mu-zero", "linking-self",
         "linking-conflict", "linking-conflict-same-order", "linking-record-not-object",
         "rank-negative",
-        "seifert-matrix-number", "seifert-rows-numbers",
+        "seifert-matrix-number", "seifert-rows-numbers", "seifert-matrix-object",
+        "seifert-matrices-objects", "seifert-matrices-empty-strings", "seifert-matrices-strings",
         "underlying-two-colors", "sublink-transpose", "sublink-no-seifert",
         "underlying-not-object", "underlying-two-color-keys"])
 def test_bad_link_file_names_the_key(tmp_path, capsys, damage, key):
@@ -687,6 +697,35 @@ def test_unusable_requests_exit_2(tmp_path, capsys, family, damage, argv, messag
     code, out, err = run(capsys, argv[0], "--link", link, *argv[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family, damage, left_out, message", [
+    (("twist", 2), _drop("sublinks"), ["3d", "4d", "torres"],
+     "link carries no sublink data under key '2'"),
+    (("twist", 2), _without_conway, ["4d", "torres"], "split case needs the link's conway data"),
+    (("twist", 2), _without_sublink_conway, ["4d", "torres"],
+     "split case needs conway data for the sublink"),
+    (("torus", 3), _drop("sublinks"), ["3d", "4d", "torres"],
+     "link carries no sublink data under key '2'"),
+], ids=["twist-no-sublinks", "twist-no-conway", "twist-no-sublink-conway", "torus-no-sublinks"])
+def test_all_leaves_out_a_suite_whose_data_the_link_lacks(tmp_path, capsys, family, damage,
+                                                          left_out, message):
+    link = make_file(tmp_path, capsys, family[0], family[1], "link.json")
+    doc = json.loads(Path(link).read_text())
+    damage(doc)
+    Path(link).write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--link", link, "--suite", "all", "--samples", "3",
+                         "--report", str(report))
+    assert (code, err) == (0, "") and out.endswith(" failures=0\n")
+    records = json.loads(report.read_text())
+    assert {rec["check"].split("/")[0] for rec in records} == set(SUITES) - {"all"}
+    for suite in left_out:
+        assert [rec for rec in records if rec["check"].startswith(suite + "/")] == [
+            {"check": suite + "/skipped", "inputs": {}, "lhs": None, "rhs": None,
+             "relation": "==", "pass": True, "notes": [message]}]
+        code, out, err = run(capsys, "verify", "--link", link, "--suite", suite, "--samples", "3")
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("argv, target", [

@@ -5,19 +5,23 @@ coordinates: a unimodular change of the Seifert basis, the sampled limits
 of ``sampler.py`` wherever they read cleanly, and single-point calls.  On
 systems whose form vanishes on a whole circle the answer is known exactly.
 The path families the limits descend on are checked against the forms
-that ``sampler.py`` builds on their paths.
+that ``sampler.py`` builds on their paths, and handles added by
+``oracles.enlarge`` leave every value unchanged.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from oracles import enlarge
 from sampler import forms, path_rows, sampled_limit
 
 from sigtorus import links, verify
 from sigtorus.angles import TorusPoint, angle_to_complex
+from sigtorus.families import make_unlink
 from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
                             rest_limit_counts, sign_key, sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
@@ -224,3 +228,42 @@ def test_corner_limits_of_a_system_singular_along_the_corner_path():
     for row, signs in ((1, (1, -1)), (2, (-1, 1))):
         assert sampled_limit(link, signs) == (0, 1)
         assert corners[row] == [0, 1]
+
+
+def _unlink_with_handles():
+    """unlink(3), whose form is 0, with three handles on color 1: rows (2, 3),
+    (4, 5) and (6, 7), with xi on the b rows 3, 5 and 7.  By
+    :func:`oracles.enlarge` every value is unlink(3)'s: sigma 0 and eta 2."""
+    link = make_unlink(3)
+    for xi in ((-2, -2), (3, 1, 2, 2), (2, 3, 1, -1, -3, 0)):
+        link = enlarge(link, 1, xi)
+    return link
+
+
+def test_handles_keep_points_and_rest_limits():
+    unlink, link = make_unlink(3), _unlink_with_handles()
+    for angles in ((Fraction(1, 7), Fraction(2, 5), Fraction(3, 11)),
+                   (Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)),
+                   (Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)),
+                   (Fraction(1, 300),) * 3):
+        assert signature_nullity(link, TorusPoint(angles)) == \
+            signature_nullity(unlink, TorusPoint(angles)) == (0, 2), angles
+    rest = [TorusPoint([Fraction(1, 3), Fraction(2, 5)]).omega()]
+    assert rest_limit_counts(link, rest).tolist() == \
+        rest_limit_counts(unlink, rest).tolist() == [[0, 0, 2]]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the float descent reads the kernel of size 2 that "
+                          "F_0 has at level 3 as noise past the cut, (+-1, 1) at every corner")
+def test_handles_keep_the_corners():
+    assert corner_limit_counts(_unlink_with_handles()).tolist() == \
+        corner_limit_counts(make_unlink(3)).tolist()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: the handle blocks scale as about (2 pi delta)^5, "
+                          "below the zero cut's absolute floor of 1e-9; eta reads 8")
+def test_handles_keep_a_point_near_the_corner():
+    point = TorusPoint((Fraction(1, 1000),) * 3)
+    assert signature_nullity(_unlink_with_handles(), point) == (0, 2)

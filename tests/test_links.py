@@ -1,6 +1,8 @@
 import cmath
+import functools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -712,3 +714,36 @@ def test_linking_with_an_unknown_component_is_refused(comp):
     with pytest.raises(SchemaError) as info:
         parse_link(doc)
     assert str(info.value) == "linking refers to unknown component %r" % ((comp, "2.1"),)
+
+
+# -- no link document ends in a traceback --------------------------------------
+
+_JUNK = [None, True, 0, -1, 1.5, "", "x", [], {}, [[]], [1], {"a": 1}, 10 ** 30]
+
+
+def _nodes(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def test_no_link_document_ends_in_a_traceback():
+    failures = []
+    for link in (make_torus(3), make_twist(2), make_unlink(3)):
+        holder = {"root": link.to_document()}
+        for path in list(_nodes(holder))[1:]:
+            parent = functools.reduce(operator.getitem, path[:-1], holder)
+            kept = parent[path[-1]]
+            for value in _JUNK:
+                parent[path[-1]] = value
+                try:
+                    parse_link(holder["root"])
+                except SchemaError:
+                    pass
+                except Exception as exc:
+                    failures.append((path, value, repr(exc)))
+            parent[path[-1]] = kept
+    assert failures == []
