@@ -179,10 +179,9 @@ def cmd_verify(args):
                             % (SAMPLES[0], SAMPLES[-1], args.samples))
     reports = run_suite(link, args.suite, samples=args.samples, seed=args.seed,
                         tol=_tolerance(args))
-    for rep in reports:
-        print("%s %s lhs=%s rhs=%s (%s)"
-              % ("PASS" if rep.passed else "FAIL", rep.check,
-                 rep.lhs, rep.rhs, rep.relation))
+    print("".join("%s %s lhs=%s rhs=%s (%s)\n"
+                  % ("PASS" if rep.passed else "FAIL", rep.check, rep.lhs, rep.rhs, rep.relation)
+                  for rep in reports), end="")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report_text(reports))

@@ -36,8 +36,10 @@ def as_integer(value, what, *args):
 class LaurentPoly:
     """A Laurent polynomial in ``nvars`` variables with integer coefficients.
 
-    Zero-coefficient terms are never stored, so two polynomials are equal
-    exactly when their term maps are equal.
+    The constructor drops zero-coefficient terms, so two polynomials are
+    equal exactly when their term maps are equal, and keeps the terms in
+    sorted exponent order, the order :meth:`to_records` writes: evaluation
+    sums them in one order however the polynomial was built or read.
     """
 
     __slots__ = ("nvars", "terms")
@@ -55,7 +57,7 @@ class LaurentPoly:
             coeff = int(coeff)
             if coeff:
                 clean[exp] = coeff
-        self.terms = clean
+        self.terms = dict(sorted(clean.items()))
 
     @classmethod
     def zero(cls, nvars):
@@ -96,11 +98,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.nvars, out)
 
     __radd__ = __add__
@@ -117,11 +115,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -164,15 +158,11 @@ class LaurentPoly:
             if e == 0:
                 continue
             key = exps[:var] + (e - 1,) + exps[var + 1:]
-            v = out.get(key, 0) + coeff * e
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + coeff * e
         return LaurentPoly(self.nvars, out)
 
     def to_records(self):
-        return [{"coeff": c, "exp": list(e)} for e, c in sorted(self.terms.items())]
+        return [{"coeff": c, "exp": list(e)} for e, c in self.terms.items()]
 
     @classmethod
     def from_records(cls, nvars, records):

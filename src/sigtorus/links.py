@@ -51,15 +51,21 @@ def _layout(mu):
     return keys, frozenset(keys), operator.itemgetter(*keys), half, negative
 
 
+# The matrix and row types of _seifert_stack's fast path, all accepted by _integer_rows
+_LISTS = frozenset((list, tuple))
+
+
 def _integer_rows(data, context):
     """One Seifert matrix as square lists of ints; the matrix and each row
-    are lists, tuples or numpy arrays.  Rows not all exactly int are read
-    entry by entry; errors name ``context`` and the failing row or entry."""
+    are lists, tuples or numpy arrays, and a numpy row is read whole by
+    ``tolist``.  Rows not all exactly int are read entry by entry; errors
+    name ``context`` and the failing row or entry."""
     arrays = (list, tuple, np.ndarray)
     try:
         if not isinstance(data, arrays) or not all(isinstance(row, arrays) for row in data):
             raise TypeError  # an object or a string iterates too
-        rows = [list(row) for row in data]
+        rows = [row.tolist() if isinstance(row, np.ndarray) and row.ndim else list(row)
+                for row in data]  # list() refuses a 0-d array row
     except TypeError:  # also a numpy scalar
         raise SchemaError("%s must be a list of rows" % context) from None
     for i, row in enumerate(rows):
@@ -75,7 +81,8 @@ def _integer_rows(data, context):
 def _seifert_stack(mu, matrices):
     """A ``seifert`` object as the int64 (2^mu, n, n) stack in
     :func:`sign_vectors` order.  After the key count and the key set, the
-    fast path is one type scan over every entry, one ``np.array`` and its
+    fast path is one type scan over the matrices and rows, which must be
+    lists or tuples, and one over every entry, then one ``np.array`` and its
     reshape to n x n, n the first matrix's row count.  Where any of them
     fails, the same matrices go to the reader that names defects: matrix by
     matrix in key order, :func:`_integer_rows`, the size the first matrix
@@ -96,8 +103,9 @@ def _seifert_stack(mu, matrices):
         raise SchemaError("seifert: unexpected keys %r" % sorted(set(matrices) - key_set))
     mats, stack = values(matrices), None
     try:
-        if _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(
-                itertools.chain.from_iterable(mats)))):
+        rows = list(itertools.chain.from_iterable(mats))
+        if _LISTS.issuperset(map(type, mats)) and _LISTS.issuperset(map(type, rows)) \
+                and _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(rows))):
             n = len(mats[0])
             stack = np.array(mats, dtype=np.int64).reshape(len(keys), n, n)
     except (TypeError, ValueError, OverflowError):  # not arrays, ragged, not square, 64 bits
@@ -133,28 +141,24 @@ class SeifertSystem:
     sign vectors, that the matrices are square, of one size, with integer
     entries that fit in 64 bits, and that the matrix at -eps is the
     transpose of the matrix at eps, naming the key, row, entry or pair of a
-    defect.  ``matrices`` maps each sign key to a view of one int64
-    (2^mu, n, n) stack, and ``half_stack`` is the float stack of the
-    matrices with eps_1 = +.
+    defect.  ``stack`` is the validated int64 (2^mu, n, n) stack in
+    :func:`sign_vectors` order, and nothing derived from it is kept.
     """
 
-    __slots__ = ("mu", "n", "matrices", "half_stack")
+    __slots__ = ("mu", "n", "stack")
 
     def __init__(self, mu, matrices):
         self.mu = int(mu)
         if self.mu < 1:
             raise SchemaError("color count must be at least 1")
-        stack = _seifert_stack(self.mu, matrices)
-        self.n = stack.shape[1]
-        self.matrices = dict(zip(_layout(self.mu)[0], stack))
-        self.half_stack = stack[:len(stack) // 2].astype(float)
+        self.stack = _seifert_stack(self.mu, matrices)
+        self.n = self.stack.shape[1]
 
     def matrix(self, eps):
-        return self.matrices[sign_key(eps)]
+        return self.stack[_layout(self.mu)[0].index(sign_key(eps))]
 
     def to_document(self):
-        return {key: [[int(v) for v in row] for row in mat]
-                for key, mat in sorted(self.matrices.items())}
+        return dict(sorted(zip(_layout(self.mu)[0], self.stack.tolist())))
 
 
 def _is_component(comp_id, components_per_color):
@@ -405,15 +409,12 @@ def _path_forms(link, signs, rest):
     H = prod_j (2 eps_j t / (1 + t^2)) F(t) for F = M + M^* and
     M = sum_{eta_1 = +} prod_{j > k} (1 - conj(omega_j)^eta_j)
     prod_{j <= k} (i eta_j + eps_j t) A^eta, a polynomial of degree k.
-    A point is the path with k = 0: F_0 = H, Hermitian to the last bit.
+    A point is the path with k = 0: F_0 = H, Hermitian to the last bit.  The
+    A^eta with eta_1 = + are the Seifert stack's first half, which the
+    contraction casts to complex exactly.
     """
     count, k = signs.shape
-    rest = np.asarray(rest, dtype=complex)
-    if rest.shape == (0,):  # an empty point list
-        rest = rest.reshape(0, link.mu - k)
-    if rest.ndim != 2 or rest.shape[1] != link.mu - k:
-        raise ValueError("points have %d coordinates, expected %d: %d colors, %d sent to 1"
-                         % (rest.shape[-1], link.mu - k, link.mu, k))
+    rest = np.asarray(rest, dtype=complex).reshape(count, link.mu - k)
     eta, negative = _layout(link.mu)[3:]
     # the factors 1 - conj(omega_j)^eta_j of the held coordinates, index (p, eta, j)
     held = 1.0 - np.where(negative[:, k:], rest[:, None], rest.conj()[:, None])
@@ -426,7 +427,7 @@ def _path_forms(link, signs, rest):
         i_eta = 1j * eta[:, j]
         terms[:, 1:] = i_eta * terms[:, 1:] + signs[:, j, None, None] * terms[:, :-1]
         terms[:, 0] *= i_eta
-    m = np.einsum("pde,eab->pdab", terms, link.seifert.half_stack)
+    m = np.einsum("pde,eab->pdab", terms, link.seifert.stack[:len(eta)])
     return m + m.conj().transpose(0, 1, 3, 2)
 
 
@@ -435,7 +436,15 @@ def _path_limit_counts(link, signs, rest, tol):
     :func:`limit_counts` from F padded to the k n + 1 coefficients its descent
     may read, in blocks of about ``_STACK_BYTES``: an int (P, 3) array of
     sigma's limit as t -> 0+ and t -> 0-, and eta's."""
-    k, n = signs.shape[1], max(link.seifert.n, 1)
+    k, n = signs.shape[1], link.seifert.n
+    rest = np.asarray(rest, dtype=complex)
+    if rest.shape == (0,):  # an empty point list
+        rest = rest.reshape(0, link.mu - k)
+    if rest.ndim != 2 or rest.shape[1] != link.mu - k:
+        raise ValueError("points have %d coordinates, expected %d: %d colors, %d sent to 1"
+                         % (rest.shape[-1], link.mu - k, link.mu, k))
+    if not n:  # an empty system: every limit is 0 once the points are read
+        return np.zeros((len(signs), 3), dtype=np.int64)
     depth = k * n + 1  # det F(t) has degree at most k n
     block = max(1, _STACK_BYTES // (16 * depth * n * n))
     counts = []

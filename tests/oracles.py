@@ -180,11 +180,11 @@ def boundary_limit_form(link, rest_point, side=1):
     if rest_point.mu != link.mu - 1:
         raise ValueError("rest point needs %d coordinates" % (link.mu - 1))
     form = np.zeros((link.seifert.n, link.seifert.n), dtype=complex)
-    for eta in sign_vectors(link.mu):
+    for eta, mat in zip(sign_vectors(link.mu), link.seifert.stack):
         factor = 1j * eta[0]
         for e, w in zip(eta[1:], rest_point.omega()):
             factor *= 1 - (w.conjugate() if e > 0 else w)
-        form += factor * link.seifert.matrix(eta)
+        form += factor * mat
     return HermitianMatrix((1.0 if side > 0 else -1.0) * form)
 
 
@@ -227,9 +227,9 @@ def enlarge(link, color, xi):
     if len(xi) != n:
         raise ValueError("xi needs %d entries, one per row, got %d" % (n, len(xi)))
     mats = {}
-    for eps in sign_vectors(link.mu):
+    for eps, old in zip(sign_vectors(link.mu), link.seifert.stack):
         mat = np.zeros((n + 2, n + 2), dtype=np.int64)
-        mat[:n, :n] = link.seifert.matrix(eps)
+        mat[:n, :n] = old
         mat[n + 1, :n] = mat[:n, n + 1] = xi
         mat[n, n + 1], mat[n + 1, n] = eps[color - 1] > 0, eps[color - 1] < 0
         mats[sign_key(eps)] = mat

@@ -5,28 +5,30 @@ import pytest
 from oracles import torus_clasp_sequence
 
 from sigtorus.angles import TorusPoint
-from sigtorus.errors import ZeroParameter
+from sigtorus.errors import SigtorusError, ZeroParameter
 from sigtorus.families import (make_family, make_torus, make_twist,
                                make_unlink, oracle_torus, oracle_twist, unknot)
-from sigtorus.links import parse_link, signature_nullity
+from sigtorus.links import load_link, parse_link, save_link, signature_nullity
+from sigtorus.slope import slope
+from sigtorus.verify import random_rational_point, report_text, run_suite
 
 
 def test_twist_data_shape():
     link = make_twist(1)  # a Whitehead link
     assert link.mu == 2
     assert link.lk_colors(1, 2) == 0
-    assert all(m.tolist() == [[1]] for m in link.seifert.matrices.values())
+    assert all(m.tolist() == [[1]] for m in link.seifert.stack)
     assert link.rest_sublink().seifert.n == 0
 
 
 def test_torus_data_shape():
     link = make_torus(3)
-    assert link.seifert.matrices["++"].tolist() == [[-1, 0], [-1, -1]]
-    assert link.seifert.matrices["--"].tolist() == [[-1, -1], [0, -1]]
-    assert link.seifert.matrices["+-"].tolist() == [[0, 0], [0, 0]]
+    assert link.seifert.matrix((1, 1)).tolist() == [[-1, 0], [-1, -1]]
+    assert link.seifert.matrix((-1, -1)).tolist() == [[-1, -1], [0, -1]]
+    assert link.seifert.matrix((1, -1)).tolist() == [[0, 0], [0, 0]]
     assert link.lk_colors(1, 2) == 3
     assert make_torus(1).seifert.n == 0
-    assert make_torus(-3).seifert.matrices["++"].tolist() == [[1, 0], [1, 1]]
+    assert make_torus(-3).seifert.matrix((1, 1)).tolist() == [[1, 0], [1, 1]]
     assert make_torus(0).seifert.n == 0
 
 
@@ -89,6 +91,33 @@ def test_document_round_trip_preserves_invariants():
         assert reparsed.linking == link.linking
 
 
+_FAMILY_LINKS = ([("torus", ell) for ell in (2, -2, 3, -3, 5, -5, 7)]
+                 + [("twist", k) for k in range(-3, 6)] + [("unlink", m) for m in (2, 3, 4)])
+
+
+def _slope_outcome(link, point):
+    try:
+        return repr(slope(link.conway, link.rest_sublink().conway, point))
+    except SigtorusError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name, parameter", _FAMILY_LINKS,
+                         ids=["%s(%d)" % case for case in _FAMILY_LINKS])
+def test_a_family_and_its_file_compute_the_same_bits(tmp_path, name, parameter):
+    """Conway terms are evaluated in one order however they were built, so
+    a family's verify report and slopes equal those of its saved file."""
+    link = make_family(name, parameter)
+    save_link(link, str(tmp_path / "link.json"))
+    loaded = load_link(str(tmp_path / "link.json"))
+    assert report_text(run_suite(loaded, "all", samples=50, seed=3)) == \
+        report_text(run_suite(link, "all", samples=50, seed=3))
+    rnd = random.Random(parameter)
+    for _ in range(200):
+        point = random_rational_point(rnd, link.mu - 1)
+        assert _slope_outcome(loaded, point) == _slope_outcome(link, point)
+
+
 def test_make_family_dispatch():
     assert make_family("twist", 0).mu == 2
     assert make_family("torus", 2).lk_colors(1, 2) == 2
@@ -108,5 +137,5 @@ def test_torus_underlying_oriented_present():
     link = make_torus(1)  # a Hopf link
     oriented = link.underlying_oriented
     assert oriented.mu == 1
-    assert oriented.seifert.matrices["-"].tolist() == [[-1]]
+    assert oriented.seifert.matrix((-1,)).tolist() == [[-1]]
     assert oriented.lk("1.1", "1.2") == 1

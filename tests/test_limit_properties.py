@@ -141,7 +141,7 @@ def test_path_family_is_the_form_on_its_path(path):
         t ** d * coefficient for d, coefficient in enumerate(family))
     row = path_rows(signs, held, [delta])
     scale = float(np.prod(np.abs(1 - np.asarray(row[0])))) * sum(
-        float(np.linalg.norm(mat)) for mat in link.seifert.matrices.values())
+        float(np.linalg.norm(mat)) for mat in link.seifert.stack)
     assert np.linalg.norm(got - forms(link, row)[0]) <= 1e-12 * scale
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from oracles import (boundary_limit_form, clasp_matrix, linking_matrix,
                      torus_clasp_sequence)
@@ -38,7 +38,7 @@ def test_parse_round_trip_twist():
     link = parse_link(make_twist(2).to_document())
     assert link.mu == 2
     for key in ("++", "+-", "-+", "--"):
-        assert link.seifert.matrices[key].tolist() == [[2]]
+        assert link.seifert.matrix([1 if c == "+" else -1 for c in key]).tolist() == [[2]]
     assert link.rest_sublink() is not None
     assert link.conway is not None
 
@@ -370,14 +370,17 @@ def test_conway_records_read_like_seifert_rows():
 
 
 def test_empty_point_list_gives_empty_lists():
-    link = make_torus(3)
-    assert links.signature_nullity_batch(link, []) == ([], [])
-    assert links.signature_nullity_batch(link, np.zeros((0, 2))) == ([], [])
-    with pytest.raises(ValueError, match="coordinates"):
-        links.signature_nullity_batch(link, np.zeros((3, 0)))
-    # points and rest points meet one width check: a rest point has mu - 1
-    with pytest.raises(ValueError, match="coordinates"):
-        links.rest_limit_counts(link, np.zeros((2, 2)))
+    for link in (make_torus(3), make_torus(1)):  # n = 2, and n = 0 that skips the descent
+        assert links.signature_nullity_batch(link, []) == ([], [])
+        assert links.signature_nullity_batch(link, np.zeros((0, 2))) == ([], [])
+        with pytest.raises(ValueError, match="^points have 0 coordinates, expected 2: "
+                                             "2 colors, 0 sent to 1$"):
+            links.signature_nullity_batch(link, np.zeros((3, 0)))
+        # points and rest points meet one width check: a rest point has mu - 1
+        with pytest.raises(ValueError, match="^points have 2 coordinates, expected 1: "
+                                             "2 colors, 1 sent to 1$"):
+            links.rest_limit_counts(link, np.zeros((2, 2)))
+    assert links.rest_limit_counts(make_torus(1), [[-1.0], [1j]]).tolist() == [[0, 0, 0]] * 2
 
 
 @pytest.mark.parametrize("ell", [20, -20])
@@ -476,15 +479,11 @@ def test_row_check_matches_per_entry_reference():
             seifert = {k: _reference_matrix(m, k) for k, m in seifert.items()}
             doc = dict(doc, seifert=seifert)
         link = parse_link(doc)
-        expected = {k: _reference_matrix(m, "seifert[%s]" % k) for k, m in seifert.items()}
-        assert set(link.seifert.matrices) == set(expected)
-        for key, mat in expected.items():
-            got = link.seifert.matrices[key]
-            assert got.dtype == np.int64 and np.array_equal(got, mat), key
-        half = np.array([expected[sign_key(eps)] for eps in sign_vectors(mu)
-                         if eps[0] > 0], dtype=float)
-        assert link.seifert.half_stack.shape == half.shape
-        assert np.array_equal(link.seifert.half_stack, half)
+        expected = np.array([_reference_matrix(seifert[key], "seifert[%s]" % key)
+                             for key in map(sign_key, sign_vectors(mu))]).reshape(2 ** mu, n, n)
+        got = link.seifert.stack
+        assert got.dtype == np.int64 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("value", [1.5, True, "3"], ids=["fraction", "bool", "string"])
@@ -556,6 +555,12 @@ def _damaged(rnd, mu, n, defect):
         mats = list(mats.values())
     elif n and defect == "transpose":
         mats[key][i][j] += 1
+    elif n and defect in ("range", "range-float"):
+        # a row that is not an array: refused by the fast path and, once a
+        # float sends every matrix to the reader that names defects, there too
+        mats[key][i] = range(n)
+        if defect == "range-float":
+            mats[other][0][0] = float(mats[other][0][0])
     elif n and defect != "none":  # another kind of entry at (i, j) and its transpose
         value = {"float": float(mats[key][i][j]), "beyond-64-bits": 10 ** 30,
                  "bool": True, "string": "3"}[defect]
@@ -586,6 +591,8 @@ def _expected_error(mu, n, defect, key, i, j):
             key, n + 1, n + 1, n, n)
     if n == 0 or defect in ("none", "numpy", "float"):
         return None
+    if defect in ("range", "range-float"):
+        return SchemaError, "seifert[%s] must be a list of rows" % key
     if defect == "ragged":
         return DimensionMismatch, "seifert[%s]: row %d has length %d, expected %d" % (
             key, i, n + 1, n)
@@ -602,7 +609,10 @@ def _expected_error(mu, n, defect, key, i, j):
 @given(mu=hst.integers(1, 4), n=hst.integers(0, 6), seed=hst.integers(0, 2 ** 32 - 1),
        defect=hst.sampled_from(["none", "numpy", "float", "missing", "extra", "ragged",
                                 "non-square", "other-size", "beyond-64-bits", "bool",
-                                "string", "transpose", "list"]))
+                                "string", "transpose", "list", "range", "range-float"]))
+# {"+": [range(1)], "-": [[0]]} on the fast path, then "-" holds [[0.0]]
+@example(mu=1, n=1, seed=25, defect="range")
+@example(mu=1, n=1, seed=25, defect="range-float")
 def test_seifert_reader_outcome_per_defect(mu, n, seed, defect):
     doc, clean, key, i, j = _damaged(random.Random(seed), mu, n, defect)
     expected = _expected_error(mu, n, defect, key, i, j)
@@ -613,12 +623,8 @@ def test_seifert_reader_outcome_per_defect(mu, n, seed, defect):
         return
     system = parse_link(doc).seifert
     assert system.n == n
-    assert {k: (m.dtype, m.tolist()) for k, m in system.matrices.items()} == \
-        {k: (np.dtype(np.int64), m) for k, m in clean.items()}
-    half = np.array([clean[sign_key(eps)] for eps in sign_vectors(mu) if eps[0] > 0],
-                    dtype=float).reshape(2 ** (mu - 1), n, n)
-    assert system.half_stack.dtype == half.dtype
-    assert np.array_equal(system.half_stack, half) and system.half_stack.shape == half.shape
+    assert system.stack.dtype == np.int64 and system.stack.shape == (2 ** mu, n, n)
+    assert system.stack.tolist() == [clean[sign_key(eps)] for eps in sign_vectors(mu)]
 
 
 _PARSE_IN_CHILD = """
