@@ -13,7 +13,7 @@ import numpy as np
 
 from .corrections import torus_signature_profile
 from .errors import DomainError, ZeroParameter
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly, RationalFunction, as_integer
 from .links import ColoredLink, SeifertSystem, sign_key, sign_vectors
 
 
@@ -65,7 +65,7 @@ def make_twist(k):
     components have linking number zero.  k = 0 is the unlink, k = +/-1 the
     Whitehead links.
     """
-    k = int(k)
+    k = as_integer(k, "twist(%r): k", k)
     if not -2 ** 63 <= k < 2 ** 63:
         raise DomainError("twist(%d): the Seifert entry k must fit in 64 bits" % k)
     mat = [[k]]
@@ -103,7 +103,7 @@ def make_torus(ell):
     lower-bidiagonal ones matrix of size |l| - 1, negated and sign-adjusted;
     l = 0 degenerates to the two-component unlink with empty matrices.
     """
-    ell = int(ell)
+    ell = as_integer(ell, "torus(%r): l", ell)
     size = abs(ell) - 1
     _check_size("torus", ell, 1, 2 * abs(ell) - 1)  # the underlying link's system
     plus = (-_sgn(ell)) * _lower_bidiagonal_ones(size)
@@ -131,7 +131,7 @@ def make_unlink(mu):
     sign matrices are the zero matrix of size mu - 1, giving the constant
     signature 0 and nullity mu - 1.
     """
-    mu = int(mu)
+    mu = as_integer(mu, "unlink(%r): mu", mu)
     if mu < 1:
         raise DomainError("an unlink needs at least one component, got %d" % mu)
     _check_size("unlink", mu, mu, mu - 1)
@@ -170,7 +170,7 @@ def oracle_torus(ell, theta1, theta2):
     is 1 exactly when l*(theta1 + theta2) is an integer while the sum itself
     differs from 1.  Exact on rational angles.
     """
-    ell = int(ell)
+    ell = as_integer(ell, "oracle_torus(%r): l", ell)
     if ell == 0:
         raise ZeroParameter("use the unlink oracle (0, 1) for l = 0")
     theta1 = Fraction(theta1)

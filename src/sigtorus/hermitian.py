@@ -15,6 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import SchemaError
+from .laurent import as_integer
+
 DEFAULT_TOL = 1e-9
 
 
@@ -176,9 +179,13 @@ def integer_inertia(matrix):
     diagonal entry is 0 and some s_ij is not, row j is added to row i and
     column j to column i; that congruence keeps the inertia and makes
     s_ii = 2 s_ij the pivot.  What stays active at the end is the kernel.
-    No tolerance is involved.
+    No tolerance is involved.  A non-integral entry raises ValueError.
     """
-    s = [[Fraction(int(x)) for x in row] for row in matrix]
+    try:
+        s = [[Fraction(as_integer(x, "matrix entry (%d, %d) = %r", i, j, x))
+              for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+    except SchemaError as exc:
+        raise ValueError(str(exc)) from None
     n = len(s)
     if any(len(row) != n for row in s):
         raise ValueError("matrix is not square")

@@ -2,8 +2,13 @@
 
 Terms are stored sparsely as a map from integer exponent vectors (entries may
 be negative) to integer coefficients, so all ring arithmetic is exact.  Only
-evaluation at complex points leaves the exact world.
+evaluation at complex points leaves the exact world.  The ``LaurentPoly``
+constructor is the one reader of terms, for the library and link files alike:
+it refuses a non-integral value and sums and sorts what every operation hands it.
 """
+
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -23,8 +28,8 @@ _INT_ONLY = frozenset((int,))
 def as_integer(value, what, *args):
     """An int (not a bool) or integral float as int; else SchemaError naming ``what % args``.
 
-    The one reading of an integer in a link document: Seifert entries,
-    linking numbers, counts, and Conway coefficients and exponents.
+    The one reading of an integer: link document fields, Laurent terms,
+    family parameters and the entries of an exact inertia.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
@@ -36,28 +41,32 @@ def as_integer(value, what, *args):
 class LaurentPoly:
     """A Laurent polynomial in ``nvars`` variables with integer coefficients.
 
-    The constructor drops zero-coefficient terms, so two polynomials are
-    equal exactly when their term maps are equal, and keeps the terms in
-    sorted exponent order, the order :meth:`to_records` writes: evaluation
+    ``terms`` is a mapping or an iterable of (exponents, coefficient) pairs,
+    each value read with :func:`as_integer` unless it is exactly int.  Pairs
+    on one exponent vector are summed and zero sums dropped, so two
+    polynomials are equal exactly when their term maps are equal, and the
+    terms are kept in the sorted order :meth:`to_records` writes: evaluation
     sums them in one order however the polynomial was built or read.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None):
+    def __init__(self, nvars, terms=()):
         nvars = int(nvars)
         if nvars < 1:
             raise ValueError("a Laurent polynomial needs at least one variable")
         self.nvars = nvars
-        clean = {}
-        for exp, coeff in (terms or {}).items():
-            exp = tuple(map(int, exp))
+        sums = {}
+        for exp, coeff in terms.items() if hasattr(terms, "items") else terms:
+            exp = tuple(exp)
+            if not _INT_ONLY.issuperset(map(type, exp)):
+                exp = tuple(as_integer(x, "exponent %r", x) for x in exp)
+            if type(coeff) is not int:
+                coeff = as_integer(coeff, "coefficient %r", coeff)
             if len(exp) != nvars:
                 raise ValueError("exponent vector %r has length != %d" % (exp, nvars))
-            coeff = int(coeff)
-            if coeff:
-                clean[exp] = coeff
-        self.terms = dict(sorted(clean.items()))
+            sums[exp] = sums.get(exp, 0) + coeff
+        self.terms = {exp: coeff for exp, coeff in sorted(sums.items()) if coeff}
 
     @classmethod
     def zero(cls, nvars):
@@ -96,10 +105,7 @@ class LaurentPoly:
             other = LaurentPoly.constant(self.nvars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -111,12 +117,9 @@ class LaurentPoly:
             return LaurentPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, ((tuple(map(add, e1, e2)), c1 * c2)
+                                        for e1, c1 in self.terms.items()
+                                        for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -152,33 +155,16 @@ class LaurentPoly:
 
     def derivative(self, var):
         """Formal partial derivative with respect to variable ``var`` (0-based)."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            key = exps[:var] + (e - 1,) + exps[var + 1:]
-            out[key] = out.get(key, 0) + coeff * e
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, ((e[:var] + (e[var] - 1,) + e[var + 1:], c * e[var])
+                                        for e, c in self.terms.items()))
 
     def to_records(self):
         return [{"coeff": c, "exp": list(e)} for e, c in self.terms.items()]
 
     @classmethod
     def from_records(cls, nvars, records):
-        """The polynomial of :meth:`to_records` output; every coefficient and
-        exponent must be an integer in the sense of :func:`as_integer`, which
-        reads only the values that are not exactly int."""
-        terms = {}
-        for rec in records:
-            key = tuple(rec["exp"])
-            if not _INT_ONLY.issuperset(map(type, key)):
-                key = tuple(as_integer(x, "exponent %r", x) for x in key)
-            coeff = rec["coeff"]
-            if type(coeff) is not int:
-                coeff = as_integer(coeff, "coefficient %r", coeff)
-            terms[key] = terms.get(key, 0) + coeff
-        return cls(nvars, terms)
+        """The polynomial of :meth:`to_records` output, read by the constructor."""
+        return cls(nvars, ((rec["exp"], rec["coeff"]) for rec in records))
 
 
 def divide_exact(p, q):
@@ -207,7 +193,7 @@ def divide_exact(p, q):
     den_lead = max(den)
     den_coeff = den[den_lead]
 
-    quot = {}
+    quot = []
     while rem:
         lead = max(rem)
         mono = tuple(a - b for a, b in zip(lead, den_lead))
@@ -217,7 +203,7 @@ def divide_exact(p, q):
         if coeff % den_coeff:
             raise NotDivisible("leading coefficient %d is not divisible by %d" % (coeff, den_coeff))
         factor = coeff // den_coeff
-        quot[mono] = quot.get(mono, 0) + factor
+        quot.append((mono, factor))
         for e, c in den.items():
             key = tuple(a + b for a, b in zip(mono, e))
             v = rem.get(key, 0) - factor * c
@@ -227,8 +213,7 @@ def divide_exact(p, q):
                 rem.pop(key, None)
 
     back = tuple(a - b for a, b in zip(shift_p, shift_q))
-    return LaurentPoly(nvars, {tuple(a + b for a, b in zip(e, back)): c
-                               for e, c in quot.items()})
+    return LaurentPoly(nvars, ((tuple(map(add, e, back)), c) for e, c in quot))
 
 
 class RationalFunction:

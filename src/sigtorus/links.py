@@ -23,7 +23,7 @@ from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
 from .hermitian import DEFAULT_TOL, integer_inertia, limit_counts
-from .laurent import _INT_ONLY, RationalFunction, as_integer as _integer
+from .laurent import _INT_ONLY, RationalFunction, as_integer as _integer, as_rational
 
 
 def sign_vectors(mu):
@@ -209,9 +209,11 @@ class ColoredLink:
         if seifert.mu != self.mu:
             raise SchemaError("seifert system has %d colors, link has %d" % (seifert.mu, self.mu))
         self.seifert = seifert
-        if conway is not None and conway.nvars != self.mu:
-            raise SchemaError("conway data has %d variables, link has %d colors"
-                              % (conway.nvars, self.mu))
+        if conway is not None:
+            conway = as_rational(conway)
+            if conway.nvars != self.mu:
+                raise SchemaError("conway data has %d variables, link has %d colors"
+                                  % (conway.nvars, self.mu))
         self.conway = conway
         self.rank_alexander = _integer(rank_alexander, "rank_alexander")
         if self.rank_alexander < 0:

@@ -141,7 +141,7 @@ def torres_generic(link, point):
         raise MissingSublink("genericity test needs sublink data for colors 2..mu")
     if sub.conway is None:
         raise MissingConwayData("genericity test needs Conway data for the sublink")
-    _, zero = _eval_part(as_rational(sub.conway), point.sqrt_omega(),
+    _, zero = _eval_part(sub.conway, point.sqrt_omega(),
                          "Conway function of the sublink", Indeterminate)
     return not zero
 

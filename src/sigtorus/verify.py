@@ -141,7 +141,7 @@ class _Rests:
             raise MissingConwayData("split case needs the link's conway data")
         if sub.conway is None:
             raise MissingConwayData("split case needs conway data for the sublink")
-        partial = as_rational(link.conway).derivative(0)
+        partial = link.conway.derivative(0)
         values = []
         for point, (sig_rest, eta_rest) in zip(self.points, sub_inertia):
             try:

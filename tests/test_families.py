@@ -126,6 +126,24 @@ def test_make_family_dispatch():
         make_family("granny", 1)
 
 
+_BUILDERS = [make_twist, make_torus, make_unlink,
+             lambda ell: oracle_torus(ell, Fraction(1, 10), Fraction(1, 10))]
+_BUILDER_IDS = ["twist", "torus", "unlink", "oracle_torus"]
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=_BUILDER_IDS)
+def test_a_non_integral_parameter_is_refused(build):
+    with pytest.raises(SigtorusError, match=r"\(2\.5\)"):
+        build(2.5)
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=_BUILDER_IDS)
+def test_an_integral_float_parameter_is_read_as_its_integer(build):
+    def described(value):
+        return value if isinstance(value, tuple) else value.to_document()
+    assert described(build(2.0)) == described(build(2))
+
+
 def test_torus_clasp_sequence():
     clasps = torus_clasp_sequence(-2)
     assert list(clasps) == [(2, -1), (2, -1)]

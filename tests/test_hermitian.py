@@ -42,6 +42,7 @@ def test_integer_inertia_examples():
     assert integer_inertia([[-3, 3], [3, -3]]) == Inertia(0, 1, 1)
     assert integer_inertia([[0, 0, 0], [0, 0, 0], [0, 0, 0]]) == Inertia(0, 0, 3)
     assert integer_inertia(np.eye(4, dtype=int)) == Inertia(4, 0, 0)
+    assert integer_inertia([[2.0, np.int32(1)], [np.float64(1), 2]]) == Inertia(2, 0, 0)
 
 
 def test_integer_inertia_hyperbolic_blocks():
@@ -55,6 +56,14 @@ def test_integer_inertia_hyperbolic_blocks():
 def test_integer_inertia_rejects_asymmetric():
     with pytest.raises(ValueError):
         integer_inertia([[0, 1], [2, 0]])
+
+
+@pytest.mark.parametrize("matrix, entry", [([[0.5]], r"\(0, 0\) = 0.5"),
+                                           ([[1, 2.5], [2.5, 1]], r"\(0, 1\) = 2.5")],
+                         ids=["diagonal", "off-diagonal"])
+def test_integer_inertia_rejects_non_integral_entries(matrix, entry):
+    with pytest.raises(ValueError, match=entry):
+        integer_inertia(matrix)
 
 
 def test_backends_agree_on_random_integer_matrices():

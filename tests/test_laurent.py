@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from sigtorus.errors import DenominatorVanishes, NotDivisible, ZeroCoordinate
+from sigtorus.errors import DenominatorVanishes, NotDivisible, SchemaError, ZeroCoordinate
 from sigtorus.families import make_torus
 from sigtorus.laurent import LaurentPoly, RationalFunction, divide_exact
 
@@ -139,3 +140,84 @@ def test_records_round_trip():
     assert LaurentPoly.from_records(2, p.to_records()) == p
     f = RationalFunction(p, t_minus_inv(2, 1))
     assert RationalFunction.from_document(2, f.to_document()) == f
+
+
+def _integral(low, high):
+    ints = hst.integers(min_value=low, max_value=high)
+    return hst.one_of(ints, ints.map(float), ints.map(np.int64))
+
+
+def _pair_lists(nvars):
+    # exponents in a small box, so that pairs often fall on one vector
+    return hst.lists(hst.tuples(hst.tuples(*[_integral(-2, 2)] * nvars), _integral(-4, 4)),
+                     max_size=8)
+
+
+def _ordered(sums):
+    """A term map as the constructor must store it: zeros dropped, sorted."""
+    return [(exp, coeff) for exp, coeff in sorted(sums.items()) if coeff]
+
+
+def _accumulated(pairs):
+    sums = {}
+    for exp, coeff in pairs:
+        key = tuple(int(x) for x in exp)
+        sums[key] = sums.get(key, 0) + int(coeff)
+    return _ordered(sums)
+
+
+# The accumulation loops the operations ran before the constructor summed
+# their terms, kept as the references for them.
+def _loop_sum(p, q):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + c
+    return _ordered(out)
+
+
+def _loop_product(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return _ordered(out)
+
+
+def _loop_derivative(p, var):
+    out = {}
+    for exps, coeff in p.terms.items():
+        e = exps[var]
+        if e == 0:
+            continue
+        key = exps[:var] + (e - 1,) + exps[var + 1:]
+        out[key] = out.get(key, 0) + coeff * e
+    return _ordered(out)
+
+
+_cases = hst.integers(min_value=1, max_value=3).flatmap(
+    lambda n: hst.tuples(hst.just(n), _pair_lists(n), _pair_lists(n),
+                         hst.integers(min_value=0, max_value=n - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cases)
+def test_constructor_sums_and_orders_every_term(case):
+    nvars, pairs, other, var = case
+    p, q = LaurentPoly(nvars, pairs), LaurentPoly(nvars, other)
+    assert list(p.terms.items()) == _accumulated(pairs)
+    assert all(type(x) is int for exp, coeff in p.terms.items() for x in exp + (coeff,))
+    assert LaurentPoly(nvars, dict(pairs)).terms == dict(_accumulated(dict(pairs).items()))
+    assert list((p + q).terms.items()) == _loop_sum(p, q)
+    assert list((p * q).terms.items()) == _loop_product(p, q)
+    assert list(p.derivative(var).terms.items()) == _loop_derivative(p, var)
+
+
+@pytest.mark.parametrize("nvars, terms, message", [
+    (1, {(2,): 2.7}, "coefficient 2.7"),
+    (2, {(1.5, 0): 1, (1, 0): 2}, "exponent 1.5"),
+    (1, [((1,), True)], "coefficient True"),
+], ids=["coefficient", "exponent", "bool"])
+def test_constructor_refuses_a_non_integral_value(nvars, terms, message):
+    with pytest.raises(SchemaError, match=message):
+        LaurentPoly(nvars, terms)

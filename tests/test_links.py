@@ -26,7 +26,7 @@ from sigtorus.hermitian import inertia, integer_inertia
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
                             linking_inertia, load_link, parse_link, save_link,
                             sign_key, sign_vectors, signature_nullity)
-from sigtorus.verify import directional_limit
+from sigtorus.verify import directional_limit, report_text, run_suite
 
 
 def rational_point(rnd, mu, max_den=48):
@@ -53,6 +53,29 @@ def test_nonzero_rank_survives_save_and_load(tmp_path):
     loaded = load_link(path)
     assert loaded.rank_alexander == 1
     assert loaded.to_document() == link.to_document()
+
+
+def _bare(link):
+    """The link with every polynomial Conway function passed as a LaurentPoly."""
+    conway = link.conway
+    if conway is not None and conway.den == 1:
+        conway = conway.num
+    return ColoredLink(link.mu, link.components_per_color, link.linking, link.seifert,
+                       conway, link.rank_alexander,
+                       {key: _bare(sub) for key, sub in link.sublinks.items()},
+                       link.underlying_oriented)
+
+
+@pytest.mark.parametrize("link", [make_twist(2), make_twist(0), make_unlink(3)],
+                         ids=["twist2", "twist0", "unlink3"])
+def test_a_bare_polynomial_conway_function_is_read_as_a_rational_function(tmp_path, link):
+    assert link.conway.den == 1
+    bare = _bare(link)
+    path = str(tmp_path / "link.json")
+    save_link(bare, path)
+    assert load_link(path).to_document() == bare.to_document() == link.to_document()
+    assert report_text(run_suite(bare, "4d", samples=20, seed=1)) == \
+        report_text(run_suite(link, "4d", samples=20, seed=1))
 
 
 def test_missing_sign_key_rejected():
