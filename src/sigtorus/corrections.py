@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .angles import TorusPoint, conj_angle, normalize_angle
 from .errors import DomainError, InexactAngles
+from .laurent import _INT_ONLY, as_integer
 
 
 def _wall_count(count, total, zeros):
@@ -27,7 +28,9 @@ def _wall_count(count, total, zeros):
 
 def _blocks(linking, point):
     """The blocks (|l_j|, sgn(l_j) theta_j mod 1) of the l_j != 0."""
-    ell = tuple(map(int, linking))
+    ell = tuple(linking)
+    if not _INT_ONLY.issuperset(map(type, ell)):
+        ell = tuple(as_integer(lj, "linking number %r", lj) for lj in ell)
     angles = point.angles if isinstance(point, TorusPoint) else tuple(map(normalize_angle, point))
     if len(ell) != len(angles):
         raise ValueError("linking vector and point have different lengths")
@@ -74,7 +77,8 @@ def torus_signature_profile(n, theta):
     with t = min(theta, 2 - theta), the wall count of n angles summing to
     n*t, plus 1 at t = 1.
     """
-    n = int(n)
+    if type(n) is not int:
+        n = as_integer(n, "profile order %r", n)
     if n < 1:
         raise ValueError("profile order must be positive")
     theta = Fraction(theta)

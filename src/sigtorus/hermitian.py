@@ -60,6 +60,13 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
+def check_tol(tol):
+    """Refuse a zero-rule ``tol`` outside (0, 1), NaN included."""
+    # |lambda| <= ||H||, so a tol of 1 or more would make every eigenvalue zero
+    if not 0 < tol < 1:
+        raise ValueError("tol must be a number in (0, 1), got %r" % (tol,))
+
+
 def inertia_counts(stack, tol=DEFAULT_TOL):
     """Per-matrix counts (n_plus, n_minus, n_zero) of a (P, n, n) stack.
 
@@ -68,9 +75,7 @@ def inertia_counts(stack, tol=DEFAULT_TOL):
     most the cut ``tol * max(1, ||H||)`` (Frobenius norm), 0 < tol < 1.
     Returns an integer array of shape (P, 3).
     """
-    # |lambda| <= ||H||, so a tol of 1 or more would make every eigenvalue zero
-    if not 0 < tol < 1:
-        raise ValueError("tol must be a number in (0, 1), got %r" % (tol,))
+    check_tol(tol)
     stack = np.asarray(stack)
     count, n = stack.shape[0], stack.shape[-1]
     if count == 0 or n == 0:
@@ -109,8 +114,24 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
     ch. II).  A level takes one coefficient: if det F(t) has order r at 0
     (r <= k n for F of degree k), r + 1 levels settle it.  What is left in
     the kernel when the coefficients run out is the nullity.
+
+    A level whose F_0 is exactly 0 lies below every cut: its inertia is
+    (0, 0, n) and S(t) / t is F(t) / t.  So the z leading coefficients that
+    are exactly 0 in every family cost no eigen solve: they only flip the
+    t -> 0- limit of what follows by (-1)^z, and a family exactly 0 to its
+    full depth reads (0, 0, n).
     """
+    check_tol(tol)
     family = np.asarray(coefficients, dtype=complex)
+    z = 0
+    while z < family.shape[1] and not family[:, z].any():
+        z += 1
+    if z == family.shape[1]:
+        return np.zeros((len(family), 3), dtype=np.int64) + (0, 0, family.shape[-1])
+    if z:  # F(t) = t^z G(t): sigma(F) is sigma(G) for t > 0, (-1)^z times it for t < 0
+        counts = limit_counts(family[:, z:], tol)
+        counts[:, 1] *= (-1) ** z
+        return counts
     ine = inertia_counts(family[:, 0], tol)
     counts = ine @ _LEVEL
     if family.shape[1] == 1:
@@ -119,7 +140,7 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
     # families with the same kernel dimension descend together
     for size in sorted(set(kernel.tolist()) - {0}):
         rows = np.flatnonzero(kernel == size)
-        # where F_0 = 0, S(t) / t is F(t) / t
+        # where F_0 = 0 up to the cut, S(t) / t is F(t) / t
         deeper = limit_counts(family[rows, 1:] if size == family.shape[-1]
                               else _schur_series(family[rows], size, minus[rows]), tol)
         counts[rows, 0] += deeper[:, 0]

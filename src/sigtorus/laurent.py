@@ -52,7 +52,8 @@ class LaurentPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=()):
-        nvars = int(nvars)
+        if type(nvars) is not int:
+            nvars = as_integer(nvars, "variable count %r", nvars)
         if nvars < 1:
             raise ValueError("a Laurent polynomial needs at least one variable")
         self.nvars = nvars

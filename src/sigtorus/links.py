@@ -22,7 +22,7 @@ import numpy as np
 from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
-from .hermitian import DEFAULT_TOL, integer_inertia, limit_counts
+from .hermitian import DEFAULT_TOL, check_tol, integer_inertia, limit_counts
 from .laurent import _INT_ONLY, RationalFunction, as_integer as _integer, as_rational
 
 
@@ -148,7 +148,7 @@ class SeifertSystem:
     __slots__ = ("mu", "n", "stack")
 
     def __init__(self, mu, matrices):
-        self.mu = int(mu)
+        self.mu = mu if type(mu) is int else _integer(mu, "color count %r", mu)
         if self.mu < 1:
             raise SchemaError("color count must be at least 1")
         self.stack = _seifert_stack(self.mu, matrices)
@@ -181,7 +181,7 @@ class ColoredLink:
 
     def __init__(self, mu, components_per_color, linking, seifert, conway=None,
                  rank_alexander=0, sublinks=None, underlying_oriented=None):
-        self.mu = int(mu)
+        self.mu = mu if type(mu) is int else _integer(mu, "color count %r", mu)
         try:
             comps = [_integer(c, "components_per_color") for c in components_per_color]
         except TypeError:  # not a list
@@ -438,6 +438,7 @@ def _path_limit_counts(link, signs, rest, tol):
     :func:`limit_counts` from F padded to the k n + 1 coefficients its descent
     may read, in blocks of about ``_STACK_BYTES``: an int (P, 3) array of
     sigma's limit as t -> 0+ and t -> 0-, and eta's."""
+    check_tol(tol)
     k, n = signs.shape[1], link.seifert.n
     rest = np.asarray(rest, dtype=complex)
     if rest.shape == (0,):  # an empty point list
@@ -445,8 +446,10 @@ def _path_limit_counts(link, signs, rest, tol):
     if rest.ndim != 2 or rest.shape[1] != link.mu - k:
         raise ValueError("points have %d coordinates, expected %d: %d colors, %d sent to 1"
                          % (rest.shape[-1], link.mu - k, link.mu, k))
-    if not n:  # an empty system: every limit is 0 once the points are read
-        return np.zeros((len(signs), 3), dtype=np.int64)
+    # A zero system (n = 0 among them) has H = 0 on every path: once the
+    # points are read, each limit is 0 with nullity n, and no level is solved
+    if not link.seifert.stack.any():
+        return np.zeros((len(signs), 3), dtype=np.int64) + (0, 0, n)
     depth = k * n + 1  # det F(t) has degree at most k n
     block = max(1, _STACK_BYTES // (16 * depth * n * n))
     counts = []
@@ -489,7 +492,8 @@ def linking_inertia(link, color_signs):
     sum to zero.  The matrix is built only over the components named in
     nonzero linking records: every other component's row and column are 0
     and add exactly 1 to the nullity."""
-    color_signs = tuple(int(s) for s in color_signs)
+    color_signs = tuple(s if type(s) is int else _integer(s, "color sign %r", s)
+                        for s in color_signs)
     if len(color_signs) != link.mu or any(s not in (-1, 1) for s in color_signs):
         raise ValueError("need one sign (+1/-1) per color")
     named = sorted({comp for pair, value in link.linking.items() if value for comp in pair})

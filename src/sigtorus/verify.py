@@ -23,7 +23,7 @@ from .errors import (BoundaryPoint, DomainError, Indeterminate,
                      MissingConwayData, MissingSublink, MissingUnderlying,
                      UnsupportedCase, WrongColorCount)
 from .hermitian import DEFAULT_TOL
-from .laurent import as_rational
+from .laurent import as_integer, as_rational
 from .links import (corner_limit_counts, linking_inertia, rest_limit_counts,
                     sign_key, sign_vectors, signature_nullity_batch)
 from .slope import classify_slope, conway_factor_split, slope
@@ -400,7 +400,8 @@ def predict_lt_limit_2comp(ell, nabla=None):
     function vanishes; otherwise the sign of the split factor at (1, 1),
     falling back to the indeterminate token when that value is zero.
     """
-    ell = int(ell)
+    if type(ell) is not int:
+        ell = as_integer(ell, "linking number %r", ell)
     if ell != 0:
         return -_sgn(ell)
     if nabla is None or as_rational(nabla).is_zero:

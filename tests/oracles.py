@@ -6,7 +6,8 @@ closed-form wall counts in :mod:`sigtorus.corrections`), the wall-crossing
 count for the signature jump, the tridiagonal chain and clasp matrices
 whose inertia realizes the chain sign, Sylvester's law of inertia, the
 boundary form F_0 of the rest path, the linking matrix read from every
-pair of components, and the handle move that leaves every value unchanged.
+pair of components, and the two moves that leave every value unchanged: a
+handle and a unimodular change of basis.
 """
 
 from fractions import Fraction
@@ -233,6 +234,30 @@ def enlarge(link, color, xi):
         mat[n + 1, :n] = mat[:n, n + 1] = xi
         mat[n, n + 1], mat[n + 1, n] = eps[color - 1] > 0, eps[color - 1] < 0
         mats[sign_key(eps)] = mat
+    return ColoredLink(link.mu, link.components_per_color, link.linking,
+                       SeifertSystem(link.mu, mats), link.conway, link.rank_alexander,
+                       link.sublinks, link.underlying_oriented)
+
+
+def congruent(link, basis):
+    """``link`` with every Seifert matrix A^eps replaced by P A^eps P^T, for
+    P = ``basis``, an integer n x n matrix of determinant +-1: the same
+    C-complex read in another basis of its first homology.
+
+    Each H(omega) = sum_eps prod_j (1 - conj(omega_j)^eps_j) A^eps becomes
+    P H(omega) P^T, and each path family's coefficients F_d become P F_d P^T
+    with the same constant P.  P is invertible, so by Sylvester's law of
+    inertia sigma and eta are unchanged at every point, and so is the
+    inertia of every level of every one-sided limit.  (P A P^T)^T =
+    P A^T P^T keeps A^-eps the transpose of A^eps.
+    """
+    p = np.array(basis, dtype=np.int64)
+    n = link.seifert.n
+    if p.shape != (n, n) or round(abs(np.linalg.det(p))) != 1:
+        raise ValueError("the basis change must be an integer %dx%d matrix of "
+                         "determinant +-1" % (n, n))
+    mats = {sign_key(eps): (p @ mat @ p.T).tolist()
+            for eps, mat in zip(sign_vectors(link.mu), link.seifert.stack)}
     return ColoredLink(link.mu, link.components_per_color, link.linking,
                        SeifertSystem(link.mu, mats), link.conway, link.rank_alexander,
                        link.sublinks, link.underlying_oriented)

@@ -1,12 +1,19 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from oracles import SingularMatrix, conjugate_inertia_check
 
-from sigtorus.hermitian import (HermitianMatrix, Inertia, inertia,
+from sigtorus import hermitian, links
+from sigtorus.angles import TorusPoint
+from sigtorus.families import make_torus, make_twist, make_unlink
+from sigtorus.hermitian import (DEFAULT_TOL, HermitianMatrix, Inertia, inertia,
                                 inertia_counts, integer_inertia, limit_counts)
+from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
 
 
 def test_diagonal_inertia():
@@ -199,6 +206,95 @@ def test_bad_tolerance_rejected(tol):
         inertia_counts(np.zeros((0, 2, 2)), tol)
     with pytest.raises(ValueError):
         limit_counts(np.zeros((0, 2, 2, 2)), tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, float("nan"), 5.0])
+@pytest.mark.parametrize("link", [make_torus(1), make_unlink(2), make_twist(0)],
+                         ids=["torus1", "unlink2", "twist0"])
+def test_bad_tolerance_rejected_before_any_shortcut(link, tol):
+    """An empty system (torus(1), n = 0) and zero systems skip every eigen
+    solve, but not the check of tol."""
+    message = r"^tol must be a number in \(0, 1\), got "
+    with pytest.raises(ValueError, match=message):
+        links.signature_nullity(link, (Fraction(1, 3), Fraction(1, 5)), tol)
+    with pytest.raises(ValueError, match=message):
+        links.rest_limit_counts(link, [[1j]], tol)
+    with pytest.raises(ValueError, match=message):
+        links.corner_limit_counts(link, tol)
+
+
+@hst.composite
+def _families(draw):
+    """A (P, D, n, n) stack of integer Hermitian families, P, D and n at most
+    4.  F_0 = U^T diag(d) U with d in {-1, 0, 1}^n, where 0 is drawn half
+    the time, so F_0 is often singular; the other coefficients are M + M^*."""
+    p, depth, n = (draw(hst.integers(1, 4)) for _ in range(3))
+
+    def matrices(count, values=hst.integers(-2, 2)):
+        size = count * n * n
+        return np.reshape(draw(hst.lists(values, min_size=size, max_size=size)),
+                          (count, n, n))
+    u = matrices(p)
+    d = draw(hst.lists(hst.sampled_from((-1, 0, 0, 1)), min_size=p * n, max_size=p * n))
+    first = np.einsum("pba,pb,pbc->pac", u, np.reshape(d, (p, n)), u)
+    m = (matrices(p * (depth - 1)) + 1j * matrices(p * (depth - 1))).reshape(p, depth - 1, n, n)
+    return np.concatenate([first[:, None], m + m.conj().swapaxes(-1, -2)], axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_families(), hst.integers(0, 3))
+def test_leading_zero_coefficients_flip_only_the_left_limit(family, z):
+    """t^z F(t) is F(t) times t^z, which is positive for t > 0 and has the
+    sign (-1)^z for t < 0: the t -> 0+ limit and the nullity stay, and the
+    t -> 0- limit is multiplied by (-1)^z."""
+    shifted = np.concatenate([np.zeros((len(family), z) + family.shape[2:]), family], axis=1)
+    want = limit_counts(family) * [1, (-1) ** z, 1]
+    assert limit_counts(shifted).tolist() == want.tolist()
+
+
+def _count_solves(monkeypatch):
+    """The list that records the size of every stack that
+    hermitian.inertia_counts diagonalizes from now on."""
+    sizes, solve = [], hermitian.inertia_counts
+
+    def counting(stack, tol=DEFAULT_TOL):
+        sizes.append(len(stack))
+        return solve(stack, tol)
+    monkeypatch.setattr(hermitian, "inertia_counts", counting)
+    return sizes
+
+
+def _zero_system(mu, n):
+    zero = [[0] * n for _ in range(n)]
+    return ColoredLink(mu, [1] * mu, {},
+                       SeifertSystem(mu, {sign_key(eps): zero for eps in sign_vectors(mu)}))
+
+
+@pytest.mark.parametrize("link", [make_unlink(2), make_unlink(3), make_unlink(4),
+                                  make_twist(0), _zero_system(3, 3)],
+                         ids=["unlink2", "unlink3", "unlink4", "twist0", "zero3"])
+def test_zero_systems_read_zero_with_no_eigen_solve(link, monkeypatch):
+    """H = 0 on every path of a zero system: each point, rest limit and
+    corner reads sigma 0 and nullity n, and nothing is diagonalized."""
+    solves, n = _count_solves(monkeypatch), link.seifert.n
+    angles = [Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)]
+    points = [TorusPoint([a] * link.mu).omega() for a in angles]
+    rests = [TorusPoint([a] * (link.mu - 1)).omega() for a in angles]
+    assert links.signature_nullity_batch(link, points) == ([0] * 3, [n] * 3)
+    assert links.rest_limit_counts(link, rests).tolist() == [[0, 0, n]] * 3
+    assert links.corner_limit_counts(link).tolist() == [[0, n]] * 2 ** link.mu
+    assert solves == []
+
+
+def test_exactly_zero_levels_cost_no_eigen_solve(monkeypatch):
+    """On twist(2) the rest path's F_0 and the corner paths' F_0 and F_1 are
+    exactly 0: one stacked solve reads all rest points, and one all corners."""
+    solves = _count_solves(monkeypatch)
+    rests = [TorusPoint([Fraction(k, 11)]).omega() for k in range(1, 6)]
+    assert links.rest_limit_counts(make_twist(2), rests).tolist() == [[1, 1, 0]] * 5
+    assert solves == [5]
+    assert links.corner_limit_counts(make_twist(2)).tolist() == [[1, 0]] * 4
+    assert solves == [5, 2]
 
 
 def test_sylvester_invariance_sample():

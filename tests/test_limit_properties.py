@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
-from oracles import enlarge
+from oracles import congruent, enlarge
 from sampler import forms, path_rows, sampled_limit
 
 from sigtorus import links, verify
 from sigtorus.angles import TorusPoint, angle_to_complex
-from sigtorus.families import make_unlink
+from sigtorus.families import make_torus, make_unlink, oracle_torus
 from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
                             rest_limit_counts, sign_key, sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
@@ -267,3 +267,29 @@ def test_handles_keep_the_corners():
 def test_handles_keep_a_point_near_the_corner():
     point = TorusPoint((Fraction(1, 1000),) * 3)
     assert signature_nullity(_unlink_with_handles(), point) == (0, 2)
+
+
+# A basis change of determinant 1 for torus(3) with two handles whose
+# congruent system has entries of at most 54
+_HANDLE_BASIS = ((3, 0, 0, 0, 0, -1), (3, -2, 0, -1, 0, 2), (0, -6, 1, 0, -2, 0),
+                 (-1, -3, 0, 0, 0, 6), (1, 2, 0, 0, 0, -4), (3, 3, 0, 0, 1, -1))
+
+
+def _torus_with_handles():
+    return enlarge(enlarge(make_torus(3), 1, (1, -2)), 2, (0, 1, 3, -1))
+
+
+def test_the_congruence_pin_is_small_and_unimodular():
+    link = _torus_with_handles()
+    assert round(np.linalg.det(np.array(_HANDLE_BASIS))) == 1
+    assert np.abs(congruent(link, _HANDLE_BASIS).seifert.stack).max() == 54
+    point = TorusPoint((Fraction(36, 64),) * 2)
+    assert signature_nullity(link, point) == oracle_torus(3, *point.angles) == (-2, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: the congruent H has an eigenvalue of -1.25e-6, inside "
+                          "the cut 1e-9 * ||H||_F of about 1.8e-6; the point reads (-1, 1)")
+def test_a_unimodular_congruence_keeps_an_interior_point():
+    point = TorusPoint((Fraction(36, 64),) * 2)
+    assert signature_nullity(congruent(_torus_with_handles(), _HANDLE_BASIS), point) == (-2, 0)

@@ -17,16 +17,17 @@ from oracles import (boundary_limit_form, clasp_matrix, linking_matrix,
                      torus_clasp_sequence)
 
 from sigtorus.angles import TorusPoint, normalize_angle, parse_angle
-from sigtorus.corrections import signature_jump, wall_indicator
+from sigtorus.corrections import signature_jump, torus_signature_profile, wall_indicator
 from sigtorus.errors import (BoundaryPoint, DimensionMismatch, DomainError,
                              SchemaError, SymmetryViolation)
 from sigtorus import cli, links
 from sigtorus.families import make_torus, make_twist, make_unlink, oracle_torus
 from sigtorus.hermitian import inertia, integer_inertia
+from sigtorus.laurent import LaurentPoly
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
                             linking_inertia, load_link, parse_link, save_link,
                             sign_key, sign_vectors, signature_nullity)
-from sigtorus.verify import directional_limit, report_text, run_suite
+from sigtorus.verify import directional_limit, predict_lt_limit_2comp, report_text, run_suite
 
 
 def rational_point(rnd, mu, max_den=48):
@@ -776,3 +777,39 @@ def test_no_link_document_ends_in_a_traceback():
                     failures.append((path, value, repr(exc)))
             parent[path[-1]] = kept
     assert failures == []
+
+
+# -- integers passed by library callers ------------------------------------------
+
+def _jump_of(ell):
+    return signature_jump((ell, 1), (Fraction(1, 3), Fraction(1, 5)))
+
+
+def _wall_of(ell):
+    return wall_indicator((ell, 1), (Fraction(1, 3), Fraction(1, 5)))
+
+
+_INTEGER_READERS = {
+    "ColoredLink-mu": (lambda mu: ColoredLink(mu, [1, 1], {}, make_twist(2).seifert.to_document())
+                       .to_document(), 2, 2.5),
+    "SeifertSystem-mu": (lambda mu: SeifertSystem(mu, {"+": [[1]], "-": [[1]]}).to_document(),
+                         1, 1.5),
+    "linking_inertia-sign": (lambda s: linking_inertia(make_torus(3), (s, -1)), 1, 1.5),
+    "linking_inertia-bool": (lambda s: linking_inertia(make_torus(3), (s, -1)), 1, True),
+    "predict_lt_limit_2comp": (lambda ell: predict_lt_limit_2comp(ell, make_twist(2).conway),
+                               2, 0.5),
+    "LaurentPoly-nvars": (lambda nvars: LaurentPoly(nvars, {}).nvars, 2, 2.5),
+    "signature_jump": (_jump_of, 2, 1.5),
+    "wall_indicator": (_wall_of, 2, 1.5),
+    "torus_signature_profile": (lambda n: torus_signature_profile(n, Fraction(1, 2)), 3, 3.7),
+}
+
+
+@pytest.mark.parametrize("read, good, bad", list(_INTEGER_READERS.values()),
+                         ids=list(_INTEGER_READERS))
+def test_library_integers_are_read_as_file_integers(read, good, bad):
+    """A non-integral value or a bool is refused, not truncated, and an
+    integral float reads as its integer."""
+    with pytest.raises(SchemaError, match="is not an integer"):
+        read(bad)
+    assert read(float(good)) == read(good)
