@@ -2,14 +2,13 @@
 
 Subcommands: eval, grid, limit, slope, verify, family, torres.  Angles are
 rationals "p/q" by default; decimals are accepted but disable the exact
-predicates, with a printed warning.  SIGTORUS_TOL overrides the default
-zero-eigenvalue tolerance of the commands that take --tol.  Exit codes: 0 ok,
-2 input error, 3 IO error, 4 verification failure.
+predicates, with a printed warning.  --tol, read only from the command line,
+sets the zero-eigenvalue tolerance of the commands that cut eigenvalues.
+Exit codes: 0 ok, 2 input error, 3 IO error, 4 verification failure.
 """
 
 import argparse
 import functools
-import math
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ import numpy as np
 from .angles import TorusPoint, angle_to_complex
 from .errors import BoundaryPoint, SigtorusError
 from .families import _MAX_ENTRIES, FAMILIES, make_family
-from .hermitian import DEFAULT_TOL
+from .hermitian import DEFAULT_TOL, check_tol
 from .links import (load_link, save_link, signature_nullity,
                     signature_nullity_batch)
 from .slope import classify_slope, slope
@@ -33,17 +32,13 @@ EXIT_FAIL = 4
 
 
 def _tolerance(args):
-    if args.tol is not None:
-        source, text = "--tol", args.tol
-    else:
-        source, text = "SIGTORUS_TOL", os.environ.get("SIGTORUS_TOL") or DEFAULT_TOL
+    """The --tol text read as a float and checked by :func:`check_tol`."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    # |lambda| <= ||H||, so a tolerance of 1 or more would make every eigenvalue zero
-    if not 0 < value < 1:
-        raise SigtorusError("%s must be a number in (0, 1), got %r" % (source, text))
+        value = float(args.tol)
+        check_tol(value)
+    except ValueError as exc:
+        raise SigtorusError("--tol: cannot read %r as a tolerance (%s)"
+                            % (args.tol, exc)) from None
     return value
 
 
@@ -234,7 +229,8 @@ def _build_parser():
     link_only = argparse.ArgumentParser(add_help=False)
     link_only.add_argument("--link", required=True)
     link_tol = argparse.ArgumentParser(add_help=False, parents=[link_only])
-    link_tol.add_argument("--tol", type=float)
+    link_tol.add_argument("--tol", default=DEFAULT_TOL,
+                          help="zero-eigenvalue tolerance in (0, 1) (default %(default)s)")
 
     p = sub.add_parser("eval", parents=[link_tol], help="signature and nullity at a torus point")
     p.add_argument("--omega", required=True,

@@ -377,8 +377,9 @@ def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL):
     """Signatures and nullities at P interior points, as two int lists.
 
     ``omegas`` is a (P, mu) array of unit complex numbers; no coordinate may
-    equal 1 (not checked here).  Each point is read as the k = 0 path of
-    :func:`_path_limit_counts`, whose one coefficient is H.
+    equal 1 (not checked here), and a NaN or infinite one raises ValueError.
+    Each point is read as the k = 0 path of :func:`_path_limit_counts`, whose
+    one coefficient is H.
     """
     counts = _path_limit_counts(link, np.empty((len(omegas), 0)), omegas, tol)
     return counts[:, 0].tolist(), counts[:, 2].tolist()
@@ -446,6 +447,8 @@ def _path_limit_counts(link, signs, rest, tol):
     if rest.ndim != 2 or rest.shape[1] != link.mu - k:
         raise ValueError("points have %d coordinates, expected %d: %d colors, %d sent to 1"
                          % (rest.shape[-1], link.mu - k, link.mu, k))
+    if not np.isfinite(rest).all():  # a NaN eigenvalue would pass as a zero one
+        raise ValueError("points have a coordinate that is not finite")
     # A zero system (n = 0 among them) has H = 0 on every path: once the
     # points are read, each limit is 0 with nullity n, and no level is solved
     if not link.seifert.stack.any():

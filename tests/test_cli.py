@@ -137,15 +137,33 @@ def test_grid_missing_rest_angles_exits_2(tmp_path, capsys):
     assert "--rest" in err
 
 
-def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
+def test_tolerance_flag_changes_the_cut(tmp_path, capsys):
+    """At (1/20, 1/20) H's eigenvalues are 0.088 and 0.284: --tol 0.1 cuts the first."""
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
     code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "1/20,1/20")
     assert code == 0
     assert out.strip() == "sigma=2 eta=0 dim=2"
-    monkeypatch.setenv("SIGTORUS_TOL", "0.1")
-    code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "1/20,1/20")
+    code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "1/20,1/20", "--tol", "0.1")
     assert code == 0
     assert out.strip() == "sigma=1 eta=1 dim=2"
+
+
+def test_tolerance_is_not_read_from_the_environment(tmp_path, capsys, monkeypatch):
+    """Only --tol sets the cut: SIGTORUS_TOL changes no answer and no report byte."""
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
+
+    def answers(name):
+        report = tmp_path / name
+        evaluated = run(capsys, "eval", "--link", torus, "--omega", "1/20,1/20")
+        verified = run(capsys, "verify", "--link", torus, "--suite", "all", "--samples", "5",
+                       "--report", str(report))
+        return evaluated, verified, report.read_bytes()
+
+    unset = answers("unset.json")
+    assert unset[0] == (0, "sigma=2 eta=0 dim=2\n", "")
+    assert unset[1][0] == 0 and unset[1][1].endswith("failures=0\n")
+    monkeypatch.setenv("SIGTORUS_TOL", "0.1")
+    assert answers("set.json") == unset
 
 
 def test_grid_constant_heatmap_is_zero(tmp_path, capsys):
@@ -612,24 +630,14 @@ def test_family_then_eval_matches_library(tmp_path, capsys):
     assert out.strip() == "sigma=%d eta=%d dim=2" % (sigma, eta)
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "1", "1e308"])
+@pytest.mark.parametrize("tol", ["abc", "nan", "0", "-1", "inf", "1", "1e308"])
 def test_bad_tol_flag_exits_2(tmp_path, capsys, tol):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
     code, out, err = run(capsys, "eval", "--link", torus, "--omega", "1/3,1/5",
                          "--tol", tol)
     assert code == 2
     assert out == ""
-    assert "--tol" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "nan", "0", "-1", "1", "1e308"])
-def test_bad_tol_env_exits_2(tmp_path, capsys, monkeypatch, value):
-    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
-    monkeypatch.setenv("SIGTORUS_TOL", value)
-    code, out, err = run(capsys, "eval", "--link", torus, "--omega", "1/3,1/5")
-    assert code == 2
-    assert out == ""
-    assert "SIGTORUS_TOL" in err
+    assert err.startswith("error: --tol: cannot read %r " % tol) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("family, argv, flag", [

@@ -333,6 +333,14 @@ def test_non_finite_angles_rejected(value):
         normalize_angle(value)
     with pytest.raises(DomainError):
         signature_nullity(make_torus(3), [0.5, value])
+    # the batch readers take unit complex numbers, not angles, and refuse them
+    # before any shortcut: unlink(2) is a zero system
+    for link in (make_torus(3), make_unlink(2)):
+        for point in ([value, 1j], [1j, 1j * value]):
+            with pytest.raises(ValueError, match="^points have a coordinate that is not finite$"):
+                links.signature_nullity_batch(link, [point])
+        with pytest.raises(ValueError, match="^points have a coordinate that is not finite$"):
+            links.rest_limit_counts(link, [[value]])
 
     with pytest.raises(ValueError, match="finite"):
         parse_angle("-1e400")
