@@ -1,9 +1,10 @@
-"""Angles on the unit circle, rational when possible, and torus points.
+"""Angles on the unit circle, and torus points.
 
 Angles are measured in turns: the value ``a`` stands for ``exp(2*pi*i*a)``.
-Rational angles (stored as :class:`fractions.Fraction`) admit exact
-predicates; float angles are accepted everywhere, but the exact wall test
-:func:`sigtorus.corrections.wall_indicator` refuses to guess on them.
+Every angle is stored as a :class:`fractions.Fraction` in [0, 1), so every
+predicate on angles is exact.  A float angle is read as the fraction it
+prints as (0.3 as 3/10), which converts back to the same float, so the
+circle point it stands for is the float's own.
 """
 
 import cmath
@@ -16,8 +17,11 @@ _TWO_PI = 2.0 * math.pi
 
 
 def normalize_angle(a):
-    """Reduce an angle to the fundamental interval [0, 1); NaN and +-inf raise
-    DomainError.  A Fraction already in [0, 1) is returned as it is."""
+    """The angle as a Fraction in [0, 1); NaN and +-inf raise DomainError.
+
+    A Fraction already in [0, 1) is returned as it is.  A float is reduced
+    as a float, then read as the shortest decimal that it prints as.
+    """
     if isinstance(a, bool):
         raise TypeError("bool is not an angle")
     if isinstance(a, Fraction):
@@ -27,8 +31,9 @@ def normalize_angle(a):
     if isinstance(a, float):
         if not math.isfinite(a):
             raise DomainError("not a finite angle: %r" % (a,))
-        a %= 1.0
-        return 0.0 if a == 1.0 else a  # -1e-20 % 1.0 rounds up to 1.0
+        a %= 1.0  # -1e-20 % 1.0 rounds up to 1.0, which is angle 0
+        # float(): the repr of a numpy float is no number
+        return Fraction(0) if a == 1.0 else Fraction(repr(float(a)))
     raise TypeError("not an angle: %r" % (a,))
 
 
@@ -47,7 +52,8 @@ def half_angle_complex(a):
 
 
 def parse_angle(text):
-    """Parse "p/q" (exact), an integer, or a decimal (inexact)."""
+    """Parse "p/q", an integer, or a decimal, which reads as the fraction
+    that its float prints as."""
     text = text.strip()
     if "/" in text:
         num, den = map(int, text.split("/", 1))
@@ -65,12 +71,8 @@ def parse_angle(text):
     return normalize_angle(Fraction(int(text)))
 
 
-def format_angle(a):
-    return str(a) if isinstance(a, Fraction) else repr(float(a))
-
-
 class TorusPoint:
-    """A point of the mu-torus, stored as a tuple of angles in [0, 1)."""
+    """A point of the mu-torus, stored as a tuple of Fraction angles in [0, 1)."""
 
     __slots__ = ("angles",)
 
@@ -104,10 +106,6 @@ class TorusPoint:
         return hash(self.angles)
 
     @property
-    def is_exact(self):
-        return all(isinstance(a, Fraction) for a in self.angles)
-
-    @property
     def in_open_torus(self):
         """True when no coordinate equals 1 (angle 0)."""
         return all(a != 0 for a in self.angles)
@@ -125,7 +123,7 @@ class TorusPoint:
         return TorusPoint(conj_angle(a) for a in self.angles)
 
     def angle_text(self):
-        return ",".join(format_angle(a) for a in self.angles)
+        return ",".join(map(str, self.angles))
 
     def __repr__(self):
         return "TorusPoint(%s)" % self.angle_text()

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: eval, grid, limit, slope, verify, family, torres.  Angles are
-rationals "p/q" by default; decimals are accepted but disable the exact
-predicates, with a printed warning.  --tol, read only from the command line,
-sets the zero-eigenvalue tolerance of the commands that cut eigenvalues.
+rationals "p/q", integers or decimals; a decimal reads as the fraction that
+its float prints as, so 0.3 and 3/10 are one angle.  --tol, read only from
+the command line, sets the zero-eigenvalue tolerance of the commands that
+cut eigenvalues.
 Exit codes: 0 ok, 2 input error, 3 IO error, 4 verification failure.
 """
 
@@ -50,8 +51,6 @@ def _point(text, flag, count=None):
         raise SigtorusError("%s: cannot read %r as angles (%s)" % (flag, text, exc)) from None
     if count is not None and point.mu != count:
         raise SigtorusError("%s needs %d angle(s), got %d" % (flag, count, point.mu))
-    if not point.is_exact:
-        print("warning: decimal angles disable exact predicates", file=sys.stderr)
     return point
 
 

@@ -7,16 +7,15 @@ profile of torus-link signatures.  The jump and the profile are one wall
 count: the chain sign of n angles in [0, 1) with sum T, Z of them 0, is
 n - 1 - 2*floor(T) + [T is an integer] - Z, which drops by 2 per wall
 crossed; the wall indicator is the [T is an integer] term of the jump, read
-off the same blocks.  Every count compares angle sums, so all is exact on
-rational angles, and on float angles it compares the floats.  The wall
-indicator refuses floats.
+off the same blocks.  Every count compares sums of angles, which are
+fractions (:func:`sigtorus.angles.normalize_angle`), so all is exact.
 """
 
 import math
 from fractions import Fraction
 
 from .angles import TorusPoint, conj_angle, normalize_angle
-from .errors import DomainError, InexactAngles
+from .errors import DomainError
 from .laurent import _INT_ONLY, as_integer
 
 
@@ -43,29 +42,18 @@ def signature_jump(linking, point):
     The chain sign of the block vector that repeats a_j = sgn(l_j) theta_j
     mod 1 |l_j| times, read in O(mu) without building it: N - 1 - 2*floor(T)
     + [T is an integer] - Z for N = sum |l_j|, T = sum |l_j| a_j and Z the
-    blocks with a_j = 0.  Zero for vanishing linking; on float angles T is
-    one float sum, compared once, and N of 2**53 or more raises
-    InexactAngles, as that sum no longer holds the integer part of T.
+    blocks with a_j = 0.  Zero for vanishing linking.
     """
     blocks = _blocks(linking, point)
-    count = sum(m for m, _ in blocks)
-    if count >= 2 ** 53 and any(isinstance(a, float) for _, a in blocks):
-        raise InexactAngles("float angles need sum |l_j| below 2**53; pass exact angles")
-    return _wall_count(count, sum(m * a for m, a in blocks),
+    return _wall_count(sum(m for m, _ in blocks), sum(m * a for m, a in blocks),
                        sum(m for m, a in blocks if a == 0))
 
 
 def wall_indicator(linking, point):
     """[T is an integer] for the block sum T of :func:`signature_jump`: 1
     when sum l_j theta_j is an integer, else 0, and 1 for all-zero linking.
-
-    Decided exactly: a float angle with l_j != 0 raises InexactAngles.
     """
-    total = 0
-    for m, a in _blocks(linking, point):
-        if isinstance(a, float):
-            raise InexactAngles("exact predicate asked of a float angle")
-        total += m * a
+    total = sum(m * a for m, a in _blocks(linking, point))
     return int(total == math.floor(total))
 
 

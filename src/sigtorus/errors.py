@@ -39,10 +39,6 @@ class BoundaryPoint(SigtorusError):
 
 # Correction-function layer
 
-class InexactAngles(SigtorusError):
-    """An exact predicate was asked of angles that are not stored exactly."""
-
-
 class DomainError(SigtorusError):
     """An argument lies outside the domain of the requested function."""
 

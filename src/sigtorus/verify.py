@@ -155,7 +155,7 @@ class _Rests:
 
     @cached_property
     def walls(self):
-        """wall_indicator at each omega'; a decimal angle raises InexactAngles."""
+        """wall_indicator at each omega', decided exactly."""
         return [wall_indicator(self.linking_vector, point) for point in self.points]
 
     @cached_property
@@ -473,15 +473,13 @@ def predict_torres(link, point=None, tol=DEFAULT_TOL):
     unsupported and reported, not guessed.  When the linking numbers with
     the first color are not all zero and the point is generic (no wall
     through omega' and eta(L', omega') = 0), the midpoint of the two
-    directional limits is checked against the sublink signature; the wall
-    test is exact, so at a point with decimal angles that check is skipped
-    with a note.
+    directional limits is checked against the sublink signature.
     """
     return _predict_torres(_Rests(link, [() if link.mu == 1 else point], tol), 0)
 
 
 def _predict_torres(rests, i):
-    link, point = rests.link, rests.points[i]
+    link = rests.link
     if link.mu == 1:
         ine = linking_inertia(link, (1,))
         return TorresPrediction(ine.signature, ine.nullity - 1, "skipped",
@@ -497,19 +495,11 @@ def _predict_torres(rests, i):
 
     midpoint = "skipped"
     midpoint_value = None
-    if any(rests.linking_vector):
-        if not point.is_exact:
-            notes.append("midpoint check skipped: the wall test needs exact angles")
-        elif rests.generic[i]:
-            plus, minus, _ = rests.limits[i]
-            midpoint_value = Fraction(plus + minus, 2)
-            midpoint = "pass" if midpoint_value == sig_rest else "fail"
+    if any(rests.linking_vector) and rests.generic[i]:
+        plus, minus, _ = rests.limits[i]
+        midpoint_value = Fraction(plus + minus, 2)
+        midpoint = "pass" if midpoint_value == sig_rest else "fail"
     return TorresPrediction(sigma, eta, midpoint, notes, sig_rest, midpoint_value)
-
-
-def torres_reports(link, point=None, tol=DEFAULT_TOL):
-    """Wrap a Torres prediction as verification reports."""
-    return _check_torres(_Rests(link, [() if link.mu == 1 else point], tol), 0)
 
 
 def _check_torres(rests, i):

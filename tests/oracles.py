@@ -15,8 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from sigtorus.angles import TorusPoint, angle_to_complex, normalize_angle
-from sigtorus.errors import (BoundaryPoint, InexactAngles, SigtorusError,
-                             ZeroParameter)
+from sigtorus.errors import BoundaryPoint, SigtorusError, ZeroParameter
 from sigtorus.hermitian import DEFAULT_TOL, HermitianMatrix, inertia
 from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
 
@@ -81,8 +80,6 @@ def signature_jump_by_walls(linking, point):
     for lj, angle in zip(ell, point.angles):
         if lj == 0:
             continue
-        if not isinstance(angle, Fraction):
-            raise InexactAngles("wall-crossing oracle needs rational angles")
         x += abs(lj) * ((angle if lj > 0 else -angle) % 1)
     k = x.numerator // x.denominator
     if x == k:

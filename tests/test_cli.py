@@ -58,12 +58,46 @@ def test_eval_boundary_exits_2(tmp_path, capsys):
     assert "torres" in err
 
 
-def test_eval_decimal_angles_warn(tmp_path, capsys):
+def test_eval_reads_decimal_angles_as_fractions(tmp_path, capsys):
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
     code, out, err = run(capsys, "eval", "--link", twist, "--omega", "0.25,0.5")
-    assert code == 0
-    assert "sigma=1" in out
-    assert "exact predicates" in err
+    assert (code, out, err) == (0, "sigma=1 eta=0 dim=1\n", "")
+
+
+# one point of 1, 2 and 3 angles, spelled as decimals and as p/q
+_SPELLINGS = {1: ("0.3", "3/10"), 2: ("0.25,0.2", "1/4,1/5"),
+              3: ("0.3,0.25,0.2", "3/10,1/4,1/5")}
+
+
+@pytest.mark.parametrize("name, param", [("torus", 3), ("twist", 2), ("unlink", 3)])
+def test_decimal_and_fraction_spellings_print_alike(tmp_path, capsys, name, param):
+    """A decimal reads as the fraction it prints as: both spellings of one
+    point give the same stdout, stderr, exit code and written files."""
+    path = make_file(tmp_path, capsys, name, param, "link.json")
+    mu = make_family(name, param).mu
+    results = []
+    for which in (0, 1):
+        point, rest = _SPELLINGS[mu][which], _SPELLINGS[mu - 1][which]
+        csv, pgm = (str(tmp_path / ("%d.%s" % (which, ext))) for ext in ("csv", "pgm"))
+        outputs = [run(capsys, *argv, "--link", path) for argv in (
+            ["eval", "--omega", point],
+            ["limit", "--side", "plus", "--omega-rest", rest],
+            ["limit", "--side", "minus", "--omega-rest", rest],
+            ["slope", "--omega", rest],
+            ["torres", "--omega", rest],
+            ["grid", "--resolution", "5", "--out", csv, "--heatmap", pgm,
+             "--rest", ("0.5", "1/2")[which]])]
+        if mu == 3:
+            outputs += [Path(csv).read_bytes(), Path(pgm).read_bytes()]
+        results.append(outputs)
+    assert results[0] == results[1]
+    if name == "torus":
+        assert results[0][4] == (0, "sigma_pred=0 eta_pred=2 midpoint=pass\n"
+                                    "note: no component of the first color splits off\n", "")
+    # the float is reduced before it is read: -1e-20 is angle 0, on the boundary
+    code, out, err = run(capsys, "eval", "--link", path, "--omega=" + ",".join(
+        ["-1e-20"] + _SPELLINGS[mu - 1][1].split(",")))
+    assert (code, out) == (2, "") and "torres" in err
 
 
 def test_negative_angle_needs_the_equals_form(tmp_path, capsys):
@@ -210,7 +244,7 @@ def _system_link(mu, n, halves):
 @hst.composite
 def _grid_cases(draw):
     """A random system with mu = 2, or mu = 3 swept with its rest angle at
-    1/2 (exact or decimal) on either axis order, and a resolution."""
+    1/2 (spelled 1/2 or 0.5) on either axis order, and a resolution."""
     mu, n = draw(hst.integers(2, 3)), draw(hst.integers(1, 7))
     entries = hst.lists(hst.integers(-3, 3), min_size=n * n, max_size=n * n)
     halves = draw(hst.lists(entries, min_size=2 ** (mu - 1), max_size=2 ** (mu - 1)))
@@ -328,15 +362,12 @@ def test_torres_command(tmp_path, capsys):
 
 
 def test_torres_command_with_decimal_angles(tmp_path, capsys):
-    # the midpoint check needs the exact wall test; the prediction does not
+    # 0.3 is 3/10, so the exact wall test decides the midpoint check
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
-    code, out, err = run(capsys, "torres", "--link", torus, "--omega", "0.3")
-    assert (code, err) == (0, "warning: decimal angles disable exact predicates\n")
-    assert out == ("sigma_pred=0 eta_pred=2 midpoint=skipped\n"
-                   "note: no component of the first color splits off\n"
-                   "note: midpoint check skipped: the wall test needs exact angles\n")
-    exact = run(capsys, "torres", "--link", torus, "--omega", "3/10")[1]
-    assert exact.startswith("sigma_pred=0 eta_pred=2 midpoint=pass\n")
+    decimal = run(capsys, "torres", "--link", torus, "--omega", "0.3")
+    assert decimal == (0, "sigma_pred=0 eta_pred=2 midpoint=pass\n"
+                          "note: no component of the first color splits off\n", "")
+    assert run(capsys, "torres", "--link", torus, "--omega", "3/10") == decimal
 
 
 def test_verify_command_and_report(tmp_path, capsys):
@@ -425,9 +456,10 @@ def test_conway_beyond_float_range_exits_2(tmp_path, capsys, family, param, key,
                           "and ||H||_F is about |1 - omega_1|, 6e-11 here")
 def test_eval_near_the_boundary_reads_the_closed_form(tmp_path, capsys):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
-    for theta1 in (Fraction(1, 10 ** 9), Fraction(1, 10 ** 11)):
-        want = "sigma=%d eta=%d dim=2\n" % oracle_torus(3, theta1, Fraction(1, 5))
-        code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "%s,1/5" % theta1)
+    # 1e-11 reads as the rational 1/100000000000, so both spellings need the fix
+    for theta1 in ("1/1000000000", "1/100000000000", "1e-11"):
+        want = "sigma=%d eta=%d dim=2\n" % oracle_torus(3, Fraction(theta1), Fraction(1, 5))
+        code, out, _ = run(capsys, "eval", "--link", torus, "--omega", theta1 + ",1/5")
         assert (code, out) == (0, want), theta1
 
 

@@ -10,7 +10,7 @@ from oracles import (ClaspSequence, ZeroLinking, chain_matrix, chain_sign_by_pai
 
 from sigtorus.angles import TorusPoint, normalize_angle
 from sigtorus.corrections import signature_jump, torus_signature_profile, wall_indicator
-from sigtorus.errors import BoundaryPoint, DomainError, InexactAngles
+from sigtorus.errors import BoundaryPoint, DomainError
 from sigtorus.hermitian import inertia
 
 
@@ -79,8 +79,8 @@ def test_walls_oracle_values():
 def test_walls_oracle_errors():
     with pytest.raises(ZeroLinking):
         signature_jump_by_walls((0,), [Fraction(1, 3)])
-    with pytest.raises(InexactAngles):
-        signature_jump_by_walls((2,), [0.3])
+    with pytest.raises(ValueError, match="different lengths"):
+        signature_jump_by_walls((2, 3), [Fraction(1, 3)])
 
 
 def test_jump_equals_walls_oracle():
@@ -100,15 +100,15 @@ def test_jump_equals_walls_oracle():
     assert signature_jump(*big) == signature_jump_by_walls(*big) == 428571428571428571428571428571
 
 
-def test_jump_refuses_float_angles_beyond_float_precision():
-    # a float sum of 2**53 or more blocks drops the integer part of T
+def test_jump_reads_float_angles_as_the_fractions_they_print_as():
+    # 0.3 is 3/10, so the block sum T keeps its integer part at any linking
     for ell in ((10 ** 30,), (10 ** 400,), (2 ** 52, -(2 ** 52))):
-        with pytest.raises(InexactAngles, match=r"2\*\*53"):
-            signature_jump(ell, [0.3] * len(ell))
+        exact = [Fraction(3, 10)] * len(ell)
+        assert signature_jump(ell, [0.3] * len(ell)) == signature_jump(ell, exact) \
+            == signature_jump_by_walls(ell, exact)
     below = (2 ** 53 - 1,)
     assert signature_jump(below, [0.5]) == signature_jump_by_walls(below, [Fraction(1, 2)])
     assert signature_jump((3,), [0.3]) == signature_jump((3,), [Fraction(3, 10)]) == 2
-    # exact angles stay exact at any linking
     assert signature_jump((10 ** 30, 0), [Fraction(3, 10), 0.3]) == 4 * 10 ** 29
 
 
@@ -149,17 +149,15 @@ def test_wall_counts_equal_the_telescoped_definition(case):
     assert torus_signature_profile(n, theta) == want
     if max(map(abs, ell)) <= 20 and blocks and 0 not in blocks:
         assert inertia(chain_matrix(blocks)).signature == signature_jump(ell, angles)
-    # the wall indicator is [sum l_j theta_j is an integer]; a float angle is
-    # refused exactly where its linking number is nonzero
+    # the wall indicator is [sum l_j theta_j is an integer]
     wall = int(sum(lj * a for lj, a in zip(ell, angles)).denominator == 1)
     assert wall_indicator(ell, angles) == wall
-    for j, lj in enumerate(ell):
-        inexact = angles[:j] + [float(angles[j])] + angles[j + 1:]
-        if lj:
-            with pytest.raises(InexactAngles):
-                wall_indicator(ell, inexact)
-        else:
-            assert wall_indicator(ell, inexact) == wall
+    # a float angle counts as the fraction it prints as (1/3 as 0.3333333333333333)
+    for j in range(len(angles)):
+        floats = angles[:j] + [float(angles[j])] + angles[j + 1:]
+        printed = angles[:j] + [Fraction(repr(float(angles[j])))] + angles[j + 1:]
+        assert wall_indicator(ell, floats) == wall_indicator(ell, printed)
+        assert signature_jump(ell, floats) == signature_jump(ell, printed)
 
 
 def test_jump_antisymmetric_under_conjugation():
@@ -174,8 +172,10 @@ def test_wall_indicator_examples():
     assert wall_indicator((2, 3), [Fraction(1, 2), Fraction(1, 3)]) == 1
     assert wall_indicator((0,), [Fraction(1, 7)]) == 1
     assert wall_indicator((5,), [Fraction(1, 2)]) == 0
-    with pytest.raises(InexactAngles):
-        wall_indicator((2,), [0.25])
+    # float angles are the fractions they print as: 10 * 0.1 is 1, 3 * 0.1 is not
+    assert wall_indicator((10,), [0.1]) == 1
+    assert wall_indicator((3, 7), [0.1, 0.1]) == 1
+    assert wall_indicator((2,), [0.25]) == 0
 
 
 def test_jump_drops_by_two_across_walls():

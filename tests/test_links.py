@@ -16,7 +16,7 @@ from hypothesis import strategies as hst
 from oracles import (boundary_limit_form, clasp_matrix, linking_matrix,
                      torus_clasp_sequence)
 
-from sigtorus.angles import TorusPoint, normalize_angle, parse_angle
+from sigtorus.angles import TorusPoint, angle_to_complex, normalize_angle, parse_angle
 from sigtorus.corrections import signature_jump, torus_signature_profile, wall_indicator
 from sigtorus.errors import (BoundaryPoint, DimensionMismatch, DomainError,
                              SchemaError, SymmetryViolation)
@@ -373,6 +373,23 @@ def test_tiny_negative_float_angles_reduce_to_zero():
     assert not TorusPoint([-1e-20, 0.2]).in_open_torus
     with pytest.raises(BoundaryPoint):
         signature_nullity(make_torus(3), [-1e-20, 0.2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.floats(allow_nan=False, allow_infinity=False))
+def test_float_angles_read_as_the_fractions_they_print_as(value):
+    """A float is reduced as a float, then read as the shortest decimal it
+    prints as, which converts back to that same float: its circle point and
+    text are those of the float."""
+    reduced = value % 1.0
+    reduced = 0.0 if reduced == 1.0 else reduced
+    angle = normalize_angle(value)
+    assert type(angle) is Fraction and 0 <= angle < 1
+    assert angle == Fraction(repr(reduced))
+    assert float(angle) == reduced
+    assert angle_to_complex(angle) == angle_to_complex(reduced)
+    assert normalize_angle(np.float64(value)) == angle
+    assert parse_angle(repr(value)) == angle
 
 
 def _conway_document(records):

@@ -24,8 +24,7 @@ from sigtorus.slope import torres_generic
 from sigtorus.verify import (PLUS_MINUS_ONE, SUITES, LimitResult, VerificationReport,
                              directional_limit, predict_lt_limit_2comp,
                              predict_torres, random_rational_point,
-                             report_text, run_suite,
-                             torres_reports, verify_3d, verify_4d,
+                             report_text, run_suite, verify_3d, verify_4d,
                              verify_corner_limits, verify_lt, verify_multi_lt)
 
 
@@ -109,7 +108,6 @@ def test_side_symmetry_for_single_color():
 
 @pytest.mark.parametrize("call, error, text", [
     (lambda link: predict_torres(link), DomainError, "needs 1 coordinate"),
-    (lambda link: torres_reports(link), DomainError, "needs 1 coordinate"),
     (lambda link: verify_3d(link, None), DomainError, "needs 1 coordinate"),
     (lambda link: verify_4d(link, [Fraction(1, 3), Fraction(1, 5)]), DomainError,
      "needs 1 coordinate"),
@@ -121,7 +119,7 @@ def test_side_symmetry_for_single_color():
      "side must be 'plus' or 'minus'"),
     (lambda link: run_suite(link, "bogus"), ValueError, "unknown suite 'bogus'"),
     (lambda link: verify_multi_lt(link, 0), BoundaryPoint, "omega different from 1"),
-], ids=["torres-none", "torres-reports-none", "3d-none", "4d-two", "limit-empty",
+], ids=["torres-none", "3d-none", "4d-two", "limit-empty",
         "3d-boundary", "limit-boundary", "limit-side", "suite-unknown", "multi-lt-boundary"])
 def test_bad_rest_point_rejected(call, error, text):
     with pytest.raises(error, match=text):
@@ -379,16 +377,13 @@ def test_predict_torres_twist():
     assert (pred.sigma, pred.eta) == (0, 1)
 
 
-def test_predict_torres_at_decimal_angles_skips_only_the_midpoint():
+def test_predict_torres_reads_decimal_angles_as_their_fractions():
     link = make_torus(3)
-    exact = predict_torres(link, TorusPoint([Fraction(3, 10)]))
-    pred = predict_torres(link, TorusPoint([0.3]))
-    assert (pred.sigma, pred.eta, pred.sigma_rest) == (exact.sigma, exact.eta, exact.sigma_rest)
-    assert (exact.midpoint, pred.midpoint, pred.midpoint_value) == ("pass", "skipped", None)
-    assert pred.notes == exact.notes + ["midpoint check skipped: the wall test needs exact angles"]
-    (report,) = torres_reports(link, [0.3])
-    assert (report.check, report.passed, report.inputs["omega_rest"]) == \
-        ("torres/midpoint", True, "0.3")
+    point = TorusPoint([0.3])
+    assert point == TorusPoint([Fraction(3, 10)]) and point.angle_text() == "3/10"
+    pred = predict_torres(link, [0.3])
+    assert pred == predict_torres(link, TorusPoint([Fraction(3, 10)]))
+    assert (pred.midpoint, pred.midpoint_value) == ("pass", pred.sigma_rest)
 
 
 def test_predict_torres_single_color():
@@ -519,6 +514,18 @@ def test_run_suite_wrong_rank_fails_checks():
     assert any(not r.passed for r in reports)
 
 
+def _torres_reports(link, point):
+    """The Torres record of run_suite, rebuilt from :func:`predict_torres`."""
+    pred = predict_torres(link, point)
+    inputs = {"omega_rest": TorusPoint(point or ()).angle_text(),
+              "sigma_pred": pred.sigma, "eta_pred": pred.eta}
+    if pred.midpoint == "skipped":
+        return [VerificationReport("torres/midpoint", inputs, None, None, "==", True,
+                                   ["midpoint check not applicable here"])]
+    return [VerificationReport("torres/midpoint", inputs, pred.midpoint_value,
+                               pred.sigma_rest, "==", pred.midpoint == "pass", pred.notes)]
+
+
 def _reference_suite_all(link, samples, seed):
     """run_suite(link, "all") rebuilt from the public one-point checkers."""
     rnd = random.Random(seed)
@@ -536,7 +543,7 @@ def _reference_suite_all(link, samples, seed):
         reports += verify_lt(one_colored)
     reports += verify_corner_limits(link)
     for point in points if link.mu >= 2 else [None]:
-        reports += torres_reports(link, point)
+        reports += _torres_reports(link, point)
     if link.underlying_oriented is None:
         reports.append(VerificationReport("multi-lt/skipped", {}, None, None, "==",
                                           True, ["no underlying_oriented data"]))
@@ -793,7 +800,7 @@ def _every_report(link, samples, seed):
         except SigtorusError:  # a suite asked for explicitly lacks its data
             pass
     if link.mu >= 2:
-        for check in (verify_3d, verify_4d, torres_reports):
+        for check in (verify_3d, verify_4d, _torres_reports):
             try:
                 reports += check(link, [0.3] * (link.mu - 1))
             except SigtorusError:
@@ -820,7 +827,7 @@ def test_report_text_is_json_dump_on_builtins():
         for rep in reports:
             seen.add(("fraction-lhs", type(rep.lhs) is Fraction))
             seen.add(("slope-input", "slope" in rep.inputs))
-            seen.add(("decimal", rep.inputs.get("omega_rest") == "0.3"))
+            seen.add(("decimal", rep.inputs.get("omega_rest") == "3/10"))
             seen.add(("empty-inputs", not rep.inputs))
             seen.add(("empty-notes", not rep.notes))
     # every case the writer formats differently from a one-line value came up
