@@ -11,6 +11,8 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError
 
 _TWO_PI = 2.0 * math.pi
@@ -19,21 +21,22 @@ _TWO_PI = 2.0 * math.pi
 def normalize_angle(a):
     """The angle as a Fraction in [0, 1); NaN and +-inf raise DomainError.
 
-    A Fraction already in [0, 1) is returned as it is.  A float is reduced
-    as a float, then read as the shortest decimal that it prints as.
+    A Fraction already in [0, 1) is returned as it is.  A numpy integer
+    reads as an int.  A float, or a numpy float as its float64 value, is
+    reduced as a float, then read as the shortest decimal that it prints as.
     """
     if isinstance(a, bool):
         raise TypeError("bool is not an angle")
     if isinstance(a, Fraction):
         return a if 0 <= a.numerator < a.denominator else a % 1
-    if isinstance(a, int):
-        return Fraction(a) % 1
-    if isinstance(a, float):
+    if isinstance(a, (int, np.integer)):
+        return Fraction(int(a)) % 1
+    if isinstance(a, (float, np.floating)):
+        a = float(a)
         if not math.isfinite(a):
             raise DomainError("not a finite angle: %r" % (a,))
         a %= 1.0  # -1e-20 % 1.0 rounds up to 1.0, which is angle 0
-        # float(): the repr of a numpy float is no number
-        return Fraction(0) if a == 1.0 else Fraction(repr(float(a)))
+        return Fraction(0) if a == 1.0 else Fraction(repr(a))
     raise TypeError("not an angle: %r" % (a,))
 
 

@@ -2,9 +2,8 @@
 
 Subcommands: eval, grid, limit, slope, verify, family, torres.  Angles are
 rationals "p/q", integers or decimals; a decimal reads as the fraction that
-its float prints as, so 0.3 and 3/10 are one angle.  --tol, read only from
-the command line, sets the zero-eigenvalue tolerance of the commands that
-cut eigenvalues.
+its float prints as, so 0.3 and 3/10 are one angle.  Eigenvalues are cut
+at the fixed zero cut of :mod:`sigtorus.hermitian`.
 Exit codes: 0 ok, 2 input error, 3 IO error, 4 verification failure.
 """
 
@@ -19,7 +18,6 @@ import numpy as np
 from .angles import TorusPoint, angle_to_complex
 from .errors import BoundaryPoint, SigtorusError
 from .families import _MAX_ENTRIES, FAMILIES, make_family
-from .hermitian import DEFAULT_TOL, check_tol
 from .links import (load_link, save_link, signature_nullity,
                     signature_nullity_batch)
 from .slope import classify_slope, slope
@@ -30,17 +28,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_FAIL = 4
-
-
-def _tolerance(args):
-    """The --tol text read as a float and checked by :func:`check_tol`."""
-    try:
-        value = float(args.tol)
-        check_tol(value)
-    except ValueError as exc:
-        raise SigtorusError("--tol: cannot read %r as a tolerance (%s)"
-                            % (args.tol, exc)) from None
-    return value
 
 
 def _point(text, flag, count=None):
@@ -57,9 +44,8 @@ def _point(text, flag, count=None):
 def cmd_eval(args):
     link = load_link(args.link)
     point = _point(args.omega, "--omega", link.mu)
-    tol = _tolerance(args)
     try:
-        sigma, eta = signature_nullity(link, point, tol)
+        sigma, eta = signature_nullity(link, point)
     except BoundaryPoint:
         raise BoundaryPoint("omega has a coordinate equal to 1; the Seifert form "
                             "degenerates there. Use the `torres` command for "
@@ -98,7 +84,6 @@ def cmd_grid(args):
         raise SigtorusError("--resolution %d is too large: %d points of %d angles exceed "
                             "2**24 entries" % (n, (n - 1) ** 2, link.mu))
     axes, fixed = _grid_axes(args, link)
-    tol = _tolerance(args)
 
     # row-major over (theta1, theta2) = (i/n, j/n), i and j in 1..n-1
     side = n - 1
@@ -114,7 +99,7 @@ def cmd_grid(args):
     # evaluate the first half and mirror it.
     total = side * side
     count = (total + 1) // 2 if all(a == Fraction(1, 2) for a in fixed.values()) else total
-    sigmas, etas = signature_nullity_batch(link, omegas[:count], tol)
+    sigmas, etas = signature_nullity_batch(link, omegas[:count])
     sigmas += sigmas[:total - count][::-1]
     etas += etas[:total - count][::-1]
 
@@ -146,7 +131,7 @@ def _write_heatmap(path, sigmas, n):
 def cmd_limit(args):
     link = load_link(args.link)
     rest = _point(args.omega_rest or "", "--omega-rest", link.mu - 1)
-    result = directional_limit(link, rest, args.side, tol=_tolerance(args))
+    result = directional_limit(link, rest, args.side)
     print("limit=%d side=%s status=stable" % (result.value, args.side))
     return EXIT_OK
 
@@ -171,8 +156,7 @@ def cmd_verify(args):
     if args.samples not in SAMPLES:
         raise SigtorusError("--samples must be in %d..%d, got %d"
                             % (SAMPLES[0], SAMPLES[-1], args.samples))
-    reports = run_suite(link, args.suite, samples=args.samples, seed=args.seed,
-                        tol=_tolerance(args))
+    reports = run_suite(link, args.suite, samples=args.samples, seed=args.seed)
     print("".join("%s %s lhs=%s rhs=%s (%s)\n"
                   % ("PASS" if rep.passed else "FAIL", rep.check, rep.lhs, rep.rhs, rep.relation)
                   for rep in reports), end="")
@@ -199,7 +183,7 @@ def cmd_family(args):
 def cmd_torres(args):
     link = load_link(args.link)
     point = _point(args.omega, "--omega", link.mu - 1)
-    prediction = predict_torres(link, point, _tolerance(args))
+    prediction = predict_torres(link, point)
     sigma = "unresolved" if prediction.sigma is None else str(prediction.sigma)
     eta = "unresolved" if prediction.eta is None else str(prediction.eta)
     print("sigma_pred=%s eta_pred=%s midpoint=%s" % (sigma, eta, prediction.midpoint))
@@ -224,20 +208,16 @@ def _build_parser():
         description="Multivariable link signatures from generalized Seifert data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # --link for every command that reads a link file, --tol for those that cut eigenvalues
     link_only = argparse.ArgumentParser(add_help=False)
     link_only.add_argument("--link", required=True)
-    link_tol = argparse.ArgumentParser(add_help=False, parents=[link_only])
-    link_tol.add_argument("--tol", default=DEFAULT_TOL,
-                          help="zero-eigenvalue tolerance in (0, 1) (default %(default)s)")
 
-    p = sub.add_parser("eval", parents=[link_tol], help="signature and nullity at a torus point")
+    p = sub.add_parser("eval", parents=[link_only], help="signature and nullity at a torus point")
     p.add_argument("--omega", required=True,
                    help="comma-separated angles in turns; write a leading "
                         "negative angle as --omega=-1/3,1/5")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("grid", parents=[link_tol], help="sweep a rational grid to CSV (and PGM)")
+    p = sub.add_parser("grid", parents=[link_only], help="sweep a rational grid to CSV (and PGM)")
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap")
@@ -246,20 +226,19 @@ def _build_parser():
                                   "(--rest=-1/3 for a negative one)")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("limit", parents=[link_tol], help="one-sided limit of the signature")
+    p = sub.add_parser("limit", parents=[link_only], help="one-sided limit of the signature")
     p.add_argument("--side", choices=SIDES, required=True)
     p.add_argument("--omega-rest", dest="omega_rest", default="",
                    help="fixed angles for colors 2..mu (empty for one color; "
                         "--omega-rest=-1/3 for a negative one)")
     p.set_defaults(func=cmd_limit)
 
-    # the slope's zero tests are exact, so it reads no tolerance
     p = sub.add_parser("slope", parents=[link_only], help="slope value and its classification")
     p.add_argument("--omega", required=True,
                    help="angles for colors 2..mu (--omega=-1/3 for a negative one)")
     p.set_defaults(func=cmd_slope)
 
-    p = sub.add_parser("verify", parents=[link_tol], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[link_only], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -273,7 +252,7 @@ def _build_parser():
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("torres", parents=[link_tol], help="boundary predictions at (1, omega')")
+    p = sub.add_parser("torres", parents=[link_only], help="boundary predictions at (1, omega')")
     p.add_argument("--omega", default="",
                    help="angles for colors 2..mu (--omega=-1/3 for a negative one)")
     p.set_defaults(func=cmd_torres)

@@ -7,7 +7,7 @@ elimination over rationals, no tolerances involved).  One-sided limits of
 the inertia of analytic families descend on their Taylor coefficients; a
 point is the family with one coefficient.  So one zero rule serves points
 and limits alike: an eigenvalue of a matrix H is zero when
-|lambda| <= tol * max(1, ||H||), at every level of a descent.
+|lambda| <= ZERO_CUT * max(1, ||H||), at every level of a descent.
 """
 
 from fractions import Fraction
@@ -18,7 +18,9 @@ import numpy as np
 from .errors import SchemaError
 from .laurent import as_integer
 
-DEFAULT_TOL = 1e-9
+# The zero cut of every float count, relative to max(1, ||H||_F).  ROADMAP
+# item 6 is to derive it from the data's scale and the rounding unit.
+ZERO_CUT = 1e-9
 
 
 class Inertia(NamedTuple):
@@ -60,22 +62,14 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-def check_tol(tol):
-    """Refuse a zero-rule ``tol`` outside (0, 1), NaN included."""
-    # |lambda| <= ||H||, so a tol of 1 or more would make every eigenvalue zero
-    if not 0 < tol < 1:
-        raise ValueError("tol must be a number in (0, 1), got %r" % (tol,))
-
-
-def inertia_counts(stack, tol=DEFAULT_TOL):
+def inertia_counts(stack):
     """Per-matrix counts (n_plus, n_minus, n_zero) of a (P, n, n) stack.
 
     The matrices must be Hermitian; LAPACK ``eigvalsh`` reads only their
     lower triangles.  An eigenvalue counts as zero when its magnitude is at
-    most the cut ``tol * max(1, ||H||)`` (Frobenius norm), 0 < tol < 1.
+    most the cut ``ZERO_CUT * max(1, ||H||)`` (Frobenius norm).
     Returns an integer array of shape (P, 3).
     """
-    check_tol(tol)
     stack = np.asarray(stack)
     count, n = stack.shape[0], stack.shape[-1]
     if count == 0 or n == 0:
@@ -85,7 +79,7 @@ def inertia_counts(stack, tol=DEFAULT_TOL):
     eigs = np.linalg.eigvalsh(stack)
     # the operations of np.linalg.norm's Frobenius branch, without its dispatch
     norms = np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(1, 2)))
-    cuts = (tol * np.maximum(norms, 1.0))[:, None]
+    cuts = (ZERO_CUT * np.maximum(norms, 1.0))[:, None]
     counts = np.empty((count, 3), dtype=np.int64)
     (eigs > cuts).sum(1, out=counts[:, 0])
     (eigs < -cuts).sum(1, out=counts[:, 1])
@@ -96,7 +90,7 @@ def inertia_counts(stack, tol=DEFAULT_TOL):
 _LEVEL = np.array([[1, 1, 0], [-1, -1, 0], [0, 0, 1]])  # inertia -> (sigma, sigma, eta)
 
 
-def limit_counts(coefficients, tol=DEFAULT_TOL):
+def limit_counts(coefficients):
     """One-sided limits at t = 0 of the inertia of analytic Hermitian families.
 
     ``coefficients`` is a (P, D, n, n) stack of Taylor coefficients F_0 ..
@@ -106,7 +100,7 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
     t -> 0- reads the path with the opposite signs, and links applies H's sign.
 
     Level k counts the inertia of the current F_0 with :func:`inertia_counts`,
-    whose cut |lambda| <= tol * max(1, ||F_0||) is the only zero rule here:
+    whose cut |lambda| <= ZERO_CUT * max(1, ||F_0||) is the only zero rule here:
     no family is rescaled, so a one-coefficient family counts exactly as
     :func:`inertia_counts` does.  The level adds F_0's signature to the
     t -> 0+ limit and (-1)^k times it to the t -> 0- one, and passes to
@@ -121,7 +115,6 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
     t -> 0- limit of what follows by (-1)^z, and a family exactly 0 to its
     full depth reads (0, 0, n).
     """
-    check_tol(tol)
     family = np.asarray(coefficients, dtype=complex)
     z = 0
     while z < family.shape[1] and not family[:, z].any():
@@ -129,10 +122,10 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
     if z == family.shape[1]:
         return np.zeros((len(family), 3), dtype=np.int64) + (0, 0, family.shape[-1])
     if z:  # F(t) = t^z G(t): sigma(F) is sigma(G) for t > 0, (-1)^z times it for t < 0
-        counts = limit_counts(family[:, z:], tol)
+        counts = limit_counts(family[:, z:])
         counts[:, 1] *= (-1) ** z
         return counts
-    ine = inertia_counts(family[:, 0], tol)
+    ine = inertia_counts(family[:, 0])
     counts = ine @ _LEVEL
     if family.shape[1] == 1:
         return counts
@@ -142,7 +135,7 @@ def limit_counts(coefficients, tol=DEFAULT_TOL):
         rows = np.flatnonzero(kernel == size)
         # where F_0 = 0 up to the cut, S(t) / t is F(t) / t
         deeper = limit_counts(family[rows, 1:] if size == family.shape[-1]
-                              else _schur_series(family[rows], size, minus[rows]), tol)
+                              else _schur_series(family[rows], size, minus[rows]))
         counts[rows, 0] += deeper[:, 0]
         counts[rows, 1] -= deeper[:, 1]
         counts[rows, 2] = deeper[:, 2]
@@ -176,15 +169,15 @@ def _schur_series(family, size, minus):
 
 
 # Kept for bench/tracer.py, which wraps it; the package counts with inertia_counts.
-def inertia(h, tol=DEFAULT_TOL):
+def inertia(h):
     """Counts of positive, negative, and zero eigenvalues of one matrix.
 
     An eigenvalue counts as zero when its magnitude is at most
-    ``tol * max(1, ||H||)`` (Frobenius norm).
+    ``ZERO_CUT * max(1, ||H||)`` (Frobenius norm).
     """
     if not isinstance(h, HermitianMatrix):
         h = HermitianMatrix(h)
-    return Inertia(*inertia_counts(h.entries[None], tol)[0].tolist())
+    return Inertia(*inertia_counts(h.entries[None])[0].tolist())
 
 
 # Kept only as a name: bench/tracer.py wraps ``hermitian.jacobi_eigenvalues``

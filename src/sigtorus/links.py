@@ -22,7 +22,7 @@ import numpy as np
 from .angles import TorusPoint
 from .errors import (BoundaryPoint, DimensionMismatch, SchemaError,
                      SymmetryViolation)
-from .hermitian import DEFAULT_TOL, check_tol, integer_inertia, limit_counts
+from .hermitian import integer_inertia, limit_counts
 from .laurent import _INT_ONLY, RationalFunction, as_integer as _integer, as_rational
 
 
@@ -373,7 +373,7 @@ def assemble_form_raw(link, point):
     return _path_forms(link, np.empty((1, 0)), [point.omega()])[0, 0]
 
 
-def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL):
+def signature_nullity_batch(link, omegas):
     """Signatures and nullities at P interior points, as two int lists.
 
     ``omegas`` is a (P, mu) array of unit complex numbers; no coordinate may
@@ -381,15 +381,15 @@ def signature_nullity_batch(link, omegas, tol=DEFAULT_TOL):
     Each point is read as the k = 0 path of :func:`_path_limit_counts`, whose
     one coefficient is H.
     """
-    counts = _path_limit_counts(link, np.empty((len(omegas), 0)), omegas, tol)
+    counts = _path_limit_counts(link, np.empty((len(omegas), 0)), omegas)
     return counts[:, 0].tolist(), counts[:, 2].tolist()
 
 
-def signature_nullity(link, point, tol=DEFAULT_TOL):
+def signature_nullity(link, point):
     """Signature and nullity of the link at an interior torus point.
 
-    An eigenvalue of H counts as zero when its magnitude is at most
-    ``tol * max(1, ||H||)``.
+    An eigenvalue of H counts as zero when its magnitude is at most the cut
+    ``ZERO_CUT * max(1, ||H||)`` of :mod:`sigtorus.hermitian`.
     """
     if not isinstance(point, TorusPoint):
         point = TorusPoint(point)
@@ -397,7 +397,7 @@ def signature_nullity(link, point, tol=DEFAULT_TOL):
         raise BoundaryPoint(
             "coordinate(s) %r equal 1; the Seifert form degenerates there"
             % point.boundary_indices())
-    sigmas, etas = signature_nullity_batch(link, [point.omega()], tol)
+    sigmas, etas = signature_nullity_batch(link, [point.omega()])
     return sigmas[0], etas[0]
 
 
@@ -434,12 +434,11 @@ def _path_forms(link, signs, rest):
     return m + m.conj().transpose(0, 1, 3, 2)
 
 
-def _path_limit_counts(link, signs, rest, tol):
+def _path_limit_counts(link, signs, rest):
     """The limits of sigma(H) along the paths of :func:`_path_forms`, read by
     :func:`limit_counts` from F padded to the k n + 1 coefficients its descent
     may read, in blocks of about ``_STACK_BYTES``: an int (P, 3) array of
     sigma's limit as t -> 0+ and t -> 0-, and eta's."""
-    check_tol(tol)
     k, n = signs.shape[1], link.seifert.n
     rest = np.asarray(rest, dtype=complex)
     if rest.shape == (0,):  # an empty point list
@@ -461,7 +460,7 @@ def _path_limit_counts(link, signs, rest, tol):
         if depth > k + 1:
             family = np.concatenate([family, np.zeros(
                 (len(family), depth - k - 1) + family.shape[2:], dtype=complex)], axis=1)
-        counts.append(limit_counts(family, tol))
+        counts.append(limit_counts(family))
     counts = np.concatenate(counts)
     if k:  # sigma(H) is sigma(F) times the sign of prod_j 2 eps_j t / (1 + t^2):
         # prod_j eps_j for t > 0 and (-1)^k prod_j eps_j for t < 0
@@ -469,21 +468,21 @@ def _path_limit_counts(link, signs, rest, tol):
     return counts
 
 
-def rest_limit_counts(link, rest_omegas, tol=DEFAULT_TOL):
+def rest_limit_counts(link, rest_omegas):
     """The limits as omega_1 -> 1 at rest points omega' (a (P, mu - 1) array):
     an int (P, 3) array of sigma's limit through angles 0+ ("plus") and 1-
     ("minus"), and eta's.  Both sides read one path family (k = 1, eps_1 = +):
     plus is its limit as t -> 0+, and minus its limit as t -> 0-."""
-    return _path_limit_counts(link, np.ones((len(rest_omegas), 1)), rest_omegas, tol)
+    return _path_limit_counts(link, np.ones((len(rest_omegas), 1)), rest_omegas)
 
 
-def corner_limit_counts(link, tol=DEFAULT_TOL):
+def corner_limit_counts(link):
     """The limits with coordinate j at angle eps_j delta, delta -> 0+, per sign
     vector eps in :func:`sign_vectors` order: an int (2^mu, 2) array of
     sigma's limit and eta's.  One path family (k = mu) per eps with eps_1 = +
     gives the limit at eps as t -> 0+ and the one at -eps as t -> 0-."""
     half = _layout(link.mu)[3]
-    limits = _path_limit_counts(link, half, np.zeros((len(half), 0)), tol)
+    limits = _path_limit_counts(link, half, np.zeros((len(half), 0)))
     # sign vector 2^mu - 1 - i is the negation of sign vector i
     return np.concatenate([limits[:, [0, 2]], limits[::-1, [1, 2]]])
 

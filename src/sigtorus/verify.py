@@ -22,7 +22,6 @@ from .corrections import signature_jump, wall_indicator
 from .errors import (BoundaryPoint, DomainError, Indeterminate,
                      MissingConwayData, MissingSublink, MissingUnderlying,
                      UnsupportedCase, WrongColorCount)
-from .hermitian import DEFAULT_TOL
 from .laurent import as_integer, as_rational
 from .links import (corner_limit_counts, linking_inertia, rest_limit_counts,
                     sign_key, sign_vectors, signature_nullity_batch)
@@ -47,12 +46,12 @@ class LimitResult:
     eta: int
 
 
-def directional_limit(link, rest, side="plus", tol=DEFAULT_TOL):
+def directional_limit(link, rest, side="plus"):
     """The one-sided limit of the signature as the first coordinate tends
     to 1, with the remaining coordinates held fixed."""
     if side not in SIDES:
         raise ValueError("side must be 'plus' or 'minus'")
-    row = _Rests(link, [rest], tol).limits[0]
+    row = _Rests(link, [rest]).limits[0]
     return LimitResult(side, row[SIDES.index(side)], row[2])
 
 
@@ -69,9 +68,8 @@ class _Rests:
     that no check reads is never computed.
     """
 
-    def __init__(self, link, points, tol=DEFAULT_TOL):
+    def __init__(self, link, points):
         self.link = link
-        self.tol = tol
         self.points = []
         for point in points:
             if not isinstance(point, TorusPoint):
@@ -100,15 +98,14 @@ class _Rests:
     def sub_inertia(self):
         """(sigma, eta) of the sublink at each omega'."""
         sigmas, etas = signature_nullity_batch(
-            self.sub, [point.omega() for point in self.points], self.tol)
+            self.sub, [point.omega() for point in self.points])
         return list(zip(sigmas, etas))
 
     @cached_property
     def limits(self):
         """(plus, minus, eta) at each omega': the limits of sigma from each
         side and of eta as the first coordinate tends to 1."""
-        return rest_limit_counts(self.link, [point.omega() for point in self.points],
-                                 self.tol).tolist()
+        return rest_limit_counts(self.link, [point.omega() for point in self.points]).tolist()
 
     @cached_property
     def boundary(self):
@@ -272,7 +269,7 @@ def _rank_note(link):
 
 # -- the 3D bound (generalized Seifert form route) ---------------------------
 
-def verify_3d(link, point, tol=DEFAULT_TOL):
+def verify_3d(link, point):
     """Check the limit bound with the combinatorial jump and wall terms.
 
     Requires every color to be a knot (reported as skipped otherwise) and
@@ -280,7 +277,7 @@ def verify_3d(link, point, tol=DEFAULT_TOL):
     generic (no wall through omega' and eta(L', omega') = 0), the exact
     equality of the limits with sigma(L') +/- jump is checked as well.
     """
-    return _check_3d(_Rests(link, [point], tol), 0)
+    return _check_3d(_Rests(link, [point]), 0)
 
 
 def _check_3d(rests, i):
@@ -305,7 +302,7 @@ def _check_3d(rests, i):
 
 # -- the 4D bound (extension and Torres route) -------------------------------
 
-def verify_4d(link, point, tol=DEFAULT_TOL):
+def verify_4d(link, point):
     """Check the limit bounds |lim sigma - sigma(1, w')| <= eta(1, w') - rank.
 
     (sigma, eta)(1, w') is the rest point's Torres boundary value, shared
@@ -316,7 +313,7 @@ def verify_4d(link, point, tol=DEFAULT_TOL):
     bounds, and the forced equality when the slope is finite and nonzero;
     where the slope formula reads 0/0 the bound is untestable.
     """
-    return _check_4d(_Rests(link, [point], tol), 0)
+    return _check_4d(_Rests(link, [point]), 0)
 
 
 def _check_4d(rests, i):
@@ -360,7 +357,7 @@ def _check_4d(rests, i):
 
 # -- the Levine-Tristram limit ------------------------------------------------
 
-def verify_lt(link, tol=DEFAULT_TOL):
+def verify_lt(link):
     """Check the one-variable limit against the exact linking-matrix inertia."""
     if link.mu != 1:
         raise WrongColorCount("Levine-Tristram checks need a 1-colored link")
@@ -371,7 +368,7 @@ def verify_lt(link, tol=DEFAULT_TOL):
     notes = [_rank_note(link),
              "derived constraint: rank A(L) <= %d" % (ine.nullity - 1)]
 
-    plus, minus, _ = _Rests(link, [()], tol).limits[0]
+    plus, minus, _ = _Rests(link, [()]).limits[0]
 
     reports = [_eq("lt/side-agreement", inputs, plus, minus, notes)]
     bound = ine.nullity - 1 - rank
@@ -415,12 +412,12 @@ def predict_lt_limit_2comp(ell, nabla=None):
 
 # -- corner limits -------------------------------------------------------------
 
-def verify_corner_limits(link, tol=DEFAULT_TOL):
+def verify_corner_limits(link):
     """Check the limits with all coordinates tending to 1 with chosen signs."""
     m = link.total_components
     rank = link.rank_alexander
     reports = []
-    values = corner_limit_counts(link, tol)[:, 0].tolist()
+    values = corner_limit_counts(link)[:, 0].tolist()
     lk = [(i, j, link.lk_colors(i + 1, j + 1))
           for i in range(link.mu) for j in range(i + 1, link.mu)]
     signs_list = sign_vectors(link.mu)
@@ -463,7 +460,7 @@ class TorresPrediction:
     midpoint_value: object = None
 
 
-def predict_torres(link, point=None, tol=DEFAULT_TOL):
+def predict_torres(link, point=None):
     """Predict the signature and nullity at (1, omega') from sublink data.
 
     One-colored links use the exact linking-matrix inertia; otherwise the
@@ -475,7 +472,7 @@ def predict_torres(link, point=None, tol=DEFAULT_TOL):
     through omega' and eta(L', omega') = 0), the midpoint of the two
     directional limits is checked against the sublink signature.
     """
-    return _predict_torres(_Rests(link, [() if link.mu == 1 else point], tol), 0)
+    return _predict_torres(_Rests(link, [() if link.mu == 1 else point]), 0)
 
 
 def _predict_torres(rests, i):
@@ -516,22 +513,22 @@ def _check_torres(rests, i):
 
 # -- the diagonal identity -------------------------------------------------------
 
-def verify_multi_lt(link, angle, tol=DEFAULT_TOL):
+def verify_multi_lt(link, angle):
     """Check the diagonal identity against the underlying oriented link."""
     if link.underlying_oriented is None:
         raise MissingUnderlying("link carries no underlying_oriented data")
     angle = normalize_angle(angle)
     if angle == 0:
         raise BoundaryPoint("the diagonal identity needs omega different from 1")
-    return _diagonal_reports(link, [angle], tol)
+    return _diagonal_reports(link, [angle])
 
 
-def _diagonal_reports(link, angles, tol):
+def _diagonal_reports(link, angles):
     """The diagonal identity at angles in (0, 1), each side in one stacked call."""
     omegas = [angle_to_complex(a) for a in angles]
-    sigmas_diag, _ = signature_nullity_batch(link, [(w,) * link.mu for w in omegas], tol)
+    sigmas_diag, _ = signature_nullity_batch(link, [(w,) * link.mu for w in omegas])
     oriented = link.underlying_oriented
-    sigmas_or, _ = signature_nullity_batch(oriented, [(w,) for w in omegas], tol)
+    sigmas_or, _ = signature_nullity_batch(oriented, [(w,) for w in omegas])
     cross = sum(link.lk_colors(i, j)
                 for i in range(1, link.mu + 1) for j in range(i + 1, link.mu + 1))
     return [_eq("multi-lt/identity", {"omega": str(a)}, sigma_diag, sigma_or + cross)
@@ -555,7 +552,7 @@ def random_rational_point(rnd, count):
     return TorusPoint(angles)
 
 
-def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
+def run_suite(link, suite, samples=50, seed=0):
     """Run a verification suite on a link, on deterministic random points.
 
     The points are drawn on the first read by a suite that checks them (3d,
@@ -577,7 +574,7 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
         raise DomainError("samples must be in %d..%d, got %r" % (SAMPLES[0], SAMPLES[-1], samples))
     rnd = random.Random(seed)
     rests = cache(lambda: _Rests(link, [random_rational_point(rnd, link.mu - 1)
-                                        for _ in range(samples)], tol))
+                                        for _ in range(samples)]))
     each = range(samples if link.mu > 1 else 1)  # one Torres record for one color
     oriented = link if link.mu == 1 else link.underlying_oriented
     # suite, whether the link carries its data, its reports, the error when it
@@ -587,15 +584,15 @@ def run_suite(link, suite, samples=50, seed=0, tol=DEFAULT_TOL):
          WrongColorCount("3d suite needs at least two colors"), None),
         ("4d", link.mu > 1, lambda: [r for i in each for r in _check_4d(rests(), i)],
          WrongColorCount("4d suite needs at least two colors"), None),
-        ("lt", oriented is not None, lambda: verify_lt(oriented, tol),
+        ("lt", oriented is not None, lambda: verify_lt(oriented),
          MissingUnderlying("lt suite needs a 1-colored link or underlying_oriented data"),
          _skip("lt/skipped", {}, "no 1-colored data available")),
-        ("corners", True, lambda: verify_corner_limits(link, tol), None, None),
+        ("corners", True, lambda: verify_corner_limits(link), None, None),
         ("torres", True, lambda: [r for i in each for r in _check_torres(rests(), i)],
          None, None),
         ("multi-lt", link.underlying_oriented is not None,
          lambda: _diagonal_reports(link, [pt[0] if pt.mu else Fraction(1, 2)
-                                          for pt in rests().points], tol),
+                                          for pt in rests().points]),
          MissingUnderlying("multi-lt suite needs underlying_oriented data"),
          _skip("multi-lt/skipped", {}, "no underlying_oriented data")),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from sigtorus.angles import TorusPoint, angle_to_complex, normalize_angle
 from sigtorus.errors import BoundaryPoint, SigtorusError, ZeroParameter
-from sigtorus.hermitian import DEFAULT_TOL, HermitianMatrix, inertia
+from sigtorus.hermitian import HermitianMatrix, inertia
 from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
 
 
@@ -153,7 +153,7 @@ def torus_clasp_sequence(ell):
     return ClaspSequence([(2, 1 if ell > 0 else -1)] * abs(ell))
 
 
-def conjugate_inertia_check(h, p, tol=DEFAULT_TOL):
+def conjugate_inertia_check(h, p):
     """Inertia of P* H P for invertible P, which by Sylvester's law of
     inertia must coincide with the inertia of H."""
     if not isinstance(h, HermitianMatrix):
@@ -164,7 +164,7 @@ def conjugate_inertia_check(h, p, tol=DEFAULT_TOL):
     if h.n and abs(np.linalg.det(p)) <= 1e-9:
         raise SingularMatrix("conjugating matrix is numerically singular")
     m = p.conj().T @ h.entries @ p
-    return inertia(HermitianMatrix((m + m.conj().T) / 2.0), tol)
+    return inertia(HermitianMatrix((m + m.conj().T) / 2.0))
 
 
 def boundary_limit_form(link, rest_point, side=1):

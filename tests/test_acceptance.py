@@ -152,7 +152,7 @@ def test_criterion_5_limits_match_jump():
 def test_criterion_6_corner_limits():
     bad = 0
     for ell in (1, 2, 3):
-        limits = dict(zip(sign_vectors(2), corner_limit_counts(make_torus(ell), 1e-9).tolist()))
+        limits = dict(zip(sign_vectors(2), corner_limit_counts(make_torus(ell)).tolist()))
         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             value, _ = limits[signs]
             expected = signs[0] * signs[1] * (ell - 1)

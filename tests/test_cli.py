@@ -171,19 +171,8 @@ def test_grid_missing_rest_angles_exits_2(tmp_path, capsys):
     assert "--rest" in err
 
 
-def test_tolerance_flag_changes_the_cut(tmp_path, capsys):
-    """At (1/20, 1/20) H's eigenvalues are 0.088 and 0.284: --tol 0.1 cuts the first."""
-    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
-    code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "1/20,1/20")
-    assert code == 0
-    assert out.strip() == "sigma=2 eta=0 dim=2"
-    code, out, _ = run(capsys, "eval", "--link", torus, "--omega", "1/20,1/20", "--tol", "0.1")
-    assert code == 0
-    assert out.strip() == "sigma=1 eta=1 dim=2"
-
-
 def test_tolerance_is_not_read_from_the_environment(tmp_path, capsys, monkeypatch):
-    """Only --tol sets the cut: SIGTORUS_TOL changes no answer and no report byte."""
+    """The zero cut is a constant: SIGTORUS_TOL changes no answer and no report byte."""
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
 
     def answers(name):
@@ -328,13 +317,32 @@ def test_slope_command(tmp_path, capsys):
     assert out.strip() == "slope=4 s=1 eps=0"
 
 
-def test_slope_takes_no_tolerance(tmp_path, capsys):
-    """The slope's zero tests are exact, so --tol is not one of its flags."""
+# a valid argv, --link left out, for every command that reads a link file
+_LINK_COMMANDS = [["eval", "--omega", "1/3,1/5"],
+                  ["grid", "--resolution", "3", "--out", "g.csv"],
+                  ["limit", "--side", "plus", "--omega-rest", "1/5"],
+                  ["slope", "--omega", "1/4"],
+                  ["verify", "--suite", "lt"],
+                  ["torres", "--omega", "1/5"]]
+
+
+def test_every_link_command_is_listed():
+    _, commands = sigtorus.cli._build_parser()
+    takes_link = {name for name, parser in commands.items()
+                  if any("--link" in action.option_strings for action in parser._actions)}
+    assert takes_link == {argv[0] for argv in _LINK_COMMANDS}
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "abc", "nan", "0", "-1", "inf", "1", "1e308"])
+def test_bad_tol_flag_exits_2(tmp_path, capsys, tol):
+    """The zero cut is a constant, so no command has a --tol flag: any value,
+    the old default 1e-9 included, exits 2 as an unrecognized argument."""
     twist = make_file(tmp_path, capsys, "twist", 2, "twist.json")
-    with pytest.raises(SystemExit) as info:
-        main(["slope", "--link", twist, "--omega", "1/4", "--tol", "1e-9"])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    for argv in _LINK_COMMANDS:
+        with pytest.raises(SystemExit) as info:
+            main(argv[:1] + ["--link", twist] + argv[1:] + ["--tol", tol])
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("sublink_conway", [None, [{"coeff": 1, "exp": [0]}]],
@@ -452,8 +460,8 @@ def test_conway_beyond_float_range_exits_2(tmp_path, capsys, family, param, key,
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the zero cut tol * max(1, ||H||_F) has an absolute floor of 1e-9, "
-                          "and ||H||_F is about |1 - omega_1|, 6e-11 here")
+                   reason="the zero cut ZERO_CUT * max(1, ||H||_F) has an absolute floor of "
+                          "ZERO_CUT = 1e-9, and ||H||_F is about |1 - omega_1|, 6e-11 here")
 def test_eval_near_the_boundary_reads_the_closed_form(tmp_path, capsys):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
     # 1e-11 reads as the rational 1/100000000000, so both spellings need the fix
@@ -660,16 +668,6 @@ def test_family_then_eval_matches_library(tmp_path, capsys):
     sigma, eta = signature_nullity(make_torus(3),
                                    TorusPoint([Fraction(2, 7), Fraction(3, 11)]))
     assert out.strip() == "sigma=%d eta=%d dim=2" % (sigma, eta)
-
-
-@pytest.mark.parametrize("tol", ["abc", "nan", "0", "-1", "inf", "1", "1e308"])
-def test_bad_tol_flag_exits_2(tmp_path, capsys, tol):
-    torus = make_file(tmp_path, capsys, "torus", 3, "torus.json")
-    code, out, err = run(capsys, "eval", "--link", torus, "--omega", "1/3,1/5",
-                         "--tol", tol)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: --tol: cannot read %r " % tol) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("family, argv, flag", [

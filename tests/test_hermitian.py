@@ -10,8 +10,8 @@ from oracles import SingularMatrix, conjugate_inertia_check
 
 from sigtorus import hermitian, links
 from sigtorus.angles import TorusPoint
-from sigtorus.families import make_torus, make_twist, make_unlink
-from sigtorus.hermitian import (DEFAULT_TOL, HermitianMatrix, Inertia, inertia,
+from sigtorus.families import make_twist, make_unlink
+from sigtorus.hermitian import (ZERO_CUT, HermitianMatrix, Inertia, inertia,
                                 inertia_counts, integer_inertia, limit_counts)
 from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
 
@@ -190,37 +190,12 @@ def test_limit_counts_of_zero_and_empty_families():
     assert limit_counts(np.zeros((0, 3, 4, 4))).shape == (0, 3)
     assert limit_counts(np.zeros((2, 3, 0, 0))).tolist() == [[0, 0, 0]] * 2
     # one zero rule: a one-coefficient family counts as inertia_counts does,
-    # so below the cut tol * max(1, ||F_0||) a tiny family is zero
+    # so below the cut ZERO_CUT * max(1, ||F_0||) a tiny family is zero
     for scale in (1e-12, 1.0, 1e6):
         family = scale * _series(np.diag([1, -1, 0]))
         (plus, minus, zero), = inertia_counts(family[:, 0]).tolist()
         assert limit_counts(family).tolist() == [[plus - minus, plus - minus, zero]]
     assert limit_counts(1e-12 * _series(np.diag([1, -1, 0]))).tolist() == [[0, 0, 3]]
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0, 1e308])
-def test_bad_tolerance_rejected(tol):
-    with pytest.raises(ValueError):
-        inertia(HermitianMatrix([[1.0]]), tol)
-    with pytest.raises(ValueError):
-        inertia_counts(np.zeros((0, 2, 2)), tol)
-    with pytest.raises(ValueError):
-        limit_counts(np.zeros((0, 2, 2, 2)), tol)
-
-
-@pytest.mark.parametrize("tol", [0.0, 1.0, float("nan"), 5.0])
-@pytest.mark.parametrize("link", [make_torus(1), make_unlink(2), make_twist(0)],
-                         ids=["torus1", "unlink2", "twist0"])
-def test_bad_tolerance_rejected_before_any_shortcut(link, tol):
-    """An empty system (torus(1), n = 0) and zero systems skip every eigen
-    solve, but not the check of tol."""
-    message = r"^tol must be a number in \(0, 1\), got "
-    with pytest.raises(ValueError, match=message):
-        links.signature_nullity(link, (Fraction(1, 3), Fraction(1, 5)), tol)
-    with pytest.raises(ValueError, match=message):
-        links.rest_limit_counts(link, [[1j]], tol)
-    with pytest.raises(ValueError, match=message):
-        links.corner_limit_counts(link, tol)
 
 
 @hst.composite
@@ -257,9 +232,9 @@ def _count_solves(monkeypatch):
     hermitian.inertia_counts diagonalizes from now on."""
     sizes, solve = [], hermitian.inertia_counts
 
-    def counting(stack, tol=DEFAULT_TOL):
+    def counting(stack):
         sizes.append(len(stack))
-        return solve(stack, tol)
+        return solve(stack)
     monkeypatch.setattr(hermitian, "inertia_counts", counting)
     return sizes
 
@@ -321,27 +296,26 @@ def test_scaling_preserves_sign():
 
 @pytest.mark.parametrize("scale", [13.0, 0.5])
 def test_inertia_counts_at_the_cut(scale):
-    """An eigenvalue at the cut tol * max(1, ||H||_F), with the norm taken by
-    np.linalg.norm, or one ulp either side of it, counts as that cut says."""
-    tol = 1e-9
+    """An eigenvalue at the cut ZERO_CUT * max(1, ||H||_F), with the norm taken
+    by np.linalg.norm, or one ulp either side of it, counts as that cut says."""
     base = [3.0 * scale / 13, -4.0 * scale / 13, 12.0 * scale / 13]
-    edge = tol * max(1.0, scale)
+    edge = ZERO_CUT * max(1.0, scale)
     probes = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
     stack = np.array([np.diag(base + [sign * x]) for sign in (1, -1) for x in probes],
                      dtype=complex)
     assert all(sorted(np.linalg.eigvalsh(h)) == sorted(np.diag(h).real) for h in stack)
     expected = []
     for h in stack:
-        cut = tol * max(1.0, np.linalg.norm(h))
+        cut = ZERO_CUT * max(1.0, np.linalg.norm(h))
         d = np.diag(h).real
         expected.append([int((d > cut).sum()), int((d < -cut).sum()),
                          int((abs(d) <= cut).sum())])
     # the probes straddle the cut: on each side only the outer one is nonzero
     assert sorted(map(tuple, expected)) == [(2, 1, 1)] * 4 + [(2, 2, 0), (3, 1, 0)]
-    counts = inertia_counts(stack, tol)
+    counts = inertia_counts(stack)
     assert counts.dtype == np.int64
     assert counts.tolist() == expected
-    assert [inertia_counts(h[None], tol).tolist()[0] for h in stack] == expected
+    assert [inertia_counts(h[None]).tolist()[0] for h in stack] == expected
 
 
 def test_inertia_counts_of_empty_stacks():

@@ -26,8 +26,6 @@ from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
                             rest_limit_counts, sign_key, sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
 
-TOL = 1e-9
-
 
 def _link(mu, n, halves, basis=None):
     """The link of the Seifert system with A^eps = halves[k] for the k-th eps
@@ -147,12 +145,12 @@ def test_path_family_is_the_form_on_its_path(path):
 
 def _rest_limits(link, point):
     return [(lim.value, lim.eta) for lim in
-            (directional_limit(link, point, side, TOL) for side in ("plus", "minus"))]
+            (directional_limit(link, point, side) for side in ("plus", "minus"))]
 
 
 def _corners(link):
     return {sign_key(signs): tuple(limit) for signs, limit
-            in zip(sign_vectors(link.mu), corner_limit_counts(link, TOL).tolist())}
+            in zip(sign_vectors(link.mu), corner_limit_counts(link).tolist())}
 
 
 @settings(max_examples=80, deadline=None)
@@ -216,7 +214,7 @@ def test_limits_where_the_form_vanishes_on_a_circle(system):
 def test_stacked_group_matches_single_points(system):
     mu, n, halves, points, _ = system
     link = _link(mu, n, halves)
-    rests = verify._Rests(link, points, TOL)
+    rests = verify._Rests(link, points)
     for point, (plus, minus, eta) in zip(points, rests.limits):
         assert [(plus, eta), (minus, eta)] == _rest_limits(link, point)
 
@@ -224,7 +222,7 @@ def test_stacked_group_matches_single_points(system):
 def test_corner_limits_of_a_system_singular_along_the_corner_path():
     # H along corners +- and -+ has eigenvalues -a, 0, +a (mpmath at 60 digits)
     link = _link(2, 3, [[0, 2, 0, 2, 2, 0, -2, 2, -2], [0, 2, 0, 2, 2, 2, -2, 2, -2]])
-    corners = corner_limit_counts(link, TOL).tolist()  # at ++, +-, -+, --
+    corners = corner_limit_counts(link).tolist()  # at ++, +-, -+, --
     for row, signs in ((1, (1, -1)), (2, (-1, 1))):
         assert sampled_limit(link, signs) == (0, 1)
         assert corners[row] == [0, 1]
@@ -263,7 +261,8 @@ def test_handles_keep_the_corners():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 6: the handle blocks scale as about (2 pi delta)^5, "
-                          "below the zero cut's absolute floor of 1e-9; eta reads 8")
+                          "below hermitian.ZERO_CUT, the zero cut's absolute floor; "
+                          "eta reads 8")
 def test_handles_keep_a_point_near_the_corner():
     point = TorusPoint((Fraction(1, 1000),) * 3)
     assert signature_nullity(_unlink_with_handles(), point) == (0, 2)
@@ -289,7 +288,7 @@ def test_the_congruence_pin_is_small_and_unimodular():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 6: the congruent H has an eigenvalue of -1.25e-6, inside "
-                          "the cut 1e-9 * ||H||_F of about 1.8e-6; the point reads (-1, 1)")
+                          "the cut ZERO_CUT * ||H||_F of about 1.8e-6; the point reads (-1, 1)")
 def test_a_unimodular_congruence_keeps_an_interior_point():
     point = TorusPoint((Fraction(36, 64),) * 2)
     assert signature_nullity(congruent(_torus_with_handles(), _HANDLE_BASIS), point) == (-2, 0)

@@ -27,7 +27,8 @@ from sigtorus.laurent import LaurentPoly
 from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
                             linking_inertia, load_link, parse_link, save_link,
                             sign_key, sign_vectors, signature_nullity)
-from sigtorus.verify import directional_limit, predict_lt_limit_2comp, report_text, run_suite
+from sigtorus.verify import (directional_limit, predict_lt_limit_2comp, report_text,
+                            run_suite, verify_multi_lt)
 
 
 def rational_point(rnd, mu, max_den=48):
@@ -329,8 +330,9 @@ def test_stacked_limits_match_per_point_loop(link, rest):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_angles_rejected(value):
-    with pytest.raises(DomainError, match="finite"):
-        normalize_angle(value)
+    for angle in (value, np.float32(value)):
+        with pytest.raises(DomainError, match="finite"):
+            normalize_angle(angle)
     with pytest.raises(DomainError):
         signature_nullity(make_torus(3), [0.5, value])
     # the batch readers take unit complex numbers, not angles, and refuse them
@@ -365,6 +367,24 @@ def test_reduced_angles_are_kept_as_they_are():
         assert TorusPoint([angle]).angles[0] is angle
     assert normalize_angle(Fraction(-1, 3)) == Fraction(2, 3)
     assert normalize_angle(Fraction(7, 3)) == Fraction(1, 3)
+
+
+def test_numpy_scalar_angles_read_as_int_and_float():
+    """A numpy integer reads as an int, a numpy float as its float64 value:
+    a float32 is the fraction that value prints as."""
+    assert normalize_angle(np.int64(1)) == normalize_angle(np.uint8(3)) == 0
+    assert normalize_angle(np.int32(-7)) == normalize_angle(-7)
+    assert normalize_angle(np.float32(0.5)) == normalize_angle(np.float16(-0.5)) == Fraction(1, 2)
+    assert normalize_angle(np.float32(0.1)) == Fraction("0.10000000149011612") \
+        == normalize_angle(float(np.float32(0.1)))
+    with pytest.raises(TypeError):
+        normalize_angle(np.bool_(True))
+    assert TorusPoint([np.float32(0.25), np.int64(2)]).angles == (Fraction(1, 4), 0)
+    point = [np.float32(0.25)]
+    assert signature_jump([3], point) == signature_jump([3], [Fraction(1, 4)])
+    assert wall_indicator([4], point) == wall_indicator([4], [Fraction(1, 4)]) == 1
+    assert verify_multi_lt(make_torus(1), np.float32(0.25)) == \
+        verify_multi_lt(make_torus(1), Fraction(1, 4))
 
 
 def test_tiny_negative_float_angles_reduce_to_zero():

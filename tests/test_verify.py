@@ -291,11 +291,11 @@ def test_corner_limits_on_twist_links():
         assert_all_pass(reports)
 
 
-def _corner_reports_per_sign_vector(link, tol=1e-9):
+def _corner_reports_per_sign_vector(link):
     """verify_corner_limits with one linking inertia and one cross term per
     sign vector, each linking number read afresh."""
     m, rank = link.total_components, link.rank_alexander
-    values = links.corner_limit_counts(link, tol)[:, 0].tolist()
+    values = links.corner_limit_counts(link)[:, 0].tolist()
     reports = []
     for signs, value in zip(sign_vectors(link.mu), values):
         key = sign_key(signs)
@@ -431,7 +431,7 @@ def test_rest_point_genericity_matches_conway_oracle(link):
     sublink's Conway function reads a removable 0/0."""
     angles = _FAREY_12 if link.mu <= 3 else [a for a in _FAREY_12 if a.denominator <= 4]
     points = [TorusPoint(pt) for pt in itertools.product(angles, repeat=link.mu - 1)]
-    rests = verify._Rests(link, points, verify.DEFAULT_TOL)
+    rests = verify._Rests(link, points)
     assert rests.generic == [torres_generic(link, pt) for pt in points]
 
 
@@ -748,7 +748,7 @@ def test_corner_limits_with_a_fourth_order_eigenvalue():
             "-+": [[0, 0, 2], [2, 2, -2], [-1, 2, -1]],
             "--": [[2, 2, -1], [0, 1, 0], [2, 2, -2]]}
     link = ColoredLink(2, [1, 1], {}, SeifertSystem(2, mats))
-    counts = links.corner_limit_counts(link, 1e-9).tolist()
+    counts = links.corner_limit_counts(link).tolist()
     expected = {"++": -1, "+-": 1, "-+": 1, "--": -1}
     assert {sign_key(signs): value for signs, (value, _) in zip(sign_vectors(2), counts)} \
         == expected
