@@ -18,26 +18,39 @@ from .errors import DomainError
 _TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle(a):
-    """The angle as a Fraction in [0, 1); NaN and +-inf raise DomainError.
+def exact_angle(a):
+    """The angle as an exact Fraction, not reduced mod 1; the one reading of
+    an angle that is not text.
 
-    A Fraction already in [0, 1) is returned as it is.  A numpy integer
-    reads as an int.  A float, or a numpy float as its float64 value, is
-    reduced as a float, then read as the shortest decimal that it prints as.
+    A Fraction is returned as it is, an int or numpy integer as its value,
+    and a float, or a numpy float as its float64 value, as the shortest
+    decimal that it prints as (0.1 as 1/10).  NaN and +-inf raise
+    DomainError; a bool, a string or any other type raises TypeError.
     """
-    if isinstance(a, bool):
-        raise TypeError("bool is not an angle")
     if isinstance(a, Fraction):
-        return a if 0 <= a.numerator < a.denominator else a % 1
-    if isinstance(a, (int, np.integer)):
-        return Fraction(int(a)) % 1
+        return a
+    if isinstance(a, (int, np.integer)) and not isinstance(a, bool):
+        return Fraction(int(a))
     if isinstance(a, (float, np.floating)):
         a = float(a)
         if not math.isfinite(a):
             raise DomainError("not a finite angle: %r" % (a,))
-        a %= 1.0  # -1e-20 % 1.0 rounds up to 1.0, which is angle 0
-        return Fraction(0) if a == 1.0 else Fraction(repr(a))
+        return Fraction(repr(a))
     raise TypeError("not an angle: %r" % (a,))
+
+
+def normalize_angle(a):
+    """The angle as a Fraction in [0, 1), read by :func:`exact_angle`.
+
+    A Fraction already in [0, 1) is returned as it is.  A finite float is
+    reduced mod 1 as a float before it is read, so -1e-20 is angle 0.
+    """
+    if isinstance(a, Fraction):
+        return a if 0 <= a.numerator < a.denominator else a % 1
+    if isinstance(a, (float, np.floating)) and math.isfinite(a):
+        a = float(a) % 1.0  # -1e-20 % 1.0 rounds up to 1.0, which is angle 0
+        return Fraction(0) if a == 1.0 else exact_angle(a)
+    return exact_angle(a) % 1
 
 
 def conj_angle(a):
@@ -46,12 +59,6 @@ def conj_angle(a):
 
 def angle_to_complex(a):
     return cmath.exp(complex(0.0, _TWO_PI * float(a)))
-
-
-def half_angle_complex(a):
-    """The square root exp(pi*i*a) of the circle point, for a in [0, 1)."""
-    a = normalize_angle(a)
-    return cmath.exp(complex(0.0, math.pi * float(a)))
 
 
 def parse_angle(text):
@@ -120,7 +127,7 @@ class TorusPoint:
         return tuple(angle_to_complex(a) for a in self.angles)
 
     def sqrt_omega(self):
-        return tuple(half_angle_complex(a) for a in self.angles)
+        return tuple(cmath.exp(complex(0.0, math.pi * float(a))) for a in self.angles)
 
     def conjugate(self):
         return TorusPoint(conj_angle(a) for a in self.angles)

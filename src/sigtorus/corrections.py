@@ -12,11 +12,10 @@ fractions (:func:`sigtorus.angles.normalize_angle`), so all is exact.
 """
 
 import math
-from fractions import Fraction
 
-from .angles import TorusPoint, conj_angle, normalize_angle
+from .angles import TorusPoint, conj_angle, exact_angle, normalize_angle
 from .errors import DomainError
-from .laurent import _INT_ONLY, as_integer
+from .laurent import as_integer
 
 
 def _wall_count(count, total, zeros):
@@ -27,9 +26,7 @@ def _wall_count(count, total, zeros):
 
 def _blocks(linking, point):
     """The blocks (|l_j|, sgn(l_j) theta_j mod 1) of the l_j != 0."""
-    ell = tuple(linking)
-    if not _INT_ONLY.issuperset(map(type, ell)):
-        ell = tuple(as_integer(lj, "linking number %r", lj) for lj in ell)
+    ell = tuple(as_integer(lj, "linking number %r", lj) for lj in linking)
     angles = point.angles if isinstance(point, TorusPoint) else tuple(map(normalize_angle, point))
     if len(ell) != len(angles):
         raise ValueError("linking vector and point have different lengths")
@@ -63,13 +60,13 @@ def torus_signature_profile(n, theta):
     Symmetric about theta = 1 on its domain (0, 2); equals n - 2k - 1 on the
     open band (k/n, (k+1)/n), n - 2k at the node k/n, and 1 - n at theta = 1:
     with t = min(theta, 2 - theta), the wall count of n angles summing to
-    n*t, plus 1 at t = 1.
+    n*t, plus 1 at t = 1.  A float theta is read as the fraction it prints
+    as (:func:`sigtorus.angles.exact_angle`).
     """
-    if type(n) is not int:
-        n = as_integer(n, "profile order %r", n)
+    n = as_integer(n, "profile order %r", n)
     if n < 1:
         raise ValueError("profile order must be positive")
-    theta = Fraction(theta)
+    theta = exact_angle(theta)
     if not 0 < theta < 2:
         raise DomainError("profile argument must lie in (0, 2)")
     t = min(theta, 2 - theta)

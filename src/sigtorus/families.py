@@ -7,10 +7,9 @@ hand-written files; the oracles give the closed-form signature and nullity
 the generated data must reproduce.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
+from .angles import exact_angle
 from .corrections import torus_signature_profile
 from .errors import DomainError, ZeroParameter
 from .laurent import LaurentPoly, RationalFunction, as_integer
@@ -33,9 +32,7 @@ def _sgn(value):
 
 
 def _lower_bidiagonal_ones(size):
-    if size <= 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    return (np.eye(size, dtype=np.int64) + np.eye(size, k=-1, dtype=np.int64))
+    return np.eye(size, dtype=np.int64) + np.eye(size, k=-1, dtype=np.int64)
 
 
 def _t_minus_inverse(nvars, index):
@@ -86,8 +83,6 @@ def _torus_underlying(ell):
     matrix is minus the lower-bidiagonal ones matrix of size 2|l| - 1, up to
     the global sign of l.
     """
-    if ell == 0:
-        return _oriented_unlink(2)
     mat = (-_sgn(ell)) * _lower_bidiagonal_ones(2 * abs(ell) - 1)
     return ColoredLink(
         mu=1, components_per_color=[2],
@@ -100,21 +95,20 @@ def make_torus(ell):
     """The 2-strand torus link with 2*l crossings, one color per component.
 
     The mixed-sign matrices vanish and the pure-sign ones are the
-    lower-bidiagonal ones matrix of size |l| - 1, negated and sign-adjusted;
-    l = 0 degenerates to the two-component unlink with empty matrices.
+    lower-bidiagonal ones matrix of size |l| - 1, negated and sign-adjusted.
+    l = 0 is the two-component unlink, :func:`make_unlink` (2).
     """
     ell = as_integer(ell, "torus(%r): l", ell)
+    if ell == 0:
+        return make_unlink(2)
     size = abs(ell) - 1
     _check_size("torus", ell, 1, 2 * abs(ell) - 1)  # the underlying link's system
     plus = (-_sgn(ell)) * _lower_bidiagonal_ones(size)
-    zero = np.zeros((max(size, 0), max(size, 0)), dtype=np.int64)
+    zero = np.zeros((size, size), dtype=np.int64)
     seifert = SeifertSystem(2, {"++": plus, "--": plus.T, "+-": zero, "-+": zero})
-    if ell:
-        diag = LaurentPoly.monomial(2, (ell, ell)) - LaurentPoly.monomial(2, (-ell, -ell))
-        den = LaurentPoly.monomial(2, (1, 1)) - LaurentPoly.monomial(2, (-1, -1))
-        conway = RationalFunction(diag, den)
-    else:
-        conway = RationalFunction(LaurentPoly.zero(2))
+    diag = LaurentPoly.monomial(2, (ell, ell)) - LaurentPoly.monomial(2, (-ell, -ell))
+    den = LaurentPoly.monomial(2, (1, 1)) - LaurentPoly.monomial(2, (-1, -1))
+    conway = RationalFunction(diag, den)
     return ColoredLink(
         mu=2, components_per_color=[1, 1],
         linking={("1.1", "2.1"): ell},
@@ -168,13 +162,13 @@ def oracle_torus(ell, theta1, theta2):
 
     Signature is the sign-adjusted step profile at theta1 + theta2; nullity
     is 1 exactly when l*(theta1 + theta2) is an integer while the sum itself
-    differs from 1.  Exact on rational angles.
+    differs from 1.  Angles are read by :func:`sigtorus.angles.exact_angle`,
+    a float as the fraction it prints as, so all is exact.
     """
     ell = as_integer(ell, "oracle_torus(%r): l", ell)
     if ell == 0:
         raise ZeroParameter("use the unlink oracle (0, 1) for l = 0")
-    theta1 = Fraction(theta1)
-    theta2 = Fraction(theta2)
+    theta1, theta2 = exact_angle(theta1), exact_angle(theta2)
     if not (0 < theta1 < 1 and 0 < theta2 < 1):
         raise ValueError("angles must lie strictly between 0 and 1")
     total = theta1 + theta2

@@ -28,8 +28,10 @@ _INT_ONLY = frozenset((int,))
 def as_integer(value, what, *args):
     """An int (not a bool) or integral float as int; else SchemaError naming ``what % args``.
 
-    The one reading of an integer: link document fields, Laurent terms,
-    family parameters and the entries of an exact inertia.
+    The one reading of an integer: link document fields and Seifert entries,
+    color counts and signs, linking numbers, Laurent terms and variable
+    counts, family parameters, profile orders, suite sample counts and the
+    entries of an exact inertia.  An all-int scan may stand in for it.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
@@ -52,8 +54,7 @@ class LaurentPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=()):
-        if type(nvars) is not int:
-            nvars = as_integer(nvars, "variable count %r", nvars)
+        nvars = as_integer(nvars, "variable count %r", nvars)
         if nvars < 1:
             raise ValueError("a Laurent polynomial needs at least one variable")
         self.nvars = nvars

@@ -148,7 +148,7 @@ class SeifertSystem:
     __slots__ = ("mu", "n", "stack")
 
     def __init__(self, mu, matrices):
-        self.mu = mu if type(mu) is int else _integer(mu, "color count %r", mu)
+        self.mu = _integer(mu, "color count %r", mu)
         if self.mu < 1:
             raise SchemaError("color count must be at least 1")
         self.stack = _seifert_stack(self.mu, matrices)
@@ -181,7 +181,7 @@ class ColoredLink:
 
     def __init__(self, mu, components_per_color, linking, seifert, conway=None,
                  rank_alexander=0, sublinks=None, underlying_oriented=None):
-        self.mu = mu if type(mu) is int else _integer(mu, "color count %r", mu)
+        self.mu = _integer(mu, "color count %r", mu)
         try:
             comps = [_integer(c, "components_per_color") for c in components_per_color]
         except TypeError:  # not a list
@@ -296,8 +296,8 @@ def parse_link(document):
     for field in ("mu", "components_per_color", "seifert"):
         if field not in document:
             raise SchemaError("link document is missing %r" % field)
-    mu = document["mu"]
-    if not isinstance(mu, int) or isinstance(mu, bool) or mu < 1:
+    mu = _integer(document["mu"], "mu %r", document["mu"])
+    if mu < 1:
         raise SchemaError("mu must be a positive integer")
     records, sublinks = document.get("linking", []), document.get("sublinks", {})
     if not isinstance(records, list):
@@ -494,8 +494,7 @@ def linking_inertia(link, color_signs):
     sum to zero.  The matrix is built only over the components named in
     nonzero linking records: every other component's row and column are 0
     and add exactly 1 to the nullity."""
-    color_signs = tuple(s if type(s) is int else _integer(s, "color sign %r", s)
-                        for s in color_signs)
+    color_signs = tuple(_integer(s, "color sign %r", s) for s in color_signs)
     if len(color_signs) != link.mu or any(s not in (-1, 1) for s in color_signs):
         raise ValueError("need one sign (+1/-1) per color")
     named = sorted({comp for pair, value in link.linking.items() if value for comp in pair})

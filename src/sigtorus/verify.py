@@ -397,8 +397,7 @@ def predict_lt_limit_2comp(ell, nabla=None):
     function vanishes; otherwise the sign of the split factor at (1, 1),
     falling back to the indeterminate token when that value is zero.
     """
-    if type(ell) is not int:
-        ell = as_integer(ell, "linking number %r", ell)
+    ell = as_integer(ell, "linking number %r", ell)
     if ell != 0:
         return -_sgn(ell)
     if nabla is None or as_rational(nabla).is_zero:
@@ -502,8 +501,7 @@ def _predict_torres(rests, i):
 def _check_torres(rests, i):
     prediction = _predict_torres(rests, i)
     inputs = {"omega_rest": rests.points[i].angle_text(),
-              "sigma_pred": _jsonable(prediction.sigma),
-              "eta_pred": _jsonable(prediction.eta)}
+              "sigma_pred": prediction.sigma, "eta_pred": prediction.eta}
     if prediction.midpoint == "skipped":
         return [_skip("torres/midpoint", inputs,
                       "midpoint check not applicable here")]
@@ -567,9 +565,12 @@ def run_suite(link, suite, samples=50, seed=0):
     nothing.  A suite whose checks raise MissingSublink, MissingConwayData
     or UnsupportedCase likewise raises when requested alone, and under
     "all" writes one "<suite>/skipped" record with the error's text.
+    ``samples`` is read by :func:`as_integer` (SchemaError), then must lie
+    in ``SAMPLES`` (DomainError).
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
+    samples = as_integer(samples, "samples %r", samples)
     if samples not in SAMPLES:
         raise DomainError("samples must be in %d..%d, got %r" % (SAMPLES[0], SAMPLES[-1], samples))
     rnd = random.Random(seed)

@@ -584,7 +584,7 @@ _TWO_COLOR_KEYS = {"mu": 2, "components_per_color": [1, 1], "seifert": {"+": [],
     (_seifert_as_list, "seifert must be an object"),
     ("[1, 2]", "link document must be an object"),
     (_drop("mu"), "link document is missing 'mu'"),
-    (_put(True, "mu"), "mu must be a positive integer"),
+    (_put(True, "mu"), "mu True is not an integer"),
     (_put(0, "mu"), "mu must be a positive integer"),
     (_put(_SELF_LINKED, "linking"), "linking number of a component with itself"),
     (_put(_CONFLICTING, "linking"), "conflicting linking numbers"),

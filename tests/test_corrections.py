@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from oracles import (ClaspSequence, ZeroLinking, chain_matrix, chain_sign_by_pairs,
                      clasp_matrix, signature_jump_by_walls)
@@ -11,7 +11,9 @@ from oracles import (ClaspSequence, ZeroLinking, chain_matrix, chain_sign_by_pai
 from sigtorus.angles import TorusPoint, normalize_angle
 from sigtorus.corrections import signature_jump, torus_signature_profile, wall_indicator
 from sigtorus.errors import BoundaryPoint, DomainError
+from sigtorus.families import make_torus, oracle_torus
 from sigtorus.hermitian import inertia
+from sigtorus.links import signature_nullity
 
 
 def rational_angle(rnd, max_den=48):
@@ -205,6 +207,31 @@ def test_profile_values_and_symmetry():
         assert torus_signature_profile(n, 2 - theta) == torus_signature_profile(n, theta)
     with pytest.raises(DomainError):
         torus_signature_profile(3, Fraction(5, 2))
+
+
+def test_float_oracles_read_the_fractions_they_print_as():
+    # 0.1 and 0.2 as binary floats lie just above 1/10 and 1/5, off the node
+    assert oracle_torus(5, 0.1, 0.1) == oracle_torus(5, Fraction(1, 10), Fraction(1, 10)) \
+        == signature_nullity(make_torus(5), (0.1, 0.1)) == (3, 1)
+    assert torus_signature_profile(5, 0.2) == torus_signature_profile(5, Fraction(1, 5)) == 3
+
+
+# A float p/q lies near a node of the profile, where the float's binary
+# value and the fraction it prints as can fall on different sides.
+_FLOAT_ANGLES = hst.one_of(
+    hst.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    hst.builds(lambda q, p: (p % (q - 1) + 1) / q, hst.integers(2, 60), hst.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(-12, 12).filter(bool), _FLOAT_ANGLES, _FLOAT_ANGLES)
+@example(5, 0.1, 0.1)
+def test_float_oracles_equal_their_values_at_printed_fractions(ell, theta1, theta2):
+    exact1, exact2 = Fraction(repr(theta1)), Fraction(repr(theta2))
+    assert oracle_torus(ell, theta1, theta2) == oracle_torus(ell, exact1, exact2)
+    total = theta1 + theta2  # a float in (0, 2), since both lie in (0, 1)
+    assert torus_signature_profile(abs(ell), total) \
+        == torus_signature_profile(abs(ell), Fraction(repr(total)))
 
 
 def test_chain_matrix_small_cases():

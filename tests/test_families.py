@@ -8,7 +8,8 @@ from sigtorus.angles import TorusPoint
 from sigtorus.errors import SigtorusError, ZeroParameter
 from sigtorus.families import (make_family, make_torus, make_twist,
                                make_unlink, oracle_torus, oracle_twist, unknot)
-from sigtorus.links import load_link, parse_link, save_link, signature_nullity
+from sigtorus.links import (corner_limit_counts, load_link, parse_link, rest_limit_counts,
+                            save_link, signature_nullity)
 from sigtorus.slope import slope
 from sigtorus.verify import random_rational_point, report_text, run_suite
 
@@ -29,7 +30,18 @@ def test_torus_data_shape():
     assert link.lk_colors(1, 2) == 3
     assert make_torus(1).seifert.n == 0
     assert make_torus(-3).seifert.matrix((1, 1)).tolist() == [[1, 0], [1, 1]]
-    assert make_torus(0).seifert.n == 0
+    assert make_torus(0).to_document() == make_unlink(2).to_document()
+
+
+def test_torus_zero_is_the_two_component_unlink():
+    """torus(0) has the unlink's nullity 1 on the open torus, as twist(0)
+    and the unlink oracle (0, 1) say, at points, rest limits and corners."""
+    torus, unlink, twist = make_torus(0), make_unlink(2), make_twist(0)
+    for point in [(Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 2), Fraction(5, 6))]:
+        assert signature_nullity(torus, point) == signature_nullity(twist, point) == (0, 1)
+    rests = [TorusPoint([Fraction(1, 3)]).omega(), TorusPoint([Fraction(1, 2)]).omega()]
+    assert rest_limit_counts(torus, rests).tolist() == rest_limit_counts(unlink, rests).tolist()
+    assert corner_limit_counts(torus).tolist() == corner_limit_counts(unlink).tolist()
 
 
 def test_oracle_values_from_step_profile():

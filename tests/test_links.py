@@ -834,27 +834,47 @@ def _wall_of(ell):
     return wall_indicator((ell, 1), (Fraction(1, 3), Fraction(1, 5)))
 
 
+def _torus3_file_with(value, *path):
+    """torus(3) read back from its document with the entry at ``path`` set to ``value``."""
+    doc = make_torus(3).to_document()
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    return parse_link(doc).to_document()
+
+
+# Every integer entry point, and a value it accepts: each reads through
+# laurent.as_integer, so an integral float or a numpy integer reads as its
+# int, and a bool, a non-integral float or a string is refused, not truncated.
 _INTEGER_READERS = {
+    "file-mu": (lambda mu: _torus3_file_with(mu, "mu"), 2),
+    "file-components_per_color": (lambda c: _torus3_file_with(c, "components_per_color", 0), 1),
+    "file-rank_alexander": (lambda r: _torus3_file_with(r, "rank_alexander"), 2),
+    "file-lk": (lambda lk: _torus3_file_with(lk, "linking", 0, "lk"), 2),
     "ColoredLink-mu": (lambda mu: ColoredLink(mu, [1, 1], {}, make_twist(2).seifert.to_document())
-                       .to_document(), 2, 2.5),
-    "SeifertSystem-mu": (lambda mu: SeifertSystem(mu, {"+": [[1]], "-": [[1]]}).to_document(),
-                         1, 1.5),
-    "linking_inertia-sign": (lambda s: linking_inertia(make_torus(3), (s, -1)), 1, 1.5),
-    "linking_inertia-bool": (lambda s: linking_inertia(make_torus(3), (s, -1)), 1, True),
-    "predict_lt_limit_2comp": (lambda ell: predict_lt_limit_2comp(ell, make_twist(2).conway),
-                               2, 0.5),
-    "LaurentPoly-nvars": (lambda nvars: LaurentPoly(nvars, {}).nvars, 2, 2.5),
-    "signature_jump": (_jump_of, 2, 1.5),
-    "wall_indicator": (_wall_of, 2, 1.5),
-    "torus_signature_profile": (lambda n: torus_signature_profile(n, Fraction(1, 2)), 3, 3.7),
+                       .to_document(), 2),
+    "SeifertSystem-mu": (lambda mu: SeifertSystem(mu, {"+": [[1]], "-": [[1]]}).to_document(), 1),
+    "linking_inertia-sign": (lambda s: linking_inertia(make_torus(3), (s, -1)), 1),
+    "predict_lt_limit_2comp": (lambda ell: predict_lt_limit_2comp(ell, make_twist(2).conway), 2),
+    "LaurentPoly-nvars": (lambda nvars: LaurentPoly(nvars, {}).nvars, 2),
+    "signature_jump": (_jump_of, 2),
+    "wall_indicator": (_wall_of, 2),
+    "torus_signature_profile": (lambda n: torus_signature_profile(n, Fraction(1, 2)), 2),
+    "run_suite-samples": (lambda samples: report_text(run_suite(make_torus(3), "3d", samples)), 2),
+    "family-twist": (lambda k: make_twist(k).to_document(), 2),
+    "family-torus": (lambda ell: make_torus(ell).to_document(), 2),
+    "family-unlink": (lambda mu: make_unlink(mu).to_document(), 2),
+    "oracle_torus": (lambda ell: oracle_torus(ell, Fraction(1, 10), Fraction(1, 10)), 2),
 }
 
 
-@pytest.mark.parametrize("read, good, bad", list(_INTEGER_READERS.values()),
+@pytest.mark.parametrize("read, good", list(_INTEGER_READERS.values()),
                          ids=list(_INTEGER_READERS))
-def test_library_integers_are_read_as_file_integers(read, good, bad):
-    """A non-integral value or a bool is refused, not truncated, and an
-    integral float reads as its integer."""
-    with pytest.raises(SchemaError, match="is not an integer"):
-        read(bad)
-    assert read(float(good)) == read(good)
+def test_library_integers_are_read_as_file_integers(read, good):
+    """An integral float or a numpy integer reads as its int; a bool, a
+    non-integral float or a string is refused with SchemaError."""
+    assert read(float(good)) == read(np.int64(good)) == read(good)
+    for bad in (True, good + 0.5, str(good)):
+        with pytest.raises(SchemaError, match="is not an integer"):
+            read(bad)
