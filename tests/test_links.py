@@ -856,6 +856,7 @@ _INTEGER_READERS = {
                        .to_document(), 2),
     "SeifertSystem-mu": (lambda mu: SeifertSystem(mu, {"+": [[1]], "-": [[1]]}).to_document(), 1),
     "linking_inertia-sign": (lambda s: linking_inertia(make_torus(3), (s, -1)), 1),
+    "linking_inertia-bool": (lambda s: linking_inertia(make_torus(3), (1, s)), -1),
     "predict_lt_limit_2comp": (lambda ell: predict_lt_limit_2comp(ell, make_twist(2).conway), 2),
     "LaurentPoly-nvars": (lambda nvars: LaurentPoly(nvars, {}).nvars, 2),
     "signature_jump": (_jump_of, 2),
