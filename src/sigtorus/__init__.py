@@ -11,8 +11,7 @@ from .hermitian import Inertia, integer_inertia
 from .laurent import LaurentPoly, RationalFunction, divide_exact
 from .links import (ColoredLink, SeifertSystem, linking_inertia, load_link,
                     parse_link, save_link, signature_nullity)
-from .slope import (SlopeValue, classify_slope, conway_factor_split, slope,
-                    torres_generic)
+from .slope import classify_slope, conway_factor_split, slope, torres_generic
 from .verify import (PLUS_MINUS_ONE, LimitResult, TorresPrediction,
                      VerificationReport, directional_limit,
                      predict_lt_limit_2comp, predict_torres, run_suite,

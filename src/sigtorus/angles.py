@@ -127,7 +127,7 @@ class TorusPoint:
         return tuple(angle_to_complex(a) for a in self.angles)
 
     def sqrt_omega(self):
-        return tuple(cmath.exp(complex(0.0, math.pi * float(a))) for a in self.angles)
+        return tuple(angle_to_complex(a / 2) for a in self.angles)
 
     def conjugate(self):
         return TorusPoint(conj_angle(a) for a in self.angles)

@@ -146,8 +146,7 @@ def cmd_slope(args):
         raise SigtorusError("link file carries no sublink conway data")
     value = slope(link.conway, sub.conway, point)
     s, eps = classify_slope(value)
-    text = "inf" if value.is_infinite else "%.12g" % value.value
-    print("slope=%s s=%d eps=%d" % (text, s, eps))
+    print("slope=%.12g s=%d eps=%d" % (value, s, eps))
     return EXIT_OK
 
 

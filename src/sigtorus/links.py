@@ -448,12 +448,8 @@ def _path_limit_counts(link, signs, rest):
                          % (rest.shape[-1], link.mu - k, link.mu, k))
     if not np.isfinite(rest).all():  # a NaN eigenvalue would pass as a zero one
         raise ValueError("points have a coordinate that is not finite")
-    # A zero system (n = 0 among them) has H = 0 on every path: once the
-    # points are read, each limit is 0 with nullity n, and no level is solved
-    if not link.seifert.stack.any():
-        return np.zeros((len(signs), 3), dtype=np.int64) + (0, 0, n)
     depth = k * n + 1  # det F(t) has degree at most k n
-    block = max(1, _STACK_BYTES // (16 * depth * n * n))
+    block = max(1, _STACK_BYTES // (16 * depth * max(n, 1) ** 2))
     counts = []
     for start in range(0, max(len(signs), 1), block):
         family = _path_forms(link, signs[start:start + block], rest[start:start + block])

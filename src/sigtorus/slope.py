@@ -4,8 +4,8 @@ The slope at a point of the open torus over the remaining colors is minus
 the first partial derivative of the link's Conway function, evaluated at
 (1, sqrt(omega')), divided by twice the Conway function of the rest of the
 link at sqrt(omega'); square roots use the branch exp(pi*i*theta) with
-theta the stored angle in [0, 1).  The value is real or infinite, and the
-realness is verified rather than assumed.
+theta the stored angle in [0, 1).  A slope is a float, with ``math.inf``
+as the point at infinity; its realness is verified rather than assumed.
 """
 
 import math
@@ -18,31 +18,6 @@ from .errors import (BoundaryPoint, DenominatorVanishes, DomainError, Indetermin
 from .laurent import LaurentPoly, as_rational, divide_exact
 
 _REAL_SLACK = 1e-8
-
-
-class SlopeValue:
-    """A real number or the single point at infinity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = float(value)
-
-    @classmethod
-    def infinity(cls):
-        return cls(math.inf)
-
-    @property
-    def is_infinite(self):
-        return math.isinf(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, SlopeValue):
-            other = other.value
-        return self.value == other
-
-    def __repr__(self):
-        return "SlopeValue(inf)" if self.is_infinite else "SlopeValue(%r)" % self.value
 
 
 def _require_open(point):
@@ -62,7 +37,8 @@ def _eval_part(rational, point, what, error):
 
 
 def slope(nabla_link, nabla_rest, point, partial=None):
-    """The slope value at a point over the remaining colors.
+    """The slope at a point over the remaining colors, a float: ``math.inf``
+    where the sublink's Conway function vanishes or the quotient overflows.
 
     Raises BoundaryPoint when a coordinate of the point is 1 (angle 0),
     Indeterminate when numerator and denominator both vanish (the formula
@@ -93,30 +69,29 @@ def slope(nabla_link, nabla_rest, point, partial=None):
     if num_zero and den_zero:
         raise Indeterminate("slope formula reads 0/0 at this point")
     if den_zero:
-        return SlopeValue.infinity()
+        return math.inf
     if num_zero:
-        return SlopeValue(0.0)
+        return 0.0
     quotient = -numerator / (2.0 * denominator)
     if abs(quotient.imag) > _REAL_SLACK * max(1.0, abs(quotient)):
         raise RealnessError(
             "slope quotient %r has a large imaginary part; check the Conway data"
             % quotient)
-    return SlopeValue(quotient.real)
+    return math.inf if math.isinf(quotient.real) else quotient.real
 
 
 def classify_slope(value):
-    """The pair (s, eps) attached to a slope value.
+    """The pair (s, eps) attached to a slope, read as a float.
 
     s is +1/-1 for finite nonzero values and 0 at 0 and infinity; eps is +1
     at 0, -1 at infinity, and 0 otherwise.
     """
-    if not isinstance(value, SlopeValue):
-        value = SlopeValue(value)
-    if value.is_infinite:
+    value = float(value)
+    if math.isinf(value):
         return 0, -1
-    if value.value == 0.0:
+    if value == 0.0:
         return 0, 1
-    return (1 if value.value > 0 else -1), 0
+    return (1 if value > 0 else -1), 0
 
 
 # Kept for bench/tracer.py, which wraps it; verify decides genericity without it.

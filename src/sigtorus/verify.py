@@ -27,6 +27,9 @@ from .links import (corner_limit_counts, linking_inertia, rest_limit_counts,
                     sign_key, sign_vectors, signature_nullity_batch)
 from .slope import classify_slope, conway_factor_split, slope
 
+# The slope's text in 4d reports and torres notes: bytes pinned by bench/digests.json.
+_SLOPE_TEXT = "SlopeValue(%r)"
+
 
 def _sgn(value):
     return (value > 0) - (value < 0)
@@ -341,7 +344,7 @@ def _check_4d(rests, i):
                                 "sublink Alexander value vanishes here")]
     else:
         case = "split"
-        inputs = dict(inputs, slope=repr(slope_value))
+        inputs = dict(inputs, slope=_SLOPE_TEXT % slope_value)
         if center != sig_rest:
             # slope finite and nonzero: numerator and denominator both nonvanish
             equalities = [_eq("4d/split/equality/" + side, inputs, value, center, notes)
@@ -487,7 +490,7 @@ def _predict_torres(rests, i):
             "slope indeterminate: sigma is sigma(rest) + sgn(slope),"
             " eta is eta(rest) + {+1, 0, -1}, with unresolved slope"], sig_rest)
     notes = ["no component of the first color splits off" if slope_value is None
-             else "split case: slope %r" % slope_value]
+             else "split case: slope " + _SLOPE_TEXT % slope_value]
 
     midpoint = "skipped"
     midpoint_value = None

@@ -178,7 +178,7 @@ def test_criterion_7_split_equality_and_slope():
                     bad += 1
             value = slope(link.conway, sub.conway, pt)
             expected = 4 * k * math.sin(math.pi * float(theta)) ** 2
-            if value.is_infinite or abs(value.value - expected) > 1e-9:
+            if math.isinf(value) or abs(value - expected) > 1e-9:
                 bad += 1
     _verdict(7, "twist limits equal sgn(k) on both sides and the slope matches "
                 "4k sin^2(pi theta) within 1e-9", bad == 0)

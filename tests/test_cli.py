@@ -317,6 +317,21 @@ def test_slope_command(tmp_path, capsys):
     assert out.strip() == "slope=4 s=1 eps=0"
 
 
+def test_slope_command_at_zero_and_infinity(tmp_path, capsys):
+    """The two ends of the slope: twist(0)'s derivative vanishes (slope 0),
+    and a sublink Conway function t^2 - t^-2 vanishes at the square root i
+    of the angle 1/2 (slope inf)."""
+    twist0 = make_file(tmp_path, capsys, "twist", 0, "twist0.json")
+    assert run(capsys, "slope", "--link", twist0, "--omega", "1/4") == (
+        0, "slope=0 s=0 eps=1\n", "")
+    twist2 = make_file(tmp_path, capsys, "twist", 2, "twist2.json")
+    doc = json.loads(Path(twist2).read_text())
+    doc["sublinks"]["2"]["conway"] = [{"coeff": 1, "exp": [2]}, {"coeff": -1, "exp": [-2]}]
+    Path(twist2).write_text(json.dumps(doc))
+    assert run(capsys, "slope", "--link", twist2, "--omega", "1/2") == (
+        0, "slope=inf s=0 eps=-1\n", "")
+
+
 # a valid argv, --link left out, for every command that reads a link file
 _LINK_COMMANDS = [["eval", "--omega", "1/3,1/5"],
                   ["grid", "--resolution", "3", "--out", "g.csv"],
@@ -376,6 +391,13 @@ def test_torres_command_with_decimal_angles(tmp_path, capsys):
     assert decimal == (0, "sigma_pred=0 eta_pred=2 midpoint=pass\n"
                           "note: no component of the first color splits off\n", "")
     assert run(capsys, "torres", "--link", torus, "--omega", "3/10") == decimal
+
+
+def test_torres_command_notes_the_split_slope(tmp_path, capsys):
+    twist0 = make_file(tmp_path, capsys, "twist", 0, "twist0.json")
+    code, out, err = run(capsys, "torres", "--link", twist0, "--omega", "1/4")
+    assert (code, err) == (0, "")
+    assert "note: split case: slope SlopeValue(0.0)" in out.splitlines()
 
 
 def test_verify_command_and_report(tmp_path, capsys):

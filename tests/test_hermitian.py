@@ -10,7 +10,7 @@ from oracles import SingularMatrix, conjugate_inertia_check
 
 from sigtorus import hermitian, links
 from sigtorus.angles import TorusPoint
-from sigtorus.families import make_twist, make_unlink
+from sigtorus.families import make_twist, make_unlink, unknot
 from sigtorus.hermitian import (ZERO_CUT, HermitianMatrix, Inertia, inertia,
                                 inertia_counts, integer_inertia, limit_counts)
 from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
@@ -245,9 +245,9 @@ def _zero_system(mu, n):
                        SeifertSystem(mu, {sign_key(eps): zero for eps in sign_vectors(mu)}))
 
 
-@pytest.mark.parametrize("link", [make_unlink(2), make_unlink(3), make_unlink(4),
+@pytest.mark.parametrize("link", [unknot(), make_unlink(2), make_unlink(3), make_unlink(4),
                                   make_twist(0), _zero_system(3, 3)],
-                         ids=["unlink2", "unlink3", "unlink4", "twist0", "zero3"])
+                         ids=["unknot", "unlink2", "unlink3", "unlink4", "twist0", "zero3"])
 def test_zero_systems_read_zero_with_no_eigen_solve(link, monkeypatch):
     """H = 0 on every path of a zero system: each point, rest limit and
     corner reads sigma 0 and nullity n, and nothing is diagonalized."""

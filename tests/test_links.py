@@ -412,6 +412,15 @@ def test_float_angles_read_as_the_fractions_they_print_as(value):
     assert parse_angle(repr(value)) == angle
 
 
+def test_square_roots_are_the_half_angle_circle_points():
+    """sqrt_omega maps a / 2 through angle_to_complex: 2 pi (a / 2) rounds
+    to the float pi a, so each root is exp(pi i a) to the last bit."""
+    for q in range(1, 120):
+        angles = [Fraction(p, q) for p in range(q)]
+        roots = TorusPoint(angles).sqrt_omega()
+        assert roots == tuple(cmath.exp(1j * math.pi * float(a)) for a in angles)
+
+
 def _conway_document(records):
     doc = make_twist(2).to_document()
     doc["conway"] = {"num": records, "den": [{"coeff": 1, "exp": [0, 0]}]}

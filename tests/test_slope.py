@@ -2,14 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sigtorus.angles import TorusPoint
 from sigtorus.errors import BoundaryPoint, Indeterminate, NotDivisible, PoleEncountered
 from sigtorus.families import make_torus, make_twist, make_unlink
 from sigtorus.laurent import LaurentPoly, RationalFunction
-from sigtorus.slope import (SlopeValue, classify_slope, conway_factor_split,
-                            slope, torres_generic)
+from sigtorus.slope import classify_slope, conway_factor_split, slope, torres_generic
 
 
 def t_minus_inv(nvars, j):
@@ -26,22 +26,33 @@ def test_twist_slope_closed_form():
             theta = Fraction(rnd.randint(1, q - 1), q)
             value = slope(link.conway, sub.conway, TorusPoint([theta]))
             expected = 4 * k * math.sin(math.pi * float(theta)) ** 2
-            assert not value.is_infinite
-            assert value.value == pytest.approx(expected, abs=1e-9)
+            assert type(value) is float
+            assert value == pytest.approx(expected, abs=1e-9)
 
 
 def test_zero_numerator_gives_zero_slope():
     link = make_twist(0)
     value = slope(link.conway, link.rest_sublink().conway, TorusPoint([Fraction(1, 3)]))
-    assert value == 0.0 and not value.is_infinite
+    assert value == 0.0 and type(value) is float
 
 
 def test_vanishing_sublink_value_gives_infinity():
     nabla = RationalFunction(t_minus_inv(2, 0) * t_minus_inv(2, 1))
     # t + 1/t vanishes at the square root of the angle 1/2
     rest = RationalFunction(LaurentPoly.variable(1, 0) + LaurentPoly.variable(1, 0, -1))
-    value = slope(nabla, rest, TorusPoint([Fraction(1, 2)]))
-    assert value.is_infinite
+    assert slope(nabla, rest, TorusPoint([Fraction(1, 2)])) == math.inf
+
+
+def test_quotient_past_float_range_is_the_point_at_infinity():
+    """A finite numerator over a sublink value just above its zero cut
+    overflows the quotient; on either side of the zero the slope is
+    +inf, the one point at infinity, and classifies as infinite."""
+    nabla = RationalFunction(LaurentPoly.constant(2, 5 * 10 ** 307)
+                             * LaurentPoly.variable(2, 0, 2))
+    rest = RationalFunction(LaurentPoly.variable(1, 0) + LaurentPoly.variable(1, 0, -1))
+    for theta in (Fraction(1, 2) - Fraction(1, 10 ** 10), Fraction(1, 2) + Fraction(1, 10 ** 10)):
+        value = slope(nabla, rest, TorusPoint([theta]))
+        assert value == math.inf and classify_slope(value) == (0, -1)
 
 
 def test_indeterminate_raises():
@@ -60,10 +71,15 @@ def test_pole_in_stored_form_reported():
 
 
 def test_classification_table():
-    assert classify_slope(SlopeValue(4 * 2 * math.sin(math.pi / 3) ** 2)) == (1, 0)
-    assert classify_slope(SlopeValue(-0.5)) == (-1, 0)
-    assert classify_slope(SlopeValue(0.0)) == (0, 1)
-    assert classify_slope(SlopeValue.infinity()) == (0, -1)
+    assert classify_slope(4 * 2 * math.sin(math.pi / 3) ** 2) == (1, 0)
+    assert classify_slope(-0.5) == (-1, 0)
+    assert classify_slope(0.0) == (0, 1)
+    assert classify_slope(math.inf) == (0, -1)
+    # any real number classifies as the float it stands for
+    assert classify_slope(3) == classify_slope(np.float64(2.5)) == (1, 0)
+    assert classify_slope(Fraction(-1, 3)) == (-1, 0)
+    assert classify_slope(0) == (0, 1)
+    assert classify_slope(np.float64(np.inf)) == (0, -1)
 
 
 def test_classification_invariant_under_positive_scaling():
@@ -104,7 +120,7 @@ def test_removable_zero_by_zero_is_cancelled():
     nabla = RationalFunction(LaurentPoly.variable(3, 0))  # d/dt1 = 1
     for angles in ((Fraction(1, 5), Fraction(4, 5)), (Fraction(2, 7), Fraction(5, 7))):
         value = slope(nabla, rest, TorusPoint(angles))
-        assert value.value == pytest.approx(-1 / 6, abs=1e-12)
+        assert value == pytest.approx(-1 / 6, abs=1e-12)
 
 
 def test_factor_split_examples():

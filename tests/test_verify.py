@@ -20,7 +20,7 @@ from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus
 from sigtorus.laurent import LaurentPoly, RationalFunction
 from sigtorus.links import (ColoredLink, SeifertSystem, parse_link, sign_key,
                             sign_vectors, signature_nullity)
-from sigtorus.slope import torres_generic
+from sigtorus.slope import slope, torres_generic
 from sigtorus.verify import (PLUS_MINUS_ONE, SUITES, LimitResult, VerificationReport,
                              directional_limit, predict_lt_limit_2comp,
                              predict_torres, random_rational_point,
@@ -173,6 +173,19 @@ def test_verify_4d_twist_equality_value():
     assert_all_pass(reports)
     eq = [r for r in reports if r.check.startswith("4d/split/equality")]
     assert len(eq) == 2 and all(r.rhs == 1 for r in eq)
+
+
+@pytest.mark.parametrize("k", [2, 0])
+def test_verify_4d_split_records_carry_the_slope_text(k):
+    """Every split 4d record names its slope as SlopeValue(<repr of the
+    float>), the text that the verify report's digests pin; twist(0)'s
+    slope is 0.0."""
+    link = make_twist(k)
+    for theta in (Fraction(1, 4), Fraction(2, 7), Fraction(1, 3)):
+        point = TorusPoint([theta])
+        text = "SlopeValue(%r)" % slope(link.conway, link.rest_sublink().conway, point)
+        assert {r.inputs["slope"] for r in verify_4d(link, point)} == {text}
+        assert k or text == "SlopeValue(0.0)"
 
 
 def test_verify_4d_on_families():
