@@ -19,7 +19,7 @@ from .angles import TorusPoint, angle_to_complex
 from .errors import BoundaryPoint, SigtorusError
 from .families import _MAX_ENTRIES, FAMILIES, make_family
 from .links import (load_link, save_link, signature_nullity,
-                    signature_nullity_batch)
+                    signature_nullity_batch, write_text)
 from .slope import classify_slope, slope
 from .verify import (SAMPLES, SIDES, SUITES, directional_limit, predict_torres,
                      report_text, run_suite)
@@ -104,10 +104,9 @@ def cmd_grid(args):
     etas += etas[:total - count][::-1]
 
     labels = [str(t) for t in thetas]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("theta1,theta2,sigma,eta\n")
-        for k, (sigma, eta) in enumerate(zip(sigmas, etas)):
-            fh.write("%s,%s,%d,%d\n" % (labels[k // side], labels[k % side], sigma, eta))
+    write_text(args.out, "theta1,theta2,sigma,eta\n" + "".join(
+        "%s,%s,%d,%d\n" % (labels[k // side], labels[k % side], sigma, eta)
+        for k, (sigma, eta) in enumerate(zip(sigmas, etas))))
     if args.heatmap:
         _write_heatmap(args.heatmap, sigmas, n)
     return EXIT_OK
@@ -118,14 +117,9 @@ def _write_heatmap(path, sigmas, n):
     low, high = min(sigmas), max(sigmas)
     span = high - low
     side = n - 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("P2\n%d %d\n255\n" % (side, side))
-        for r in range(side):
-            line = []
-            for c in range(side):
-                s = sigmas[r * side + c]
-                line.append(str(round((s - low) * 255 / span)) if span else "0")
-            fh.write(" ".join(line) + "\n")
+    levels = [str(round((s - low) * 255 / span)) if span else "0" for s in sigmas]
+    write_text(path, "P2\n%d %d\n255\n" % (side, side) + "".join(
+        " ".join(levels[r * side:(r + 1) * side]) + "\n" for r in range(side)))
 
 
 def cmd_limit(args):
@@ -160,8 +154,7 @@ def cmd_verify(args):
                   % ("PASS" if rep.passed else "FAIL", rep.check, rep.lhs, rep.rhs, rep.relation)
                   for rep in reports), end="")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_text(reports))
+        write_text(args.report, report_text(reports))
     failures = sum(not rep.passed for rep in reports)
     print("checks=%d failures=%d" % (len(reports), failures))
     return EXIT_FAIL if failures else EXIT_OK

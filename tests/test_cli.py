@@ -811,6 +811,74 @@ def test_io_errors_exit_3_with_one_line(tmp_path, capsys, argv, target):
     assert not (tmp_path / "no-such-dir").exists()
 
 
+# A first run leaves longer files at the output paths; the second run's files
+# must equal those of the same run into an empty directory.
+_LONG_THEN_SHORT = {
+    "grid": ([["grid", "--link", "{torus}", "--out", "{dir}/g.csv", "--heatmap", "{dir}/g.pgm",
+               "--resolution", res] for res in ("12", "3")], ["g.csv", "g.pgm"]),
+    "verify-report": ([["verify", "--link", "{torus}", "--samples", "3", "--report", "{dir}/r.json",
+                        "--suite", suite] for suite in ("all", "corners")], ["r.json"]),
+    "family-force": ([["family", "--name", "torus", "--out", "{dir}/l.json", "--force",
+                       "--param", param] for param in ("12", "1")], ["l.json"]),
+}
+
+
+@pytest.mark.parametrize("runs, names", _LONG_THEN_SHORT.values(), ids=_LONG_THEN_SHORT)
+def test_a_shorter_output_rewrites_a_longer_file_in_place(tmp_path, capsys, runs, names):
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus3.json")
+    (tmp_path / "old").mkdir()
+    (tmp_path / "fresh").mkdir()
+
+    def output(argv, where):
+        code, _, err = run(capsys, *[a.format(torus=torus, dir=tmp_path / where) for a in argv])
+        assert (code, err) == (0, "")
+        return {name: tmp_path / where / name for name in names}
+
+    old = output(runs[0], "old")
+    before = {name: path.stat() for name, path in old.items()}
+    output(runs[1], "old")
+    fresh = output(runs[1], "fresh")
+    for name, path in old.items():
+        assert path.stat().st_size < before[name].st_size
+        assert path.stat().st_ino == before[name].st_ino
+        assert path.read_bytes() == fresh[name].read_bytes()
+    if "l.json" in names:
+        assert old["l.json"].read_text() == json.dumps(
+            make_torus(1).to_document(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--link", "{torus}", "--resolution", "5", "--out", os.devnull,
+     "--heatmap", os.devnull],
+    ["verify", "--link", "{torus}", "--suite", "corners", "--report", os.devnull],
+], ids=["grid", "verify"])
+def test_outputs_to_dev_null_exit_0(tmp_path, capsys, argv):
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus3.json")
+    code, _, err = run(capsys, *[a.format(torus=torus) for a in argv])
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_new_output_files_get_the_mode_open_gives(tmp_path, capsys, umask):
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus3.json")
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w", encoding="utf-8"):
+            pass
+        assert run(capsys, "grid", "--link", torus, "--resolution", "3",
+                   "--out", str(tmp_path / "g.csv"), "--heatmap", str(tmp_path / "g.pgm"))[0] == 0
+        assert run(capsys, "verify", "--link", torus, "--suite", "corners",
+                   "--report", str(tmp_path / "r.json"))[0] == 0
+        assert run(capsys, "family", "--name", "twist", "--param", "2",
+                   "--out", str(tmp_path / "l.json"))[0] == 0
+    finally:
+        os.umask(previous)
+    mode = (tmp_path / "reference").stat().st_mode
+    assert mode & 0o777 == 0o666 & ~umask
+    for name in ("g.csv", "g.pgm", "r.json", "l.json"):
+        assert (tmp_path / name).stat().st_mode == mode
+
+
 def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     """One parser serves every call; each call's output matches a fresh process."""
     built = []

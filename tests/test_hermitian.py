@@ -250,15 +250,24 @@ def _zero_system(mu, n):
                          ids=["unknot", "unlink2", "unlink3", "unlink4", "twist0", "zero3"])
 def test_zero_systems_read_zero_with_no_eigen_solve(link, monkeypatch):
     """H = 0 on every path of a zero system: each point, rest limit and
-    corner reads sigma 0 and nullity n, and nothing is diagonalized."""
+    corner reads sigma 0 and nullity n, and no form is built or diagonalized.
+    A point that is not finite is still refused."""
     solves, n = _count_solves(monkeypatch), link.seifert.n
+    builds, build = [], links._path_forms
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+    monkeypatch.setattr(links, "_path_forms", counting)
     angles = [Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)]
     points = [TorusPoint([a] * link.mu).omega() for a in angles]
     rests = [TorusPoint([a] * (link.mu - 1)).omega() for a in angles]
     assert links.signature_nullity_batch(link, points) == ([0] * 3, [n] * 3)
     assert links.rest_limit_counts(link, rests).tolist() == [[0, 0, n]] * 3
     assert links.corner_limit_counts(link).tolist() == [[0, n]] * 2 ** link.mu
-    assert solves == []
+    assert builds == [] and solves == []
+    with pytest.raises(ValueError, match="^points have a coordinate that is not finite$"):
+        links.signature_nullity_batch(link, [[math.nan] * link.mu])
 
 
 def test_exactly_zero_levels_cost_no_eigen_solve(monkeypatch):
