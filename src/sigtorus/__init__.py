@@ -9,8 +9,8 @@ from .families import (make_family, make_torus, make_twist, make_unlink,
                        oracle_torus, oracle_twist, unknot)
 from .hermitian import Inertia, integer_inertia
 from .laurent import LaurentPoly, RationalFunction, divide_exact
-from .links import (ColoredLink, SeifertSystem, linking_inertia, load_link,
-                    parse_link, save_link, signature_nullity)
+from .links import (ColoredLink, linking_inertia, load_link, parse_link,
+                    save_link, signature_nullity)
 from .slope import classify_slope, conway_factor_split, slope, torres_generic
 from .verify import (PLUS_MINUS_ONE, LimitResult, TorresPrediction,
                      VerificationReport, directional_limit,

@@ -50,7 +50,7 @@ def cmd_eval(args):
         raise BoundaryPoint("omega has a coordinate equal to 1; the Seifert form "
                             "degenerates there. Use the `torres` command for "
                             "boundary predictions.") from None
-    print("sigma=%d eta=%d dim=%d" % (sigma, eta, link.seifert.n))
+    print("sigma=%d eta=%d dim=%d" % (sigma, eta, link.seifert.shape[1]))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from .angles import exact_angle
 from .corrections import torus_signature_profile
 from .errors import DomainError, ZeroParameter
 from .laurent import LaurentPoly, RationalFunction, as_integer
-from .links import ColoredLink, SeifertSystem, sign_key, sign_vectors
+from .links import ColoredLink, sign_key, sign_vectors
 
 
 # The most entries a builder's largest Seifert system, 2^mu matrices of n x n,
@@ -41,10 +41,9 @@ def _t_minus_inverse(nvars, index):
 
 def unknot():
     """The unknot: disk spanning surface, empty basis, known Conway data."""
-    seifert = SeifertSystem(1, {"+": [], "-": []})
     conway = RationalFunction(LaurentPoly.constant(1, 1), _t_minus_inverse(1, 0))
     return ColoredLink(mu=1, components_per_color=[1], linking={},
-                       seifert=seifert, conway=conway)
+                       seifert={"+": [], "-": []}, conway=conway)
 
 
 def _oriented_unlink(m):
@@ -52,7 +51,7 @@ def _oriented_unlink(m):
     size = m - 1
     zero = np.zeros((size, size), dtype=np.int64)
     return ColoredLink(mu=1, components_per_color=[m], linking={},
-                       seifert=SeifertSystem(1, {"+": zero, "-": zero}))
+                       seifert={"+": zero, "-": zero})
 
 
 def make_twist(k):
@@ -66,12 +65,11 @@ def make_twist(k):
     if not -2 ** 63 <= k < 2 ** 63:
         raise DomainError("twist(%d): the Seifert entry k must fit in 64 bits" % k)
     mat = [[k]]
-    seifert = SeifertSystem(2, {"++": mat, "+-": mat, "-+": mat, "--": mat})
     conway = RationalFunction(_t_minus_inverse(2, 0) * _t_minus_inverse(2, 1) * k)
     return ColoredLink(
         mu=2, components_per_color=[1, 1],
         linking={("1.1", "2.1"): 0},
-        seifert=seifert, conway=conway,
+        seifert={"++": mat, "+-": mat, "-+": mat, "--": mat}, conway=conway,
         sublinks={"2": unknot()},
     )
 
@@ -87,7 +85,7 @@ def _torus_underlying(ell):
     return ColoredLink(
         mu=1, components_per_color=[2],
         linking={("1.1", "1.2"): ell},
-        seifert=SeifertSystem(1, {"-": mat, "+": mat.T}),
+        seifert={"-": mat, "+": mat.T},
     )
 
 
@@ -105,14 +103,13 @@ def make_torus(ell):
     _check_size("torus", ell, 1, 2 * abs(ell) - 1)  # the underlying link's system
     plus = (-_sgn(ell)) * _lower_bidiagonal_ones(size)
     zero = np.zeros((size, size), dtype=np.int64)
-    seifert = SeifertSystem(2, {"++": plus, "--": plus.T, "+-": zero, "-+": zero})
     diag = LaurentPoly.monomial(2, (ell, ell)) - LaurentPoly.monomial(2, (-ell, -ell))
     den = LaurentPoly.monomial(2, (1, 1)) - LaurentPoly.monomial(2, (-1, -1))
     conway = RationalFunction(diag, den)
     return ColoredLink(
         mu=2, components_per_color=[1, 1],
         linking={("1.1", "2.1"): ell},
-        seifert=seifert, conway=conway,
+        seifert={"++": plus, "--": plus.T, "+-": zero, "-+": zero}, conway=conway,
         sublinks={"2": unknot()},
         underlying_oriented=_torus_underlying(ell),
     )
@@ -133,10 +130,9 @@ def make_unlink(mu):
         return unknot()
     size = mu - 1
     zero = np.zeros((size, size), dtype=np.int64)
-    seifert = SeifertSystem(mu, {sign_key(eps): zero for eps in sign_vectors(mu)})
     return ColoredLink(
         mu=mu, components_per_color=[1] * mu, linking={},
-        seifert=seifert,
+        seifert={sign_key(eps): zero for eps in sign_vectors(mu)},
         conway=RationalFunction(LaurentPoly.zero(mu)),
         sublinks={",".join(str(j) for j in range(2, mu + 1)): make_unlink(mu - 1)},
         underlying_oriented=_oriented_unlink(mu),

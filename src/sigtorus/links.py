@@ -17,6 +17,7 @@ import itertools
 import json
 import operator
 import os
+import sys
 
 import numpy as np
 
@@ -135,33 +136,6 @@ def _seifert_stack(mu, matrices):
     return stack
 
 
-class SeifertSystem:
-    """The 2^mu generalized Seifert matrices of a C-complex basis.
-
-    One reader, :func:`_seifert_stack`, checks that the keys are exactly the
-    sign vectors, that the matrices are square, of one size, with integer
-    entries that fit in 64 bits, and that the matrix at -eps is the
-    transpose of the matrix at eps, naming the key, row, entry or pair of a
-    defect.  ``stack`` is the validated int64 (2^mu, n, n) stack in
-    :func:`sign_vectors` order, and nothing derived from it is kept.
-    """
-
-    __slots__ = ("mu", "n", "stack")
-
-    def __init__(self, mu, matrices):
-        self.mu = _integer(mu, "color count %r", mu)
-        if self.mu < 1:
-            raise SchemaError("color count must be at least 1")
-        self.stack = _seifert_stack(self.mu, matrices)
-        self.n = self.stack.shape[1]
-
-    def matrix(self, eps):
-        return self.stack[_layout(self.mu)[0].index(sign_key(eps))]
-
-    def to_document(self):
-        return dict(sorted(zip(_layout(self.mu)[0], self.stack.tolist())))
-
-
 def _is_component(comp_id, components_per_color):
     """Whether ``comp_id`` is a canonical "c.k" with 1 <= c <= mu and k at
     most the count of color c, decided without listing the components."""
@@ -175,7 +149,12 @@ def _is_component(comp_id, components_per_color):
 
 
 class ColoredLink:
-    """Immutable colored-link data; see the JSON schema in ``parse_link``."""
+    """Immutable colored-link data; see the JSON schema in ``parse_link``.
+
+    ``seifert`` is the read-only int64 (2^mu, n, n) stack of the generalized
+    Seifert matrices in :func:`sign_vectors` order, read from a sign-keyed
+    object by :func:`_seifert_stack`; nothing derived from it is kept.
+    """
 
     __slots__ = ("mu", "components_per_color", "linking", "seifert", "conway",
                  "rank_alexander", "sublinks", "underlying_oriented")
@@ -183,6 +162,11 @@ class ColoredLink:
     def __init__(self, mu, components_per_color, linking, seifert, conway=None,
                  rank_alexander=0, sublinks=None, underlying_oriented=None):
         self.mu = _integer(mu, "color count %r", mu)
+        # seifert first: a file's seifert is refused before its components and linking
+        if self.mu < 1:
+            raise SchemaError("color count must be at least 1")
+        self.seifert = _seifert_stack(self.mu, seifert)
+        self.seifert.flags.writeable = False
         try:
             comps = [_integer(c, "components_per_color") for c in components_per_color]
         except TypeError:  # not a list
@@ -205,11 +189,6 @@ class ColoredLink:
                 raise SchemaError("conflicting linking numbers for %r" % (key,))
             canon[key] = value
         self.linking = canon
-        if not isinstance(seifert, SeifertSystem):
-            seifert = SeifertSystem(self.mu, seifert)
-        if seifert.mu != self.mu:
-            raise SchemaError("seifert system has %d colors, link has %d" % (seifert.mu, self.mu))
-        self.seifert = seifert
         if conway is not None:
             conway = as_rational(conway)
             if conway.nvars != self.mu:
@@ -268,7 +247,7 @@ class ColoredLink:
             "components_per_color": list(self.components_per_color),
             "linking": [{"a": a, "b": b, "lk": v}
                         for (a, b), v in sorted(self.linking.items())],
-            "seifert": self.seifert.to_document(),
+            "seifert": dict(sorted(zip(_layout(self.mu)[0], self.seifert.tolist()))),
         }
         if self.conway is not None:
             doc["conway"] = self.conway.to_document()
@@ -325,7 +304,7 @@ def parse_link(document):
         mu=mu,
         components_per_color=document["components_per_color"],
         linking=linking,
-        seifert=SeifertSystem(mu, document["seifert"]),
+        seifert=document["seifert"],
         conway=conway,
         rank_alexander=document.get("rank_alexander", 0),
         sublinks=sublinks,
@@ -362,11 +341,16 @@ def write_text(path, text):
     truncation frees the old blocks in a journaled update and, on ext4, makes
     the next close start writeback, which cost a small ``grid`` request as
     much as its eigen work.  ``/dev/null``, a pipe or a tty reads size 0 and
-    is never cut.
+    is never cut.  Stdout's own file (``/dev/stdout``, or where stdout is
+    redirected) takes the text through ``sys.stdout``, in print order: a
+    second descriptor would write from offset 0, over the printed lines.
     """
     data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        if fd > 2 and os.path.sameopenfile(fd, 1):  # fd > 2: descriptors 0-2 are open
+            sys.stdout.write(text)
+            return
         written = 0
         while written < len(data):
             written += os.write(fd, data[written:])
@@ -452,7 +436,7 @@ def _path_forms(link, signs, rest):
         i_eta = 1j * eta[:, j]
         terms[:, 1:] = i_eta * terms[:, 1:] + signs[:, j, None, None] * terms[:, :-1]
         terms[:, 0] *= i_eta
-    m = np.einsum("pde,eab->pdab", terms, link.seifert.stack[:len(eta)])
+    m = np.einsum("pde,eab->pdab", terms, link.seifert[:len(eta)])
     return m + m.conj().transpose(0, 1, 3, 2)
 
 
@@ -461,7 +445,7 @@ def _path_limit_counts(link, signs, rest):
     :func:`limit_counts` from F padded to the k n + 1 coefficients its descent
     may read, in blocks of about ``_STACK_BYTES``: an int (P, 3) array of
     sigma's limit as t -> 0+ and t -> 0-, and eta's."""
-    k, n = signs.shape[1], link.seifert.n
+    k, n = signs.shape[1], link.seifert.shape[1]
     rest = np.asarray(rest, dtype=complex)
     if rest.shape == (0,):  # an empty point list
         rest = rest.reshape(0, link.mu - k)
@@ -470,12 +454,13 @@ def _path_limit_counts(link, signs, rest):
                          % (rest.shape[-1], link.mu - k, link.mu, k))
     if not np.isfinite(rest).all():  # a NaN eigenvalue would pass as a zero one
         raise ValueError("points have a coordinate that is not finite")
-    if not link.seifert.stack.any():  # H = 0 on every path: what limit_counts reads of 0
+    # no path, or H = 0 on every path: what limit_counts reads of 0
+    if not len(signs) or not link.seifert.any():
         return np.zeros((len(signs), 3), dtype=np.int64) + (0, 0, n)
     depth = k * n + 1  # det F(t) has degree at most k n
-    block = max(1, _STACK_BYTES // (16 * depth * max(n, 1) ** 2))
+    block = max(1, _STACK_BYTES // (16 * depth * n ** 2))
     counts = []
-    for start in range(0, max(len(signs), 1), block):
+    for start in range(0, len(signs), block):
         family = _path_forms(link, signs[start:start + block], rest[start:start + block])
         if depth > k + 1:
             family = np.concatenate([family, np.zeros(

@@ -1,8 +1,9 @@
 """Directional limits of the signature, and machine checks of every limit
 statement and Torres prediction the library covers.
 
-One-sided limits are exact (:func:`sigtorus.hermitian.limit_counts`).  The
-checks at the rest points of a suite read one table per shared quantity,
+One-sided limits are read by :func:`sigtorus.hermitian.limit_counts`, a
+float Schur descent whose zero cut is ``hermitian.ZERO_CUT``: they are not
+exact, and four strict xfails pin its known misreads.  The checks at the rest points of a suite read one table per shared quantity,
 each computed for every point on first read: both one-sided limits of all
 rest points take one call, the sublink inertia of all rest points one call,
 and the boundary values one derivative of the Conway function and one slope

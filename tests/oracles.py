@@ -17,7 +17,7 @@ import numpy as np
 from sigtorus.angles import TorusPoint, angle_to_complex, normalize_angle
 from sigtorus.errors import BoundaryPoint, SigtorusError, ZeroParameter
 from sigtorus.hermitian import HermitianMatrix, inertia
-from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
+from sigtorus.links import ColoredLink, sign_key, sign_vectors
 
 
 class SingularMatrix(SigtorusError):
@@ -177,8 +177,8 @@ def boundary_limit_form(link, rest_point, side=1):
     """
     if rest_point.mu != link.mu - 1:
         raise ValueError("rest point needs %d coordinates" % (link.mu - 1))
-    form = np.zeros((link.seifert.n, link.seifert.n), dtype=complex)
-    for eta, mat in zip(sign_vectors(link.mu), link.seifert.stack):
+    form = np.zeros((link.seifert.shape[1], link.seifert.shape[1]), dtype=complex)
+    for eta, mat in zip(sign_vectors(link.mu), link.seifert):
         factor = 1j * eta[0]
         for e, w in zip(eta[1:], rest_point.omega()):
             factor *= 1 - (w.conjugate() if e > 0 else w)
@@ -221,18 +221,18 @@ def enlarge(link, color, xi):
     H. F. Trotter, Ann. of Math. 76 (1962), and for C-complexes D. Cimasoni
     and V. Florens, Trans. AMS 360 (2008).
     """
-    n = link.seifert.n
+    n = link.seifert.shape[1]
     if len(xi) != n:
         raise ValueError("xi needs %d entries, one per row, got %d" % (n, len(xi)))
     mats = {}
-    for eps, old in zip(sign_vectors(link.mu), link.seifert.stack):
+    for eps, old in zip(sign_vectors(link.mu), link.seifert):
         mat = np.zeros((n + 2, n + 2), dtype=np.int64)
         mat[:n, :n] = old
         mat[n + 1, :n] = mat[:n, n + 1] = xi
         mat[n, n + 1], mat[n + 1, n] = eps[color - 1] > 0, eps[color - 1] < 0
         mats[sign_key(eps)] = mat
     return ColoredLink(link.mu, link.components_per_color, link.linking,
-                       SeifertSystem(link.mu, mats), link.conway, link.rank_alexander,
+                       mats, link.conway, link.rank_alexander,
                        link.sublinks, link.underlying_oriented)
 
 
@@ -249,12 +249,12 @@ def congruent(link, basis):
     P A^T P^T keeps A^-eps the transpose of A^eps.
     """
     p = np.array(basis, dtype=np.int64)
-    n = link.seifert.n
+    n = link.seifert.shape[1]
     if p.shape != (n, n) or round(abs(np.linalg.det(p))) != 1:
         raise ValueError("the basis change must be an integer %dx%d matrix of "
                          "determinant +-1" % (n, n))
     mats = {sign_key(eps): (p @ mat @ p.T).tolist()
-            for eps, mat in zip(sign_vectors(link.mu), link.seifert.stack)}
+            for eps, mat in zip(sign_vectors(link.mu), link.seifert)}
     return ColoredLink(link.mu, link.components_per_color, link.linking,
-                       SeifertSystem(link.mu, mats), link.conway, link.rank_alexander,
+                       mats, link.conway, link.rank_alexander,
                        link.sublinks, link.underlying_oriented)

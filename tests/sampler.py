@@ -42,7 +42,7 @@ def forms(link, rows):
     eps = np.array(sign_vectors(link.mu))
     omegas = np.asarray(rows, dtype=complex)[:, None, :]
     coeffs = np.prod(np.where(eps > 0, 1 - omegas.conj(), 1 - omegas), axis=2)
-    mats = link.seifert.stack.astype(float)
+    mats = link.seifert.astype(float)
     form = np.einsum("pe,eab->pab", coeffs, mats)
     return (form + form.conj().transpose(0, 2, 1)) / 2
 
@@ -50,7 +50,7 @@ def forms(link, rows):
 def sampled_limit(link, signs, fixed=()):
     """(sigma, eta) along the path, or None where the samples cannot be trusted."""
     rows = path_rows(signs, fixed)
-    size = sum(float(np.linalg.norm(mat)) for mat in link.seifert.stack)
+    size = sum(float(np.linalg.norm(mat)) for mat in link.seifert)
     readings = []
     for row, form in zip(rows, forms(link, rows)):
         scale = size * float(np.prod(np.abs(1 - np.asarray(row))))

@@ -18,7 +18,7 @@ from sigtorus.corrections import signature_jump
 from sigtorus.families import (make_torus, make_twist, make_unlink,
                                oracle_torus, oracle_twist, unknot)
 from sigtorus.hermitian import HermitianMatrix, inertia
-from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
+from sigtorus.links import (ColoredLink, corner_limit_counts,
                             sign_vectors, signature_nullity)
 from sigtorus.slope import slope
 from sigtorus.verify import (directional_limit, predict_lt_limit_2comp,
@@ -187,8 +187,7 @@ def test_criterion_7_split_equality_and_slope():
 def test_criterion_8_levine_tristram_suite():
     trefoil_a = [[-1, 1], [0, -1]]
     trefoil = ColoredLink(mu=1, components_per_color=[1], linking={},
-                          seifert=SeifertSystem(1, {"-": trefoil_a,
-                                                    "+": np.array(trefoil_a).T}))
+                          seifert={"-": trefoil_a, "+": np.array(trefoil_a).T})
     ok = True
     for link in (unknot(), trefoil, make_torus(3).underlying_oriented,
                  make_torus(1).underlying_oriented,

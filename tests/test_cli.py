@@ -20,7 +20,7 @@ import sigtorus.cli
 from sigtorus.angles import angle_to_complex
 from sigtorus.cli import main
 from sigtorus.families import make_family, make_torus, make_twist, oracle_torus, unknot
-from sigtorus.links import (ColoredLink, SeifertSystem, save_link, sign_key,
+from sigtorus.links import (ColoredLink, save_link, sign_key,
                             sign_vectors, signature_nullity_batch)
 from sigtorus.verify import SUITES
 
@@ -227,7 +227,7 @@ def _system_link(mu, n, halves):
         mat = [half[r * n:(r + 1) * n] for r in range(n)]
         mats[sign_key(eps)] = mat
         mats[sign_key(tuple(-e for e in eps))] = [list(col) for col in zip(*mat)]
-    return ColoredLink(mu, [1] * mu, {}, SeifertSystem(mu, mats))
+    return ColoredLink(mu, [1] * mu, {}, mats)
 
 
 @hst.composite
@@ -858,6 +858,32 @@ def test_outputs_to_dev_null_exit_0(tmp_path, capsys, argv):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("name", ["family", "verify"])
+def test_an_output_to_stdout_follows_the_printed_lines(tmp_path, capsys, name):
+    """An output path that opens stdout's own file (here stdout redirected to
+    a file) gets the text in print order, not over the printed lines."""
+    torus = make_file(tmp_path, capsys, "torus", 3, "torus3.json")
+    if name == "family":
+        argv = ["family", "--name", "twist", "--param", "2", "--out", "/dev/stdout", "--force"]
+        expected = (json.dumps(make_twist(2).to_document(), indent=2, sort_keys=True)
+                    + "\nwrote /dev/stdout\n")
+    else:
+        argv = ["verify", "--link", torus, "--suite", "corners", "--report", "/dev/stdout"]
+        code, printed, _ = run(capsys, "verify", "--link", torus, "--suite", "corners",
+                               "--report", str(tmp_path / "r.json"))
+        assert code == 0
+        *checks, summary = printed.splitlines(keepends=True)
+        assert len(checks) == 16 and all(line.startswith("PASS ") for line in checks)
+        expected = "".join(checks) + (tmp_path / "r.json").read_text() + summary
+    env = dict(os.environ, PYTHONPATH=str(Path(sigtorus.__file__).parent.parent))
+    with open(tmp_path / "out.txt", "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "sigtorus.cli", *argv], stdout=out,
+                              stderr=subprocess.PIPE, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "out.txt").read_text() == expected
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
 def test_new_output_files_get_the_mode_open_gives(tmp_path, capsys, umask):
     torus = make_file(tmp_path, capsys, "torus", 3, "torus3.json")
@@ -1040,18 +1066,31 @@ def test_verify_3d_at_large_linking(tmp_path, capsys, ell):
     assert re.fullmatch(r"checks=[0-9]+ failures=0", out.splitlines()[-1])
 
 
-def test_bench_tracer_targets_resolve():
-    """Every span target of bench/tracer.py names a function that exists."""
+def _bench_tracer():
+    """bench/tracer.py loaded by path; loading it wraps nothing."""
     spec = importlib.util.spec_from_file_location(
         "sigtorus_bench_tracer", DIGESTS.parent / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    for span, module, path in tracer_module.TARGETS:
+    return tracer_module
+
+
+def test_bench_tracer_targets_resolve():
+    """Every span target of bench/tracer.py names a function that exists, so
+    a change that deletes a traced function fails here, not only in the
+    benchmark's self-test."""
+    for span, module, path in _bench_tracer().TARGETS:
         owner = importlib.import_module("sigtorus." + module)
         for part in path.split("."):
-            assert hasattr(owner, part), "%s: sigtorus.%s has no %s" % (span, module, path)
+            assert hasattr(owner, part), (
+                "bench/tracer.py target %s: sigtorus.%s has no %s; retarget it in "
+                "bench/tracer.py, in a change to the benchmark, before deleting it"
+                % (span, module, path))
             owner = getattr(owner, part)
-    tracer = tracer_module.Tracer()
+
+
+def test_bench_tracer_installs_and_uninstalls():
+    tracer = _bench_tracer().Tracer()
     try:
         tracer.install()
     finally:

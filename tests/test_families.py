@@ -18,18 +18,19 @@ def test_twist_data_shape():
     link = make_twist(1)  # a Whitehead link
     assert link.mu == 2
     assert link.lk_colors(1, 2) == 0
-    assert all(m.tolist() == [[1]] for m in link.seifert.stack)
-    assert link.rest_sublink().seifert.n == 0
+    assert all(m.tolist() == [[1]] for m in link.seifert)
+    assert link.rest_sublink().seifert.shape[1] == 0
 
 
 def test_torus_data_shape():
     link = make_torus(3)
-    assert link.seifert.matrix((1, 1)).tolist() == [[-1, 0], [-1, -1]]
-    assert link.seifert.matrix((-1, -1)).tolist() == [[-1, -1], [0, -1]]
-    assert link.seifert.matrix((1, -1)).tolist() == [[0, 0], [0, 0]]
+    seifert = link.to_document()["seifert"]
+    assert seifert["++"] == [[-1, 0], [-1, -1]]
+    assert seifert["--"] == [[-1, -1], [0, -1]]
+    assert seifert["+-"] == [[0, 0], [0, 0]]
     assert link.lk_colors(1, 2) == 3
-    assert make_torus(1).seifert.n == 0
-    assert make_torus(-3).seifert.matrix((1, 1)).tolist() == [[1, 0], [1, 1]]
+    assert make_torus(1).seifert.shape[1] == 0
+    assert make_torus(-3).to_document()["seifert"]["++"] == [[1, 0], [1, 1]]
     assert make_torus(0).to_document() == make_unlink(2).to_document()
 
 
@@ -167,5 +168,5 @@ def test_torus_underlying_oriented_present():
     link = make_torus(1)  # a Hopf link
     oriented = link.underlying_oriented
     assert oriented.mu == 1
-    assert oriented.seifert.matrix((-1,)).tolist() == [[-1]]
+    assert oriented.to_document()["seifert"]["-"] == [[-1]]
     assert oriented.lk("1.1", "1.2") == 1

@@ -13,7 +13,7 @@ from sigtorus.angles import TorusPoint
 from sigtorus.families import make_twist, make_unlink, unknot
 from sigtorus.hermitian import (ZERO_CUT, HermitianMatrix, Inertia, inertia,
                                 inertia_counts, integer_inertia, limit_counts)
-from sigtorus.links import ColoredLink, SeifertSystem, sign_key, sign_vectors
+from sigtorus.links import ColoredLink, sign_key, sign_vectors
 
 
 def test_diagonal_inertia():
@@ -241,8 +241,7 @@ def _count_solves(monkeypatch):
 
 def _zero_system(mu, n):
     zero = [[0] * n for _ in range(n)]
-    return ColoredLink(mu, [1] * mu, {},
-                       SeifertSystem(mu, {sign_key(eps): zero for eps in sign_vectors(mu)}))
+    return ColoredLink(mu, [1] * mu, {}, {sign_key(eps): zero for eps in sign_vectors(mu)})
 
 
 @pytest.mark.parametrize("link", [unknot(), make_unlink(2), make_unlink(3), make_unlink(4),
@@ -252,7 +251,7 @@ def test_zero_systems_read_zero_with_no_eigen_solve(link, monkeypatch):
     """H = 0 on every path of a zero system: each point, rest limit and
     corner reads sigma 0 and nullity n, and no form is built or diagonalized.
     A point that is not finite is still refused."""
-    solves, n = _count_solves(monkeypatch), link.seifert.n
+    solves, n = _count_solves(monkeypatch), link.seifert.shape[1]
     builds, build = [], links._path_forms
 
     def counting(*args):

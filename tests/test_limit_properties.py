@@ -22,7 +22,7 @@ from sampler import forms, path_rows, sampled_limit
 from sigtorus import links, verify
 from sigtorus.angles import TorusPoint, angle_to_complex
 from sigtorus.families import make_torus, make_unlink, oracle_torus
-from sigtorus.links import (ColoredLink, SeifertSystem, corner_limit_counts,
+from sigtorus.links import (ColoredLink, corner_limit_counts,
                             rest_limit_counts, sign_key, sign_vectors, signature_nullity)
 from sigtorus.verify import directional_limit
 
@@ -38,7 +38,7 @@ def _link(mu, n, halves, basis=None):
             mat = basis.T @ mat @ basis
         mats[sign_key(eps)] = mat.tolist()
         mats[sign_key(tuple(-e for e in eps))] = mat.T.tolist()
-    return ColoredLink(mu, [1] * mu, {}, SeifertSystem(mu, mats))
+    return ColoredLink(mu, [1] * mu, {}, mats)
 
 
 def _unimodular(n, moves):
@@ -139,7 +139,7 @@ def test_path_family_is_the_form_on_its_path(path):
         t ** d * coefficient for d, coefficient in enumerate(family))
     row = path_rows(signs, held, [delta])
     scale = float(np.prod(np.abs(1 - np.asarray(row[0])))) * sum(
-        float(np.linalg.norm(mat)) for mat in link.seifert.stack)
+        float(np.linalg.norm(mat)) for mat in link.seifert)
     assert np.linalg.norm(got - forms(link, row)[0]) <= 1e-12 * scale
 
 
@@ -281,7 +281,7 @@ def _torus_with_handles():
 def test_the_congruence_pin_is_small_and_unimodular():
     link = _torus_with_handles()
     assert round(np.linalg.det(np.array(_HANDLE_BASIS))) == 1
-    assert np.abs(congruent(link, _HANDLE_BASIS).seifert.stack).max() == 54
+    assert np.abs(congruent(link, _HANDLE_BASIS).seifert).max() == 54
     point = TorusPoint((Fraction(36, 64),) * 2)
     assert signature_nullity(link, point) == oracle_torus(3, *point.angles) == (-2, 0)
 

@@ -24,7 +24,7 @@ from sigtorus import cli, links
 from sigtorus.families import make_torus, make_twist, make_unlink, oracle_torus
 from sigtorus.hermitian import inertia, integer_inertia
 from sigtorus.laurent import LaurentPoly
-from sigtorus.links import (ColoredLink, SeifertSystem, assemble_form_raw,
+from sigtorus.links import (ColoredLink, assemble_form_raw,
                             linking_inertia, load_link, parse_link, save_link,
                             sign_key, sign_vectors, signature_nullity)
 from sigtorus.verify import (directional_limit, predict_lt_limit_2comp, report_text,
@@ -40,15 +40,16 @@ def test_parse_round_trip_twist():
     link = parse_link(make_twist(2).to_document())
     assert link.mu == 2
     for key in ("++", "+-", "-+", "--"):
-        assert link.seifert.matrix([1 if c == "+" else -1 for c in key]).tolist() == [[2]]
+        assert link.to_document()["seifert"][key] == [[2]]
     assert link.rest_sublink() is not None
     assert link.conway is not None
 
 
 def test_nonzero_rank_survives_save_and_load(tmp_path):
     twist = make_twist(2)
-    link = ColoredLink(twist.mu, twist.components_per_color, twist.linking, twist.seifert,
-                       twist.conway, rank_alexander=1, sublinks=twist.sublinks)
+    link = ColoredLink(twist.mu, twist.components_per_color, twist.linking,
+                       twist.to_document()["seifert"], twist.conway, rank_alexander=1,
+                       sublinks=twist.sublinks)
     path = str(tmp_path / "link.json")
     save_link(link, path)
     assert json.loads((tmp_path / "link.json").read_text())["rank_alexander"] == 1
@@ -62,8 +63,8 @@ def _bare(link):
     conway = link.conway
     if conway is not None and conway.den == 1:
         conway = conway.num
-    return ColoredLink(link.mu, link.components_per_color, link.linking, link.seifert,
-                       conway, link.rank_alexander,
+    return ColoredLink(link.mu, link.components_per_color, link.linking,
+                       link.to_document()["seifert"], conway, link.rank_alexander,
                        {key: _bare(sub) for key, sub in link.sublinks.items()},
                        link.underlying_oriented)
 
@@ -89,7 +90,20 @@ def test_missing_sign_key_rejected():
 
 def test_transpose_violation_named():
     with pytest.raises(SymmetryViolation):
-        SeifertSystem(1, {"+": [[1]], "-": [[2]]})
+        ColoredLink(1, [1], {}, {"+": [[1]], "-": [[2]]})
+
+
+def test_the_seifert_stack_is_read_only():
+    link = make_torus(3)
+    assert link.seifert.dtype == np.int64 and link.seifert.shape == (4, 2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        link.seifert[0, 0, 0] = 5
+    assert link.to_document() == make_torus(3).to_document()
+
+
+def test_a_link_without_colors_is_refused():
+    with pytest.raises(SchemaError, match="^color count must be at least 1$"):
+        ColoredLink(0, [], {}, {})
 
 
 def test_dimension_mismatch_rejected():
@@ -102,7 +116,7 @@ def test_dimension_mismatch_rejected():
 def test_equally_non_square_matrices_rejected():
     # they stack into one (2, 2, 1) array, whose transpose still broadcasts
     with pytest.raises(DimensionMismatch, match=r"seifert\[\+\]: row 0 has length 1, expected 2"):
-        SeifertSystem(1, {"+": [[1], [1]], "-": [[1], [1]]})
+        ColoredLink(1, [1], {}, {"+": [[1], [1]], "-": [[1], [1]]})
 
 
 def test_twist_form_closed_expression():
@@ -166,7 +180,7 @@ def trefoil():
     a = [[-1, 1], [0, -1]]
     at = [[-1, 0], [1, -1]]
     return ColoredLink(mu=1, components_per_color=[1], linking={},
-                       seifert=SeifertSystem(1, {"-": a, "+": at}))
+                       seifert={"-": a, "+": at})
 
 
 def test_single_color_reduces_to_levine_tristram():
@@ -252,13 +266,13 @@ def test_clasp_route_matches_limit_form():
 
 def _loop_sigma_eta(link, point, relative=False, tol=1e-9):
     """Reference: sum over every sign vector at one point, then eigvalsh."""
-    n = link.seifert.n
+    n, mats = link.seifert.shape[1], link.to_document()["seifert"]
     form = np.zeros((n, n), dtype=complex)
     for eps in sign_vectors(link.mu):
         coeff = 1.0 + 0.0j
         for w, e in zip(point.omega(), eps):
             coeff *= (1.0 - w.conjugate()) if e > 0 else (1.0 - w)
-        form += coeff * link.seifert.matrix(eps)
+        form += coeff * np.array(mats[sign_key(eps)])
     form = (form + form.conj().T) / 2
     norm = float(np.linalg.norm(form))
     if relative and norm > 0:
@@ -277,7 +291,7 @@ def _random_link(seed, mu=3, n=5):
             mat = [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)]
             mats[sign_key(eps)] = mat
             mats[sign_key(tuple(-e for e in eps))] = [list(r) for r in zip(*mat)]
-    return ColoredLink(mu, [1] * mu, {}, SeifertSystem(mu, mats))
+    return ColoredLink(mu, [1] * mu, {}, mats)
 
 
 STACK_CASES = [(make_torus(3), ()), (make_torus(10), ()), (make_twist(2), ()),
@@ -305,7 +319,7 @@ def test_stacked_grid_matches_per_point_loop(tmp_path, monkeypatch, link, rest):
             angles[1] = rest[0]
         assert (int(sigma), int(eta)) == _loop_sigma_eta(link, TorusPoint(angles))
     # blocks of three points split the 64 unevenly; the output must not move
-    monkeypatch.setattr(links, "_STACK_BYTES", 3 * 16 * max(link.seifert.n, 1) ** 2)
+    monkeypatch.setattr(links, "_STACK_BYTES", 3 * 16 * max(link.seifert.shape[1], 1) ** 2)
     assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -458,6 +472,7 @@ def test_empty_point_list_gives_empty_lists():
         with pytest.raises(ValueError, match="^points have 2 coordinates, expected 1: "
                                              "2 colors, 1 sent to 1$"):
             links.rest_limit_counts(link, np.zeros((2, 2)))
+        assert links.rest_limit_counts(link, []).shape == (0, 3)
     assert links.rest_limit_counts(make_torus(1), [[-1.0], [1j]]).tolist() == [[0, 0, 0]] * 2
 
 
@@ -559,7 +574,7 @@ def test_row_check_matches_per_entry_reference():
         link = parse_link(doc)
         expected = np.array([_reference_matrix(seifert[key], "seifert[%s]" % key)
                              for key in map(sign_key, sign_vectors(mu))]).reshape(2 ** mu, n, n)
-        got = link.seifert.stack
+        got = link.seifert
         assert got.dtype == np.int64 and got.shape == expected.shape
         assert np.array_equal(got, expected)
 
@@ -699,10 +714,9 @@ def test_seifert_reader_outcome_per_defect(mu, n, seed, defect):
             parse_link(doc)
         assert (type(info.value), str(info.value)) == expected
         return
-    system = parse_link(doc).seifert
-    assert system.n == n
-    assert system.stack.dtype == np.int64 and system.stack.shape == (2 ** mu, n, n)
-    assert system.stack.tolist() == [clean[sign_key(eps)] for eps in sign_vectors(mu)]
+    stack = parse_link(doc).seifert
+    assert stack.dtype == np.int64 and stack.shape == (2 ** mu, n, n)
+    assert stack.tolist() == [clean[sign_key(eps)] for eps in sign_vectors(mu)]
 
 
 _PARSE_IN_CHILD = """
@@ -861,9 +875,8 @@ _INTEGER_READERS = {
     "file-components_per_color": (lambda c: _torus3_file_with(c, "components_per_color", 0), 1),
     "file-rank_alexander": (lambda r: _torus3_file_with(r, "rank_alexander"), 2),
     "file-lk": (lambda lk: _torus3_file_with(lk, "linking", 0, "lk"), 2),
-    "ColoredLink-mu": (lambda mu: ColoredLink(mu, [1, 1], {}, make_twist(2).seifert.to_document())
+    "ColoredLink-mu": (lambda mu: ColoredLink(mu, [1, 1], {}, make_twist(2).to_document()["seifert"])
                        .to_document(), 2),
-    "SeifertSystem-mu": (lambda mu: SeifertSystem(mu, {"+": [[1]], "-": [[1]]}).to_document(), 1),
     "linking_inertia-sign": (lambda s: linking_inertia(make_torus(3), (s, -1)), 1),
     "linking_inertia-bool": (lambda s: linking_inertia(make_torus(3), (1, s)), -1),
     "predict_lt_limit_2comp": (lambda ell: predict_lt_limit_2comp(ell, make_twist(2).conway), 2),

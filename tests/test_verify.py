@@ -18,7 +18,7 @@ from sigtorus.errors import (BoundaryPoint, DomainError, MissingConwayData,
 from sigtorus.families import (make_torus, make_twist, make_unlink, oracle_torus,
                                unknot)
 from sigtorus.laurent import LaurentPoly, RationalFunction
-from sigtorus.links import (ColoredLink, SeifertSystem, parse_link, sign_key,
+from sigtorus.links import (ColoredLink, parse_link, sign_key,
                             sign_vectors, signature_nullity)
 from sigtorus.slope import slope, torres_generic
 from sigtorus.verify import (PLUS_MINUS_ONE, SUITES, LimitResult, VerificationReport,
@@ -153,8 +153,7 @@ def test_verify_3d_equality_fires_for_hopf():
 def test_verify_3d_skips_multicomponent_colors():
     zero = np.zeros((1, 1), dtype=int)
     link = ColoredLink(mu=2, components_per_color=[2, 1], linking={},
-                       seifert=SeifertSystem(2, {"++": zero, "+-": zero,
-                                                 "-+": zero, "--": zero}))
+                       seifert={"++": zero, "+-": zero, "-+": zero, "--": zero})
     reports = verify_3d(link, TorusPoint([Fraction(1, 3)]))
     assert len(reports) == 1 and reports[0].check == "3d/skipped"
 
@@ -207,7 +206,7 @@ def test_verify_4d_linked_equality_skips_where_the_sublink_nullity_is_positive()
     the bounds run and the forced equality is one skip record."""
     zero = {sign_key(eps): [[0]] for eps in sign_vectors(3)}
     link = ColoredLink(mu=3, components_per_color=[1, 1, 1], linking={("1.1", "2.1"): 1},
-                       seifert=SeifertSystem(3, zero), sublinks={"2,3": make_torus(2)})
+                       seifert=zero, sublinks={"2,3": make_torus(2)})
     reports = verify_4d(link, TorusPoint([Fraction(1, 4), Fraction(1, 4)]))
     assert_all_pass(reports)
     assert [r.check for r in reports] == ["4d/linked/bound/plus", "4d/linked/bound/minus",
@@ -254,8 +253,7 @@ def test_verify_lt_forced_value_for_torus_data():
 def test_verify_lt_for_knots_and_unlinks():
     trefoil_a = [[-1, 1], [0, -1]]
     trefoil = ColoredLink(mu=1, components_per_color=[1], linking={},
-                          seifert=SeifertSystem(1, {"-": trefoil_a,
-                                                    "+": np.array(trefoil_a).T}))
+                          seifert={"-": trefoil_a, "+": np.array(trefoil_a).T})
     assert_all_pass(verify_lt(trefoil))
     assert_all_pass(verify_lt(unknot()))
     assert_all_pass(verify_lt(make_unlink(3).underlying_oriented))
@@ -414,7 +412,7 @@ def _chain(lk12, lk13):
     return ColoredLink(mu=3, components_per_color=[1, 1, 1],
                        linking={("1.1", "2.1"): lk12, ("1.1", "3.1"): lk13,
                                 ("2.1", "3.1"): 0},
-                       seifert=SeifertSystem(3, empty), sublinks={"2,3": make_twist(0)})
+                       seifert=empty, sublinks={"2,3": make_twist(0)})
 
 
 def _clasping_torus3():
@@ -424,7 +422,7 @@ def _clasping_torus3():
     empty = {sign_key(eps): [] for eps in sign_vectors(3)}
     return ColoredLink(mu=3, components_per_color=[1, 1, 1],
                        linking={("1.1", "2.1"): 1, ("1.1", "3.1"): 2},
-                       seifert=SeifertSystem(3, empty), sublinks={"2,3": make_torus(3)})
+                       seifert=empty, sublinks={"2,3": make_torus(3)})
 
 
 _FAREY_12 = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
@@ -452,8 +450,7 @@ def _two_component_first_color(lk_values):
     zero = np.zeros((1, 1), dtype=int)
     linking = {("1.1", "2.1"): lk_values[0], ("1.2", "2.1"): lk_values[1]}
     return ColoredLink(mu=2, components_per_color=[2, 1], linking=linking,
-                       seifert=SeifertSystem(2, {"++": zero, "+-": zero,
-                                                 "-+": zero, "--": zero}),
+                       seifert={"++": zero, "+-": zero, "-+": zero, "--": zero},
                        sublinks={"2": unknot()})
 
 
@@ -649,7 +646,8 @@ def test_run_suite_shares_one_plan_per_point(monkeypatch):
 def _first_color_of_two_components():
     """A link whose first color has two components, with no sublink data."""
     link = _two_component_first_color((1, 1))
-    return ColoredLink(link.mu, link.components_per_color, link.linking, link.seifert)
+    return ColoredLink(link.mu, link.components_per_color, link.linking,
+                       link.to_document()["seifert"])
 
 
 @pytest.mark.parametrize("make_link, suite, expected", [
@@ -682,7 +680,7 @@ def _random_seifert(rnd, mu, n):
             mat = [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)]
             mats[sign_key(eps)] = mat
             mats[sign_key(tuple(-e for e in eps))] = [list(r) for r in zip(*mat)]
-    return SeifertSystem(mu, mats)
+    return mats
 
 
 def _random_three_colors(seed, n=3):
@@ -748,7 +746,7 @@ def test_batched_limits_match_per_point_loop(link, monkeypatch):
         assert sampled_limit(link, signs) in (None, tuple(limit))
     # blocks of three forms split every stacked call into single points and
     # single corners; the report must not move
-    monkeypatch.setattr(links, "_STACK_BYTES", 3 * 16 * link.seifert.n ** 2)
+    monkeypatch.setattr(links, "_STACK_BYTES", 3 * 16 * link.seifert.shape[1] ** 2)
     assert [r.to_json_dict() for r in run_suite(link, "all", samples, seed)] == reports
 
 
@@ -760,7 +758,7 @@ def test_corner_limits_with_a_fourth_order_eigenvalue():
             "+-": [[0, 2, -1], [0, 2, 2], [2, -2, -1]],
             "-+": [[0, 0, 2], [2, 2, -2], [-1, 2, -1]],
             "--": [[2, 2, -1], [0, 1, 0], [2, 2, -2]]}
-    link = ColoredLink(2, [1, 1], {}, SeifertSystem(2, mats))
+    link = ColoredLink(2, [1, 1], {}, mats)
     counts = links.corner_limit_counts(link).tolist()
     expected = {"++": -1, "+-": 1, "-+": 1, "--": -1}
     assert {sign_key(signs): value for signs, (value, _) in zip(sign_vectors(2), counts)} \
@@ -823,8 +821,8 @@ def _every_report(link, samples, seed):
 
 def _without_data(link):
     """``link`` with no sublink or underlying_oriented data."""
-    return ColoredLink(link.mu, link.components_per_color, link.linking, link.seifert,
-                       link.conway, link.rank_alexander)
+    return ColoredLink(link.mu, link.components_per_color, link.linking,
+                       link.to_document()["seifert"], link.conway, link.rank_alexander)
 
 
 def test_report_text_is_json_dump_on_builtins():
